@@ -49,6 +49,7 @@ from .pooling import (
 from .samplers import (
     MHKernelConfig,
     MeldedChainOutput,
+    split_warmup,
     mh_step,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
@@ -106,6 +107,12 @@ def validate_config(cfg: dict) -> None:
         for stage, n in iters.items():
             if not isinstance(n, int) or n < 100:
                 raise ConfigError(f"sampler.iterations.{stage}: must be an int >= 100")
+        warmup = cfg["sampler"].get("warmup_frac", 0.1)
+        if isinstance(warmup, bool) or not isinstance(warmup, (int, float)) \
+                or not 0 <= warmup < 1:
+            raise ConfigError(
+                f"sampler.warmup_frac: must be a number in [0, 1), got {warmup!r}"
+            )
     _require(cfg, "outputs.directory", str)
 
 
@@ -298,7 +305,7 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
             warmup_frac=warmup,
         )
     if kind == "normal-approx":
-        return _run_normal_approx(cfg, built, factor, kernels, chains, seed, warmup)
+        return _run_normal_approx(cfg, built, pool, factor, kernels, chains, seed, warmup)
     store1, store3 = run_stage_one_pair(
         built.model,
         factor,
@@ -323,9 +330,24 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
     )
 
 
-def _run_normal_approx(cfg, built: BuiltChain, factor, kernels, chains, seed, warmup):
+def _require_middle_pool(pool: PooledPrior) -> None:
+    """The normal-approx target is exact only when the pool is p2 itself."""
+    terms = pool.terms
+    middle = pool.chain.submodels[1].eval_log_prior
+    if not (len(terms) == 1 and terms[0].coef == 1.0 and terms[0].evaluates(middle, (0, 1))):
+        raise ConfigError(
+            f"pooling: normal-approx needs the pool to equal the middle submodel's "
+            f"prior (dictatorial-complete [1, 1], dictatorial-partial with "
+            f"authoritative 1, or logarithmic [0, 1, 0]); this {pool.method} pool differs"
+        )
+
+
+def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, seed, warmup):
+    _require_middle_pool(pool)
     model = built.model
     iters = cfg["sampler"]["iterations"]
+    n2 = iters.get("stage_two", 1000)
+    burn, keep = split_warmup(n2, warmup)
     store1, store3 = run_stage_one_pair(
         model, factor, kernels["stage_one"], kernels["stage_one"],
         iters.get("stage_one", 1000), chains=chains, seed=seed, warmup_frac=warmup,
@@ -348,8 +370,6 @@ def _run_normal_approx(cfg, built: BuiltChain, factor, kernels, chains, seed, wa
     def log_target(state):
         return target(state[:d12], state[d12 : d12 + d23], state[d12 + d23 :])
 
-    n2 = iters.get("stage_two", 1000)
-    keep = n2 - int(warmup * n2)
     out = {
         "phi12": np.empty((chains, keep, d12)),
         "phi23": np.empty((chains, keep, d23)),
@@ -370,8 +390,8 @@ def _run_normal_approx(cfg, built: BuiltChain, factor, kernels, chains, seed, wa
                 state, log_p, log_target, coords, kernels["stage_two"], rng
             )
             accepted += acc
-            if t >= n2 - keep:
-                k = t - (n2 - keep)
+            if t >= burn:
+                k = t - burn
                 out["phi12"][c, k] = state[:d12]
                 out["phi23"][c, k] = state[d12 : d12 + d23]
                 out["psi2"][c, k] = state[d12 + d23 :]
@@ -386,7 +406,9 @@ def _run_normal_approx(cfg, built: BuiltChain, factor, kernels, chains, seed, wa
 def _cmd_validate(cfg: dict) -> int:
     validate_config(cfg)
     built = build_model(cfg)
-    build_pool(cfg, built)
+    pool = build_pool(cfg, built)
+    if cfg.get("sampler", {}).get("kind") == "normal-approx":
+        _require_middle_pool(pool)
     report = validate_chain(built.model)
     for line in report:
         print(f"invalid: {line}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtri
 
 from .errors import StructureError
 
@@ -42,11 +42,24 @@ def _as_traces(traces, min_draws: int) -> np.ndarray:
     return arr
 
 
+def _average_ranks(flat: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their average rank; all NaN if any is NaN."""
+    if np.isnan(flat).any():
+        return np.full(flat.shape, np.nan)
+    order = np.argsort(flat, kind="mergesort")
+    ordered = flat[order]
+    new_run = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], flat.size)
+    ranks = np.empty(flat.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new_run) - 1]
+    return ranks
+
+
 def _rank_normalize(arr: np.ndarray) -> np.ndarray:
     """Average ranks mapped through the normal quantile with offset 3/8."""
     flat = arr.reshape(-1)
-    ranks = scipy.stats.rankdata(flat, method="average")
-    z = scipy.stats.norm.ppf((ranks - 0.375) / (flat.size + 0.25))
+    z = ndtri((_average_ranks(flat) - 0.375) / (flat.size + 0.25))
     return z.reshape(arr.shape)
 
 

@@ -74,19 +74,28 @@ class GaussianDensity:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def _whitener(self) -> tuple[np.ndarray, float]:
+        """Inverse Cholesky factor and log-normalizer, computed on first use."""
+        cached = self.__dict__.get("_cached_whitener")
+        if cached is None:
+            chol = scipy.linalg.cholesky(self.cov, lower=True)
+            inv_chol = scipy.linalg.solve_triangular(chol, np.eye(self.dim), lower=True)
+            log_norm = -0.5 * (
+                self.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol)))
+            )
+            cached = (inv_chol, float(log_norm))
+            self.__dict__["_cached_whitener"] = cached
+        return cached
+
     def logpdf(self, x: np.ndarray):
         """Normalized log density; accepts shape ``(..., d)``."""
+        inv_chol, log_norm = self._whitener()
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim <= 1
-        flat = np.atleast_2d(x).reshape(-1, self.dim)
-        cho = scipy.linalg.cho_factor(self.cov, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        diff = flat - self.mean
-        sol = scipy.linalg.cho_solve(cho, diff.T)
-        quad = np.einsum("ij,ji->i", diff, sol)
-        out = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)
-        if scalar:
-            return float(out[0])
+        if x.ndim <= 1:
+            z = inv_chol @ (x.reshape(self.dim) - self.mean)
+            return log_norm - 0.5 * float(z @ z)
+        z = (x.reshape(-1, self.dim) - self.mean) @ inv_chol.T
+        out = log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
         return out.reshape(x.shape[:-1])
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.stats
 
 from .chain import ChainModel
 from .errors import NumericalFailureError, StructureError, UnsupportedConfigError
@@ -86,11 +85,18 @@ class MomentDiagnostics:
 
 
 def moment_diagnostics(store: SampleStore, selector: Union[str, Sequence[int]] = "phi") -> MomentDiagnostics:
+    """Biased sample skewness and excess kurtosis of each selected column."""
     data, _ = _select_columns(store, selector)
-    return MomentDiagnostics(
-        skewness=scipy.stats.skew(data, axis=0),
-        excess_kurtosis=scipy.stats.kurtosis(data, axis=0),
-    )
+    mean = data.mean(axis=0)
+    centered = data - mean
+    m2 = np.mean(centered**2, axis=0)
+    # A column constant up to rounding has no shape: report NaN.
+    flat = m2 <= (np.finfo(float).eps * mean) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return MomentDiagnostics(
+            skewness=np.where(flat, np.nan, np.mean(centered**3, axis=0) / m2**1.5),
+            excess_kurtosis=np.where(flat, np.nan, np.mean(centered**4, axis=0) / m2**2 - 3.0),
+        )
 
 
 def build_normal_approx_target(

@@ -24,6 +24,7 @@ from .errors import NumericalFailureError, PoolingConfigError, UnsupportedConfig
 
 __all__ = [
     "PooledPrior",
+    "PoolTerm",
     "PoolFactorization",
     "GridSpec",
     "GridTable",
@@ -47,8 +48,100 @@ METHODS = (
 
 
 @dataclass(frozen=True)
+class PoolTerm:
+    """One weighted log-marginal term, ``coef * fn(phi[blocks])``.
+
+    ``pooled`` is False for a term that only divides an end prior out of
+    the pool: such a term at -inf where the pool is finite is an error, not
+    a zero of the density.
+    """
+
+    coef: float
+    fn: LogDensity
+    blocks: tuple[int, ...]
+    pooled: bool = True
+
+    def evaluates(self, fn: LogDensity, blocks: tuple[int, ...]) -> bool:
+        return self.fn == fn and self.blocks == blocks
+
+
+_STRAY_END = (
+    "subprior-ends factorization: an end prior marginal is -inf where the "
+    "pooled prior is finite"
+)
+
+
+def _block_values(phi: Sequence[np.ndarray], blocks: tuple[int, ...]) -> np.ndarray:
+    parts = [np.asarray(phi[b], dtype=float) for b in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def sum_terms(terms: Sequence[PoolTerm], phi: Sequence[np.ndarray]):
+    """Sum of weighted log terms under the -inf policy; blocks may be batched.
+
+    A pooled term at -inf makes the sum -inf; an unpooled term at -inf
+    where every pooled term is finite raises ``NumericalFailureError``.
+    """
+    if max(np.ndim(x) for x in phi) <= 1:
+        total, stray = 0.0, False
+        for t in terms:
+            value = float(t.fn(_block_values(phi, t.blocks)))
+            if value == -math.inf:
+                if t.pooled:
+                    return -math.inf
+                stray = True
+            else:
+                total = total + t.coef * value
+        if stray:
+            raise NumericalFailureError(_STRAY_END)
+        return total
+    total = 0.0
+    zero = stray = np.False_
+    for t in terms:
+        value = np.asarray(t.fn(_block_values(phi, t.blocks)), dtype=float)
+        if t.pooled:
+            zero = np.logical_or(zero, np.isneginf(value))
+        else:
+            stray = np.logical_or(stray, np.isneginf(value))
+        with np.errstate(invalid="ignore"):
+            total = total + t.coef * value
+    if np.any(np.logical_and(stray, np.logical_not(zero))):
+        raise NumericalFailureError(_STRAY_END)
+    return np.where(zero, -np.inf, total)
+
+
+def merge_term(terms: Sequence[PoolTerm], coef: float, fn: LogDensity,
+               blocks: tuple[int, ...]) -> tuple[PoolTerm, ...]:
+    """Add ``coef * fn(phi[blocks])`` to a term list, merging like terms.
+
+    A new term is unpooled; terms whose coefficient cancels to 0 are dropped.
+    """
+    out, merged = [], False
+    for t in terms:
+        if t.evaluates(fn, blocks):
+            t = PoolTerm(t.coef + coef, t.fn, t.blocks, t.pooled)
+            merged = True
+        if t.coef != 0:
+            out.append(t)
+    if not merged and coef != 0:
+        out.append(PoolTerm(coef, fn, blocks, pooled=False))
+    return tuple(out)
+
+
+def split_term(terms: Sequence[PoolTerm], fn: LogDensity,
+               blocks: tuple[int, ...]) -> tuple[float, tuple[PoolTerm, ...]]:
+    """Coefficient of ``fn(phi[blocks])`` in a term list, and the other terms."""
+    coef = sum(t.coef for t in terms if t.evaluates(fn, blocks))
+    return coef, tuple(t for t in terms if not t.evaluates(fn, blocks))
+
+
+@dataclass(frozen=True)
 class PooledPrior:
-    """Pooling method, weights, and the evaluators harvested from a chain."""
+    """Pooling method, weights, and the evaluators harvested from a chain.
+
+    Every method is stored as ``terms``, a list of weighted log-marginal
+    terms whose sum is the unnormalized log pooled density.
+    """
 
     method: str
     chain: ChainModel
@@ -56,7 +149,7 @@ class PooledPrior:
     boundary_marginals: Mapping[tuple[int, int], LogDensity] = field(default_factory=dict)
     authoritative: Optional[int] = None
     choices: Optional[tuple[int, ...]] = None
-    log_norm: float = 0.0
+    terms: tuple[PoolTerm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -69,6 +162,7 @@ class PooledPrior:
             if not (w > 0).any():
                 raise PoolingConfigError("all-zero pooling weights")
             object.__setattr__(self, "weights", w)
+            terms = self._logarithmic_terms()
         elif self.method == "linear":
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (M - 1, 2) or (w < 0).any():
@@ -78,17 +172,14 @@ class PooledPrior:
             if (w.sum(axis=1) == 0).any():
                 raise PoolingConfigError("a boundary has all-zero linear weights")
             object.__setattr__(self, "weights", w)
-            for b in range(M - 1):
-                if w[b, 0] > 0:
-                    self._one_block(b, b)
-                if w[b, 1] > 0:
-                    self._one_block(b + 1, b)
+            terms = self._linear_terms()
         elif self.method == "dictatorial-partial":
             if self.authoritative is None or not 0 <= self.authoritative < M:
                 raise PoolingConfigError("partial dictatorial pooling needs a submodel index")
             if self.weights is None:
                 object.__setattr__(self, "weights", np.ones(M))
-        elif self.method == "dictatorial-complete":
+            terms = self._partial_terms()
+        else:
             if self.choices is None or len(self.choices) != M - 1:
                 raise PoolingConfigError(
                     f"complete dictatorial pooling needs {M - 1} per-boundary choices"
@@ -98,10 +189,8 @@ class PooledPrior:
                     raise PoolingConfigError(
                         f"boundary {b} must be assigned to submodel {b} or {b + 1}, got {c}"
                     )
-            # Trigger missing-marginal errors at construction time.
-            for b, m, kind in self._complete_terms():
-                if kind == "one-block":
-                    self._one_block(m, b)
+            terms = self._complete_terms()
+        object.__setattr__(self, "terms", tuple(terms))
 
     def _one_block(self, m: int, b: int) -> LogDensity:
         """One-block marginal p_m(phi_b); native for end submodels."""
@@ -116,99 +205,79 @@ class PooledPrior:
                 f"missing one-block marginal for submodel {m} over boundary {b}"
             ) from None
 
-    def _complete_terms(self):
-        """Expand complete-dictatorial choices into evaluation terms.
+    def _prior_term(self, coef: float, m: int) -> PoolTerm:
+        """``coef * log p_m`` over all the blocks submodel m touches."""
+        return PoolTerm(float(coef), self.chain.submodels[m].eval_log_prior,
+                        self.chain.blocks_of(m))
 
-        Yields (boundary, submodel, kind) with kind "two-block" covering a
-        consecutive pair owned by the same middle submodel (the dependence
-        preservation rule) or "one-block" for a single boundary.
+    def _logarithmic_terms(self):
+        return [self._prior_term(w, m) for m, w in enumerate(self.weights) if w != 0]
+
+    def _linear_terms(self):
+        """One term per boundary: the log of its two-component mixture."""
+        terms = []
+        for b in range(len(self.chain.phi_blocks)):
+            parts = tuple(
+                (math.log(w), self._one_block(m, b))
+                for w, m in zip(self.weights[b], (b, b + 1))
+                if w > 0
+            )
+            terms.append(PoolTerm(1.0, _log_mixture(parts), (b,)))
+        return terms
+
+    def _partial_terms(self):
+        m0 = self.authoritative
+        chain = self.chain
+        terms = [self._prior_term(1.0, m0)]
+        covered = set(chain.blocks_of(m0))
+        for m in range(chain.n_submodels):
+            free = [b for b in chain.blocks_of(m) if b not in covered]
+            w = self.weights[m]
+            if m == m0 or not free or w == 0:
+                continue
+            if free == list(chain.blocks_of(m)):
+                terms.append(self._prior_term(w, m))
+            else:
+                # Adjacent to the authoritative submodel: only the outer
+                # block is free, so its one-block marginal is pooled.
+                terms.append(PoolTerm(float(w), self._one_block(m, free[0]), (free[0],)))
+        return terms
+
+    def _complete_terms(self):
+        """Expand complete-dictatorial choices into terms.
+
+        A consecutive pair of boundaries owned by the same middle submodel
+        uses its two-block marginal (the dependence preservation rule);
+        every other boundary uses its owner's one-block marginal.
         """
+        terms = []
         b = 0
         n_b = len(self.choices)
         while b < n_b:
             m = self.choices[b]
             if m == b + 1 and b + 1 < n_b and self.choices[b + 1] == m:
-                yield b, m, "two-block"
+                terms.append(self._prior_term(1.0, m))
                 b += 2
             else:
-                yield b, m, "one-block"
+                terms.append(PoolTerm(1.0, self._one_block(m, b), (b,)))
                 b += 1
+        return terms
 
     # -- evaluation -----------------------------------------------------
 
     def log_density(self, phi: Sequence[np.ndarray]):
         """Unnormalized log pooled density; block values may be batched."""
-        if self.method in ("logarithmic", "poe"):
-            out = self._log_density_logarithmic(phi)
-        elif self.method == "linear":
-            out = self._log_density_linear(phi)
-        elif self.method == "dictatorial-partial":
-            out = self._log_density_partial(phi)
-        else:
-            out = self._log_density_complete(phi)
-        return out - self.log_norm
+        return sum_terms(self.terms, phi)
 
-    def _log_density_logarithmic(self, phi):
-        total = 0.0
-        for m, spec in enumerate(self.chain.submodels):
-            w = self.weights[m]
-            if w == 0:
-                continue
-            total = total + w * np.asarray(spec.eval_log_prior(self.chain.phi_m(m, phi)))
-        return total
 
-    def _log_density_linear(self, phi):
-        total = 0.0
-        for b in range(len(self.chain.phi_blocks)):
-            x = np.asarray(phi[b], dtype=float)
-            terms = []
-            for slot, m in enumerate((b, b + 1)):
-                w = self.weights[b, slot]
-                if w > 0:
-                    terms.append(math.log(w) + np.asarray(self._one_block(m, b)(x)))
-            if len(terms) == 1:
-                total = total + terms[0]
-            else:
-                total = total + np.logaddexp(terms[0], terms[1])
-        return total
+def _log_mixture(parts: tuple[tuple[float, LogDensity], ...]) -> LogDensity:
+    """log sum_k w_k f_k(x) for one or two (log w_k, f_k) components."""
 
-    def _log_density_partial(self, phi):
-        m0 = self.authoritative
-        chain = self.chain
-        spec = chain.submodels[m0]
-        total = np.asarray(spec.eval_log_prior(chain.phi_m(m0, phi)), dtype=float)
-        covered = set(chain.blocks_of(m0))
-        for m, other in enumerate(chain.submodels):
-            if m == m0:
-                continue
-            free = [b for b in chain.blocks_of(m) if b not in covered]
-            if not free:
-                continue
-            w = self.weights[m]
-            if w == 0:
-                continue
-            if free == list(chain.blocks_of(m)):
-                total = total + w * np.asarray(other.eval_log_prior(chain.phi_m(m, phi)))
-            else:
-                # Adjacent to the authoritative submodel: only the outer
-                # block is free, so its one-block marginal is pooled.
-                b = free[0]
-                total = total + w * np.asarray(
-                    self._one_block(m, b)(np.asarray(phi[b], dtype=float))
-                )
-        return total
+    def log_mix(x):
+        values = [lw + np.asarray(fn(x)) for lw, fn in parts]
+        return values[0] if len(values) == 1 else np.logaddexp(values[0], values[1])
 
-    def _log_density_complete(self, phi):
-        total = 0.0
-        for b, m, kind in self._complete_terms():
-            if kind == "two-block":
-                spec = self.chain.submodels[m]
-                total = total + np.asarray(spec.eval_log_prior(self.chain.phi_m(m, phi)))
-            else:
-                total = total + np.asarray(
-                    self._one_block(m, b)(np.asarray(phi[b], dtype=float))
-                )
-        return total
+    return log_mix
 
 
 def log_pooling(chain: ChainModel, lam: Sequence[float]) -> PooledPrior:
@@ -272,13 +341,17 @@ class PoolFactorization:
     """Three-factor split of a pooled prior for the multi-stage samplers.
 
     In log space, pool1(block 1) + pool2(block 1, block 2) + pool3(block 2)
-    equals the pooled log density up to one additive constant.
+    equals the pooled log density.  ``terms2`` is pool2 as a term list; the
+    stage-two samplers evaluate it directly.  Under "subprior-ends", pool1
+    and pool3 are the end submodels' own prior marginals, so stage one
+    evaluates each of them once, as part of its end's subposterior.
     """
 
     pool1: LogDensity
     pool2: Callable[[np.ndarray, np.ndarray], float]
     pool3: LogDensity
     mode: str
+    terms2: tuple[PoolTerm, ...]
 
     def log_density(self, phi: Sequence[np.ndarray]):
         x0 = np.asarray(phi[0], dtype=float)
@@ -300,7 +373,8 @@ def factorize_for_sampler(pool: PooledPrior, mode: str = "flat-ends") -> PoolFac
 
     "flat-ends" puts the whole pooled density in the middle factor;
     "subprior-ends" uses each end submodel's own prior marginal as its end
-    factor, so stage one targets the plain subposteriors.
+    factor, so stage one targets the plain subposteriors, and subtracts
+    those marginals from the pool's terms to form the middle factor.
     """
     chain = pool.chain
     if chain.n_submodels != 3:
@@ -308,47 +382,20 @@ def factorize_for_sampler(pool: PooledPrior, mode: str = "flat-ends") -> PoolFac
             f"sampler factorization supports M = 3 chains, got M = {chain.n_submodels}"
         )
     if mode == "flat-ends":
-        return PoolFactorization(
-            pool1=_zero,
-            pool2=lambda x0, x1: pool.log_density([x0, x1]),
-            pool3=_zero,
-            mode=mode,
-        )
-    if mode == "subprior-ends":
-        end1 = chain.submodels[0].eval_log_prior
-        end3 = chain.submodels[2].eval_log_prior
+        pool1 = pool3 = _zero
+        terms2 = pool.terms
+    elif mode == "subprior-ends":
+        pool1 = chain.submodels[0].eval_log_prior
+        pool3 = chain.submodels[2].eval_log_prior
+        terms2 = merge_term(merge_term(pool.terms, -1.0, pool1, (0,)), -1.0, pool3, (1,))
+    else:
+        raise UnsupportedConfigError(f"unknown factorization mode {mode!r}")
 
-        def pool2(x0, x1):
-            full = pool.log_density([x0, x1])
-            if np.ndim(full) == 0:
-                full = float(full)
-                if full == -math.inf:
-                    return -math.inf
-                e1 = float(end1(np.asarray(x0, dtype=float)))
-                e3 = float(end3(np.asarray(x1, dtype=float)))
-                if e1 == -math.inf or e3 == -math.inf:
-                    raise NumericalFailureError(
-                        "subprior-ends factorization: an end prior marginal is "
-                        "-inf where the pooled prior is finite"
-                    )
-                return full - e1 - e3
-            full = np.asarray(full, dtype=float)
-            e1 = np.asarray(end1(np.asarray(x0, dtype=float)), dtype=float)
-            e3 = np.asarray(end3(np.asarray(x1, dtype=float)), dtype=float)
-            bad = np.isfinite(full) & (np.isneginf(e1) | np.isneginf(e3))
-            if np.any(bad):
-                raise NumericalFailureError(
-                    "subprior-ends factorization: an end prior marginal is -inf "
-                    "where the pooled prior is finite"
-                )
-            with np.errstate(invalid="ignore"):
-                out = full - e1 - e3
-            # -inf pooled density dominates regardless of the end terms.
-            out = np.where(np.isneginf(full), -np.inf, out)
-            return float(out) if out.ndim == 0 else out
+    def pool2(x0, x1):
+        out = sum_terms(terms2, (x0, x1))
+        return float(out) if np.ndim(out) == 0 else out
 
-        return PoolFactorization(pool1=end1, pool2=pool2, pool3=end3, mode=mode)
-    raise UnsupportedConfigError(f"unknown factorization mode {mode!r}")
+    return PoolFactorization(pool1, pool2, pool3, mode, terms2)
 
 
 @dataclass(frozen=True)

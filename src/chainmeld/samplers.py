@@ -11,7 +11,6 @@ submodels one at a time.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -20,7 +19,7 @@ import numpy as np
 
 from .chain import ChainModel, Coord, SubmodelSpec, submodel_log_ratio
 from .errors import InitializationError, StructureError, UnsupportedConfigError
-from .pooling import PoolFactorization
+from .pooling import PoolFactorization, split_term, sum_terms
 
 __all__ = [
     "MHKernelConfig",
@@ -55,6 +54,14 @@ class MHKernelConfig:
             raise UnsupportedConfigError(f"unknown proposal kind {self.proposal!r}")
         if np.any(np.asarray(self.scales, dtype=float) < 0):
             raise UnsupportedConfigError("proposal scales must be >= 0")
+
+    def per_coord(self, n: int) -> tuple[float, ...]:
+        """``scales`` broadcast to ``n`` coordinates, cached per ``n``."""
+        cache = self.__dict__.setdefault("_per_coord", {})
+        if n not in cache:
+            scales = np.broadcast_to(np.asarray(self.scales, dtype=float), (n,))
+            cache[n] = tuple(scales.tolist())
+        return cache[n]
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,10 @@ def _init_state(coords, log_target, rng, init=None):
 
 
 def _propose(state: np.ndarray, coords: Sequence[Coord], scales, rng):
-    """Random-walk / uniform-flip proposal; returns (proposal, log q ratio)."""
-    scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(coords),))
+    """Random-walk / uniform-flip proposal; returns (proposal, log q ratio).
+
+    ``scales`` holds one step size per coordinate (``MHKernelConfig.per_coord``).
+    """
     prop = state.copy()
     log_q = 0.0
     for i, c in enumerate(coords):
@@ -171,7 +180,7 @@ def mh_step(state, log_p, log_target, coords, kernel: MHKernelConfig, rng):
     Returns (state, log density, accepted).  ``log_p`` must be the target
     value at ``state`` (finite).
     """
-    prop, log_q = _propose(state, coords, kernel.scales, rng)
+    prop, log_q = _propose(state, coords, kernel.per_coord(len(coords)), rng)
     lp_prop = log_target(prop)
     if lp_prop == -math.inf:
         _accept(rng, -math.inf)
@@ -179,6 +188,18 @@ def mh_step(state, log_p, log_target, coords, kernel: MHKernelConfig, rng):
     if _accept(rng, lp_prop - log_p + log_q):
         return prop, lp_prop, True
     return state, log_p, False
+
+
+def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
+    """(warmup, kept) iteration counts; needs 0 <= warmup_frac < 1 and >= 1 kept."""
+    if not 0.0 <= warmup_frac < 1.0:
+        raise UnsupportedConfigError(
+            f"warmup_frac must satisfy 0 <= warmup_frac < 1, got {warmup_frac!r}"
+        )
+    warmup = int(warmup_frac * n_iter)
+    if warmup >= n_iter:
+        raise UnsupportedConfigError("warmup leaves no post-warmup iterations")
+    return warmup, n_iter - warmup
 
 
 def _end_pieces(chain: ChainModel, factor: PoolFactorization, end: int):
@@ -205,24 +226,31 @@ def run_stage_one(
     """MH chain targeting one end submodel's stage-one density.
 
     The target is pool_k(phi) * p_k(phi, psi, Y) / p_k(phi); with the
-    subprior-ends factorization this is exactly the subposterior.
+    subprior-ends factorization pool_k is p_k(phi) itself, evaluated once,
+    and the target is exactly the subposterior.
     """
     spec, block, pool_k = _end_pieces(chain, factor, end)
     d_phi = block.dim
     coords = tuple(block.coords) + tuple(spec.psi_coords)
+    warmup, kept = split_warmup(n_iter, warmup_frac)
+
+    subprior = factor.mode == "subprior-ends"
 
     def log_target(state):
         phi = state[:d_phi]
         psi = state[d_phi:]
-        base = float(np.asarray(pool_k(phi)))
+        lm = float(spec.eval_log_prior(phi))
+        # Under subprior-ends pool_k is p_k(phi) itself: reuse it.
+        base = lm if subprior else float(np.asarray(pool_k(phi)))
         if base == -math.inf:
             return -math.inf
-        return base + submodel_log_ratio(spec, phi, psi)
+        lj = spec.eval_log_joint(phi, psi)
+        if lj == -math.inf:
+            return -math.inf
+        if lm == -math.inf:
+            submodel_log_ratio(spec, phi, psi)  # raises: joint finite, marginal -inf
+        return base + (lj - lm)
 
-    warmup = int(warmup_frac * n_iter)
-    kept = n_iter - warmup
-    if kept < 1:
-        raise UnsupportedConfigError("warmup leaves no post-warmup iterations")
     phi_out = np.empty((chains * kept, d_phi))
     psi_out = np.empty((chains * kept, spec.psi_dim))
     logd_out = np.empty(chains * kept)
@@ -263,75 +291,82 @@ def run_stage_one_pair(
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> tuple[SampleStore, SampleStore]:
-    """Run both stage-one samplers concurrently on independent RNG streams."""
+    """Run both stage-one samplers on independent RNG streams."""
     ss1, ss3 = np.random.SeedSequence(seed).spawn(2)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        f1 = pool.submit(
-            run_stage_one, chain, 0, factor, kernel1, n_iter, chains,
-            ss1.entropy, warmup_frac,
-        )
-        f3 = pool.submit(
-            run_stage_one, chain, 2, factor, kernel3, n_iter, chains,
-            ss3.entropy, warmup_frac,
-        )
-        return f1.result(), f3.result()
+    return (
+        run_stage_one(chain, 0, factor, kernel1, n_iter, chains, ss1.entropy, warmup_frac),
+        run_stage_one(chain, 2, factor, kernel3, n_iter, chains, ss3.entropy, warmup_frac),
+    )
+
+
+class _MiddleTarget:
+    """Middle-submodel terms of the stage-two target.
+
+    For a shared-block move these are the middle log joint and
+    pool2 - log p2(phi), one sum of weighted log-marginal terms in which
+    the middle marginal is evaluated once.
+    """
+
+    __slots__ = ("spec", "coef", "rest")
+
+    def __init__(self, spec2: SubmodelSpec, factor: PoolFactorization):
+        self.spec = spec2
+        coef, self.rest = split_term(factor.terms2, spec2.eval_log_prior, (0, 1))
+        self.coef = coef - 1.0
+
+    def evaluate(self, phi12, phi23, psi2):
+        """(log joint, pool2 - log p2), or None where the target is -inf."""
+        phi_m = np.concatenate([phi12, phi23])
+        lj2 = self.spec.eval_log_joint(phi_m, psi2)
+        if lj2 == -math.inf:
+            return None
+        lm2 = float(self.spec.eval_log_prior(phi_m))
+        if lm2 == -math.inf:
+            # Surface the inconsistency rather than silently rejecting.
+            submodel_log_ratio(self.spec, phi_m, psi2)
+        rest = sum_terms(self.rest, (phi12, phi23))
+        if rest == -math.inf:
+            return None
+        return lj2, rest + self.coef * lm2
 
 
 class _MiddleState:
     """Mutable stage-two state for one chain: middle submodel caches."""
 
-    __slots__ = ("phi12", "phi23", "psi2", "lj2", "lm2", "lp2")
+    __slots__ = ("phi12", "phi23", "psi2", "lj2", "lr2")
 
-    def __init__(self, spec2, pool2, phi12, phi23, psi2):
+    def __init__(self, target: _MiddleTarget, phi12, phi23, psi2):
         self.phi12 = phi12
         self.phi23 = phi23
         self.psi2 = psi2
-        self.refresh(spec2, pool2)
-
-    def refresh(self, spec2, pool2):
-        phi_m = np.concatenate([self.phi12, self.phi23])
-        self.lj2 = spec2.eval_log_joint(phi_m, self.psi2)
-        if self.lj2 > -math.inf:
-            self.lm2 = float(np.asarray(spec2.eval_log_prior(phi_m)))
-            self.lp2 = float(np.asarray(pool2(self.phi12, self.phi23)))
-        else:
-            self.lm2 = self.lp2 = -math.inf
+        self.lj2, self.lr2 = target.evaluate(phi12, phi23, psi2) or (-math.inf, -math.inf)
 
     def finite(self) -> bool:
-        return all(v > -math.inf for v in (self.lj2, self.lm2, self.lp2))
+        return self.lj2 > -math.inf and self.lr2 > -math.inf
 
 
-def _middle_ratio(spec2, pool2, phi12, phi23, psi2, cur: "_MiddleState"):
+def _middle_ratio(target: _MiddleTarget, phi12, phi23, psi2, cur: _MiddleState):
     """Log acceptance ratio for a shared-block move against the middle submodel.
 
     Only middle-submodel terms and the middle pool factor appear: pooled
     ratio x joint ratio x inverse prior-marginal ratio.
     """
-    phi_m = np.concatenate([phi12, phi23])
-    lj2 = spec2.eval_log_joint(phi_m, psi2)
-    if lj2 == -math.inf:
+    new = target.evaluate(phi12, phi23, psi2)
+    if new is None:
         return -math.inf, None
-    lm2 = float(np.asarray(spec2.eval_log_prior(phi_m)))
-    if lm2 == -math.inf:
-        # Surface the inconsistency rather than silently accepting.
-        submodel_log_ratio(spec2, phi_m, psi2)
-    lp2 = float(np.asarray(pool2(phi12, phi23)))
-    if lp2 == -math.inf:
-        return -math.inf, None
-    log_alpha = (lp2 - cur.lp2) + (lj2 - cur.lj2) + (cur.lm2 - lm2)
-    return log_alpha, (lj2, lm2, lp2)
+    return (new[1] - cur.lr2) + (new[0] - cur.lj2), new
 
 
-def _stage_two_init(spec2, pool2, store1, store3, psi2_coords, rng):
+def _stage_two_init(target, store1, store3, psi2_coords, rng):
     for _ in range(_INIT_RETRIES):
         i1 = int(rng.integers(store1.n))
         i3 = int(rng.integers(store3.n))
         psi2 = np.array([_default_value(c) for c in psi2_coords])
-        state = _MiddleState(spec2, pool2, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
+        state = _MiddleState(target, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
         if state.finite():
             return i1, i3, state
         psi2 = _jitter(psi2, psi2_coords, rng)
-        state = _MiddleState(spec2, pool2, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
+        state = _MiddleState(target, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
         if state.finite():
             return i1, i3, state
     raise InitializationError("stage two: no finite-density initial state")
@@ -357,12 +392,10 @@ def run_parallel_stage_two(
     if chain.n_submodels != 3:
         raise UnsupportedConfigError("parallel stage two requires M = 3")
     spec2 = chain.submodels[1]
-    pool2 = factor.pool2
+    target = _MiddleTarget(spec2, factor)
     psi2_coords = tuple(spec2.psi_coords)
-    warmup = int(warmup_frac * n_iter)
-    kept = n_iter - warmup
-    if kept < 1:
-        raise UnsupportedConfigError("warmup leaves no post-warmup iterations")
+    scales2 = kernel2.per_coord(len(psi2_coords))
+    warmup, kept = split_warmup(n_iter, warmup_frac)
 
     d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
     out = _allocate_output(chains, kept, d12, d23, store1, store3, spec2, n_index=2)
@@ -371,33 +404,33 @@ def run_parallel_stage_two(
 
     for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
         rng = np.random.default_rng(ss)
-        i1, i3, cur = _stage_two_init(spec2, pool2, store1, store3, psi2_coords, rng)
+        i1, i3, cur = _stage_two_init(target, store1, store3, psi2_coords, rng)
         for t in range(n_iter):
             # (i) shared block 1 + psi1 via index resampling
             n1 = int(rng.integers(store1.n))
             log_alpha, new = _middle_ratio(
-                spec2, pool2, store1.phi[n1], cur.phi23, cur.psi2, cur
+                target, store1.phi[n1], cur.phi23, cur.psi2, cur
             )
             propose["phi1"] += 1
             if _accept(rng, log_alpha):
                 accept["phi1"] += 1
                 i1 = n1
                 cur.phi12 = store1.phi[n1].copy()
-                cur.lj2, cur.lm2, cur.lp2 = new
+                cur.lj2, cur.lr2 = new
             # (ii) shared block 2 + psi3
             n3 = int(rng.integers(store3.n))
             log_alpha, new = _middle_ratio(
-                spec2, pool2, cur.phi12, store3.phi[n3], cur.psi2, cur
+                target, cur.phi12, store3.phi[n3], cur.psi2, cur
             )
             propose["phi3"] += 1
             if _accept(rng, log_alpha):
                 accept["phi3"] += 1
                 i3 = n3
                 cur.phi23 = store3.phi[n3].copy()
-                cur.lj2, cur.lm2, cur.lp2 = new
+                cur.lj2, cur.lr2 = new
             # (iii) psi2 via generic MH
             if psi2_coords:
-                prop, log_q = _propose(cur.psi2, psi2_coords, kernel2.scales, rng)
+                prop, log_q = _propose(cur.psi2, psi2_coords, scales2, rng)
                 lj2 = spec2.eval_log_joint(
                     np.concatenate([cur.phi12, cur.phi23]), prop
                 )
@@ -448,12 +481,10 @@ def run_parallel_stage_two_unitwise(
         raise UnsupportedConfigError(
             "unitwise updates need unit factorizations on submodels 0 and 2"
         )
-    pool2 = factor.pool2
+    target = _MiddleTarget(spec2, factor)
     psi2_coords = tuple(spec2.psi_coords)
-    warmup = int(warmup_frac * n_iter)
-    kept = n_iter - warmup
-    if kept < 1:
-        raise UnsupportedConfigError("warmup leaves no post-warmup iterations")
+    scales2 = kernel2.per_coord(len(psi2_coords))
+    warmup, kept = split_warmup(n_iter, warmup_frac)
 
     d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
     n_index = uf1.n_units + uf3.n_units
@@ -463,7 +494,7 @@ def run_parallel_stage_two_unitwise(
 
     for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
         rng = np.random.default_rng(ss)
-        i1, i3, cur = _stage_two_init(spec2, pool2, store1, store3, psi2_coords, rng)
+        i1, i3, cur = _stage_two_init(target, store1, store3, psi2_coords, rng)
         units1 = np.full(uf1.n_units, i1, dtype=int)
         units3 = np.full(uf3.n_units, i3, dtype=int)
         psi1 = store1.psi[i1].copy()
@@ -476,13 +507,13 @@ def run_parallel_stage_two_unitwise(
                 idx = list(uf1.phi_indices[u])
                 phi_prop[idx] = store1.phi[k1][idx]
                 log_alpha, new = _middle_ratio(
-                    spec2, pool2, phi_prop, cur.phi23, cur.psi2, cur
+                    target, phi_prop, cur.phi23, cur.psi2, cur
                 )
                 propose["phi1"] += 1
                 if _accept(rng, log_alpha):
                     accept["phi1"] += 1
                     cur.phi12 = phi_prop
-                    cur.lj2, cur.lm2, cur.lp2 = new
+                    cur.lj2, cur.lr2 = new
                     units1[u] = k1
                     sidx = list(uf1.psi_indices[u])
                     psi1[sidx] = store1.psi[k1][sidx]
@@ -493,18 +524,18 @@ def run_parallel_stage_two_unitwise(
                 idx = list(uf3.phi_indices[u])
                 phi_prop[idx] = store3.phi[k3][idx]
                 log_alpha, new = _middle_ratio(
-                    spec2, pool2, cur.phi12, phi_prop, cur.psi2, cur
+                    target, cur.phi12, phi_prop, cur.psi2, cur
                 )
                 propose["phi3"] += 1
                 if _accept(rng, log_alpha):
                     accept["phi3"] += 1
                     cur.phi23 = phi_prop
-                    cur.lj2, cur.lm2, cur.lp2 = new
+                    cur.lj2, cur.lr2 = new
                     units3[u] = k3
                     sidx = list(uf3.psi_indices[u])
                     psi3[sidx] = store3.psi[k3][sidx]
             if psi2_coords:
-                prop, log_q = _propose(cur.psi2, psi2_coords, kernel2.scales, rng)
+                prop, log_q = _propose(cur.psi2, psi2_coords, scales2, rng)
                 lj2 = spec2.eval_log_joint(
                     np.concatenate([cur.phi12, cur.phi23]), prop
                 )
@@ -558,7 +589,9 @@ def run_sequential(
         n_iter = (n_iter, n_iter, n_iter)
     n1, n2, n3 = n_iter
     spec1, spec2, spec3 = chain.submodels
-    pool2, pool3 = factor.pool2, factor.pool3
+    target = _MiddleTarget(spec2, factor)
+    pool3 = factor.pool3
+    subprior = factor.mode == "subprior-ends"
     psi2_coords = tuple(spec2.psi_coords)
     psi3_coords = tuple(spec3.psi_coords)
     block23 = chain.phi_blocks[1]
@@ -567,15 +600,14 @@ def run_sequential(
     store1 = run_stage_one(chain, 0, factor, kernel1, n1, chains, ss1.entropy, warmup_frac)
 
     # ---- stage two: (phi12 by index, phi23 + psi2 by random walk) ----
-    warmup2 = int(warmup_frac * n2)
-    kept2 = n2 - warmup2
-    if kept2 < 1:
-        raise UnsupportedConfigError("stage-two warmup leaves no iterations")
+    warmup2, kept2 = split_warmup(n2, warmup_frac)
     rows_phi12 = np.empty((chains * kept2, store1.phi.shape[1]))
     rows_phi23 = np.empty((chains * kept2, block23.dim))
     rows_psi2 = np.empty((chains * kept2, spec2.psi_dim))
     rows_i1 = np.empty(chains * kept2, dtype=int)
     move_coords = tuple(block23.coords) + psi2_coords
+    scales2 = kernel2.per_coord(len(move_coords))
+    scales3 = kernel3.per_coord(len(psi3_coords))
     accept = {"s2_phi1": 0, "s2_move": 0, "s3_index": 0, "s3_psi3": 0}
     propose = {"s2_phi1": 0, "s2_move": 0, "s3_index": 0, "s3_psi3": 0}
 
@@ -586,11 +618,11 @@ def run_sequential(
             i1 = int(rng.integers(store1.n))
             phi23 = np.array([_default_value(cc) for cc in block23.coords])
             psi2 = np.array([_default_value(cc) for cc in psi2_coords])
-            cur = _MiddleState(spec2, pool2, store1.phi[i1].copy(), phi23, psi2)
+            cur = _MiddleState(target, store1.phi[i1].copy(), phi23, psi2)
             if cur.finite():
                 break
             phi23 = _jitter(phi23, block23.coords, rng)
-            cur = _MiddleState(spec2, pool2, store1.phi[i1].copy(), phi23, psi2)
+            cur = _MiddleState(target, store1.phi[i1].copy(), phi23, psi2)
             if cur.finite():
                 break
         else:
@@ -599,25 +631,25 @@ def run_sequential(
         for t in range(n2):
             n1_star = int(rng.integers(store1.n))
             log_alpha, new = _middle_ratio(
-                spec2, pool2, store1.phi[n1_star], cur.phi23, cur.psi2, cur
+                target, store1.phi[n1_star], cur.phi23, cur.psi2, cur
             )
             propose["s2_phi1"] += 1
             if _accept(rng, log_alpha):
                 accept["s2_phi1"] += 1
                 i1 = n1_star
                 cur.phi12 = store1.phi[n1_star].copy()
-                cur.lj2, cur.lm2, cur.lp2 = new
+                cur.lj2, cur.lr2 = new
             move = np.concatenate([cur.phi23, cur.psi2])
-            prop, log_q = _propose(move, move_coords, kernel2.scales, rng)
+            prop, log_q = _propose(move, move_coords, scales2, rng)
             phi23_p = prop[: block23.dim]
             psi2_p = prop[block23.dim :]
-            log_alpha, new = _middle_ratio(spec2, pool2, cur.phi12, phi23_p, psi2_p, cur)
+            log_alpha, new = _middle_ratio(target, cur.phi12, phi23_p, psi2_p, cur)
             propose["s2_move"] += 1
             if _accept(rng, log_alpha + log_q):
                 accept["s2_move"] += 1
                 cur.phi23 = phi23_p
                 cur.psi2 = psi2_p
-                cur.lj2, cur.lm2, cur.lp2 = new
+                cur.lj2, cur.lr2 = new
             if t >= warmup2:
                 rows_phi12[row] = cur.phi12
                 rows_phi23[row] = cur.phi23
@@ -626,10 +658,7 @@ def run_sequential(
                 row += 1
 
     # ---- stage three: (whole stage-two state by index, psi3 by walk) ----
-    warmup3 = int(warmup_frac * n3)
-    kept3 = n3 - warmup3
-    if kept3 < 1:
-        raise UnsupportedConfigError("stage-three warmup leaves no iterations")
+    warmup3, kept3 = split_warmup(n3, warmup_frac)
     n_rows = rows_phi12.shape[0]
     out = {
         "phi12": np.empty((chains, kept3, rows_phi12.shape[1])),
@@ -647,7 +676,8 @@ def run_sequential(
         lm3 = float(np.asarray(spec3.eval_log_prior(phi23)))
         if lm3 == -math.inf:
             submodel_log_ratio(spec3, phi23, psi3)
-        lp3 = float(np.asarray(pool3(phi23)))
+        # Under subprior-ends pool3 is p3(phi23) itself: reuse it.
+        lp3 = lm3 if subprior else float(np.asarray(pool3(phi23)))
         if lp3 == -math.inf:
             return None
         return lj3, lm3, lp3
@@ -681,7 +711,7 @@ def run_sequential(
                     j = j_star
                     lj3, lm3, lp3 = new
             if psi3_coords:
-                prop, log_q = _propose(psi3, psi3_coords, kernel3.scales, rng)
+                prop, log_q = _propose(psi3, psi3_coords, scales3, rng)
                 lj3_p = spec3.eval_log_joint(rows_phi23[j], prop)
                 propose["s3_psi3"] += 1
                 if lj3_p == -math.inf:

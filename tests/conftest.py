@@ -7,8 +7,14 @@ factor on the middle submodel) to exercise the samplers properly.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chainmeld import UnitFactorization, builtin_discrete_chain
+
+# Property tests replay the same examples on every run and never fail on
+# wall-clock time, which varies on a shared machine.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 def random_table(rng, shape, spread=0.5):

@@ -140,11 +140,60 @@ class TestSample:
         assert main(["sample", "--config", path]) == 0
 
     def test_normal_approx_kind(self, tmp_path):
-        cfg = _gaussian_config(tmp_path)
+        cfg = _gaussian_config(
+            tmp_path, pooling={"method": "dictatorial-complete", "choices": [1, 1]}
+        )
         cfg["sampler"]["kind"] = "normal-approx"
         path = _write_config(tmp_path, cfg)
         assert main(["sample", "--config", path]) == 0
         assert (tmp_path / "out" / "melded_samples.csv").exists()
+
+    @pytest.mark.parametrize(
+        "pooling",
+        [
+            {"method": "dictatorial-partial", "authoritative": 1},
+            {"method": "logarithmic", "lambda": [0.0, 1.0, 0.0]},
+        ],
+    )
+    def test_normal_approx_accepts_middle_pools(self, tmp_path, pooling):
+        cfg = _gaussian_config(tmp_path, pooling=pooling)
+        cfg["sampler"]["kind"] = "normal-approx"
+        assert main(["sample", "--config", _write_config(tmp_path, cfg)]) == 0
+
+    @pytest.mark.parametrize(
+        "pooling",
+        [
+            {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
+            {"method": "poe"},
+            {"method": "dictatorial-complete", "choices": [0, 2]},
+            {"method": "dictatorial-partial", "authoritative": 0},
+        ],
+    )
+    def test_normal_approx_rejects_other_pools(self, tmp_path, capsys, pooling):
+        cfg = _gaussian_config(tmp_path, pooling=pooling)
+        cfg["sampler"]["kind"] = "normal-approx"
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        assert "pooling" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
+    @pytest.mark.parametrize("warmup", [-0.5, 1.0, 1.5, "0.1", True])
+    def test_warmup_frac_out_of_range(self, tmp_path, capsys, warmup):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["warmup_frac"] = warmup
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        assert "sampler.warmup_frac" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
+    def test_warmup_frac_zero_keeps_every_draw(self, tmp_path):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["warmup_frac"] = 0
+        assert main(["sample", "--config", _write_config(tmp_path, cfg)]) == 0
+        with (tmp_path / "out" / "melded_samples.csv").open() as handle:
+            assert sum(1 for _ in handle) == 1 + 2 * 500
 
 
 class TestPoolGrid:

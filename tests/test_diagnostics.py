@@ -93,3 +93,35 @@ class TestBulkTail:
 
     def test_bulk_handles_constant(self):
         assert ess_bulk(np.zeros((2, 100))).capped
+
+
+class TestRankNormalize:
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_matches_scipy_exactly(self, rng, kind):
+        import scipy.stats
+
+        from chainmeld.diagnostics import _rank_normalize
+
+        if kind == "tied":
+            arr = rng.integers(0, 6, size=(3, 400)).astype(float)
+        else:
+            arr = rng.standard_normal((3, 400))
+        flat = arr.reshape(-1)
+        ranks = scipy.stats.rankdata(flat, method="average")
+        expected = scipy.stats.norm.ppf((ranks - 0.375) / (flat.size + 0.25))
+        assert np.array_equal(_rank_normalize(arr), expected.reshape(arr.shape))
+
+    def test_nan_propagates(self):
+        from chainmeld.diagnostics import _rank_normalize
+
+        assert np.isnan(_rank_normalize(np.array([[1.0, np.nan, 2.0]]))).all()
+
+
+def test_cli_import_skips_scipy_stats():
+    import subprocess
+    import sys
+
+    code = "import sys, chainmeld.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

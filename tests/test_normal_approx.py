@@ -68,6 +68,19 @@ class TestFitMoments:
         diag = moment_diagnostics(store, "phi")
         assert diag.skewness[0] == pytest.approx(2.0, abs=0.3)
 
+    def test_shape_diagnostics_match_scipy(self, rng):
+        import scipy.stats
+
+        data = np.column_stack(
+            [rng.exponential(size=500), rng.standard_normal(500), np.full(500, 0.5)]
+        )
+        diag = moment_diagnostics(_store(data), "phi")
+        np.testing.assert_allclose(diag.skewness, scipy.stats.skew(data), rtol=1e-12)
+        np.testing.assert_allclose(
+            diag.excess_kurtosis, scipy.stats.kurtosis(data), rtol=1e-12
+        )
+        assert np.isnan(diag.skewness[2]) and np.isnan(diag.excess_kurtosis[2])
+
 
 class TestBuildTarget:
     def test_scalar_worked_case(self):

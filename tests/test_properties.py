@@ -1,0 +1,151 @@
+"""Property tests for pooled-prior term lists and the cached Gaussian factor."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from chainmeld import (
+    ChainModel,
+    GaussianDensity,
+    NumericalFailureError,
+    PhiBlock,
+    SubmodelSpec,
+    builtin_gaussian_chain,
+    dictatorial_complete,
+    dictatorial_partial,
+    factorize_for_sampler,
+    linear_pooling,
+    log_pooling,
+    real_coords,
+)
+
+BUILT = builtin_gaussian_chain(rho=0.6)
+
+weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+coord = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def pools(draw):
+    """Any pooling method over the Gaussian chain, with weights that include 0 and 1."""
+    model, marginals = BUILT.model, BUILT.boundary_marginals
+    method = draw(st.sampled_from(["logarithmic", "linear", "partial", "complete"]))
+    if method == "logarithmic":
+        lam = draw(st.lists(weight, min_size=3, max_size=3))
+        assume(max(lam) > 0)
+        return log_pooling(model, lam)
+    if method == "linear":
+        lam = draw(st.lists(st.lists(weight, min_size=2, max_size=2), min_size=2, max_size=2))
+        assume(all(sum(row) > 0 for row in lam))
+        return linear_pooling(model, lam, marginals)
+    if method == "partial":
+        return dictatorial_partial(
+            model, draw(st.integers(0, 2)),
+            side_weights=draw(st.lists(weight, min_size=3, max_size=3)),
+            boundary_marginals=marginals,
+        )
+    choices = [draw(st.sampled_from([0, 1])), draw(st.sampled_from([1, 2]))]
+    return dictatorial_complete(model, choices, marginals)
+
+
+@given(pool=pools(), x=st.lists(coord, min_size=2, max_size=2),
+       mode=st.sampled_from(["flat-ends", "subprior-ends"]))
+def test_factors_sum_to_pool(pool, x, mode):
+    factor = factorize_for_sampler(pool, mode)
+    phi = [np.array([x[0]]), np.array([x[1]])]
+    assert float(factor.log_density(phi)) == pytest.approx(
+        float(pool.log_density(phi)), rel=1e-12, abs=1e-12
+    )
+    batch = [np.array([[x[0]], [x[1]], [0.0]]), np.array([[x[1]], [0.0], [x[0]]])]
+    np.testing.assert_allclose(
+        factor.log_density(batch), pool.log_density(batch), rtol=1e-12, atol=1e-12
+    )
+
+
+@given(pool=pools())
+def test_no_term_has_zero_coefficient(pool):
+    for mode in ("flat-ends", "subprior-ends"):
+        assert all(t.coef != 0 for t in factorize_for_sampler(pool, mode).terms2)
+    assert all(t.coef != 0 for t in pool.terms)
+
+
+@st.composite
+def spd_problems(draw):
+    d = draw(st.integers(1, 5))
+    a = draw(arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    mean = draw(arrays(float, d, elements=st.floats(-3.0, 3.0)))
+    x = draw(arrays(float, (4, d), elements=st.floats(-5.0, 5.0)))
+    return mean, a @ a.T + 0.5 * np.eye(d), x
+
+
+def _fresh_logpdf(mean, cov, x):
+    cho = scipy.linalg.cho_factor(cov, lower=True)
+    diff = np.atleast_2d(x) - mean
+    quad = np.einsum("ij,ji->i", diff, scipy.linalg.cho_solve(cho, diff.T))
+    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    return -0.5 * (mean.size * math.log(2.0 * math.pi) + logdet + quad)
+
+
+@given(problem=spd_problems())
+def test_cached_logpdf_matches_fresh_cholesky(problem):
+    mean, cov, x = problem
+    g = GaussianDensity(mean, cov)
+    expected = _fresh_logpdf(mean, cov, x)
+    np.testing.assert_allclose(g.logpdf(x), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g.logpdf(x.reshape(2, 2, -1)), expected.reshape(2, 2),
+                               rtol=1e-12, atol=1e-12)
+    for k in range(x.shape[0]):
+        value = g.logpdf(x[k])
+        assert isinstance(value, float)
+        assert value == pytest.approx(expected[k], rel=1e-12, abs=1e-12)
+
+
+def _half_line(x):
+    """log N(x; 0, 1) restricted to x >= 0 (unnormalized), batched."""
+    x = np.asarray(x, dtype=float)[..., 0]
+    with np.errstate(invalid="ignore"):
+        return np.where(x >= 0.0, -0.5 * x * x, -np.inf)
+
+
+def _quad(x):
+    return -0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+
+
+HALF_LINE_CHAIN = ChainModel(
+    submodels=(
+        SubmodelSpec(0, None, "a", lambda p, s: 0.0, _half_line),
+        SubmodelSpec(1, "a", "b", lambda p, s: 0.0, _quad),
+        SubmodelSpec(2, "b", None, lambda p, s: 0.0, _quad),
+    ),
+    phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
+)
+
+
+@given(lam1=st.floats(0.01, 3.0), lam=st.lists(weight, min_size=2, max_size=2),
+       x0=st.floats(-4.0, -0.01), x1=coord)
+def test_neg_inf_term_with_positive_weight_dominates(lam1, lam, x0, x1):
+    pool = log_pooling(HALF_LINE_CHAIN, [lam1, lam[0], lam[1]])
+    phi = [np.array([x0]), np.array([x1])]
+    assert pool.log_density(phi) == -math.inf
+    for mode in ("flat-ends", "subprior-ends"):
+        assert float(factorize_for_sampler(pool, mode).log_density(phi)) == -math.inf
+    batch = [np.array([[x0], [1.0]]), np.array([[x1], [x1]])]
+    out = pool.log_density(batch)
+    assert out[0] == -math.inf and np.isfinite(out[1])
+
+
+@given(lam=st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
+       x0=st.floats(-4.0, -0.01), x1=coord)
+def test_neg_inf_end_with_zero_weight_raises(lam, x0, x1):
+    pool = log_pooling(HALF_LINE_CHAIN, [0.0, lam[0], lam[1]])
+    factor = factorize_for_sampler(pool, "subprior-ends")
+    assert np.isfinite(pool.log_density([np.array([x0]), np.array([x1])]))
+    with pytest.raises(NumericalFailureError):
+        factor.pool2(np.array([x0]), np.array([x1]))
+    with pytest.raises(NumericalFailureError):
+        factor.pool2(np.array([[x0], [1.0]]), np.array([[x1], [x1]]))

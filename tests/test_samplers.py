@@ -255,3 +255,62 @@ class TestSequential:
         )
         with pytest.raises(UnsupportedConfigError):
             run_sequential(model, factor, KERNEL, KERNEL, KERNEL, 1000, seed=0)
+
+
+class TestWarmupFrac:
+    @pytest.mark.parametrize("warmup", [-0.5, 1.0, float("nan")])
+    def test_every_runner_rejects_out_of_range(self, warmup):
+        built = make_discrete_chain()
+        pool = log_pooling(built.model, [0.5, 0.5, 0.5])
+        factor = factorize_for_sampler(pool, "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 200, seed=1)
+        model = built.model
+        runs = [
+            lambda: run_stage_one(model, 0, factor, KERNEL, 200, warmup_frac=warmup),
+            lambda: run_stage_one_pair(model, factor, KERNEL, KERNEL, 200,
+                                       warmup_frac=warmup),
+            lambda: run_parallel_stage_two(model, factor, s1, s3, KERNEL, 200,
+                                           warmup_frac=warmup),
+            lambda: run_parallel_stage_two_unitwise(model, factor, s1, s3, KERNEL, 200,
+                                                    warmup_frac=warmup),
+            lambda: run_sequential(model, factor, KERNEL, KERNEL, KERNEL, 200,
+                                   warmup_frac=warmup),
+        ]
+        for run in runs:
+            with pytest.raises(UnsupportedConfigError, match="warmup"):
+                run()
+
+
+class TestEvaluationCounts:
+    def test_pair_matches_two_single_runs(self):
+        built, _, factor = _gaussian_setup()
+        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, chains=2, seed=3)
+        ss1, ss3 = np.random.SeedSequence(3).spawn(2)
+        a = run_stage_one(built.model, 0, factor, KERNEL, 500, chains=2, seed=ss1.entropy)
+        b = run_stage_one(built.model, 2, factor, KERNEL, 500, chains=2, seed=ss3.entropy)
+        np.testing.assert_array_equal(s1.draws, a.draws)
+        np.testing.assert_array_equal(s3.draws, b.draws)
+
+    def test_stage_one_evaluates_end_marginal_once_per_step(self):
+        built, _, factor = _gaussian_setup()
+        spec1 = built.model.submodels[0]
+        built.model.reset_counters()
+        run_stage_one(built.model, 0, factor, KERNEL, 300, seed=2)
+        # one initial evaluation (the default state is finite) plus one per step
+        assert spec1.marginal_calls.count == 301
+        assert spec1.joint_calls.count == 301
+
+    def test_phi_proposal_makes_three_marginal_calls(self):
+        # log pool with lambda = 0.5: pool2 - log p2 is
+        # -0.5 log p1 - 0.5 log p2 - 0.5 log p3, one call to each marginal
+        built, _, factor = _gaussian_setup()
+        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, seed=4)
+        built.model.reset_counters()
+        n = 200
+        out = run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, n, seed=5)
+        phi_proposals = out.proposal_counts["phi1"] + out.proposal_counts["phi3"]
+        assert phi_proposals == 2 * n
+        # the initial state adds one evaluation of each term
+        for spec in built.model.submodels:
+            assert spec.marginal_calls.count == phi_proposals + 1
+        assert built.model.submodels[1].joint_calls.count == phi_proposals + 1
