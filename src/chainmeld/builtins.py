@@ -58,9 +58,35 @@ class BuiltChain:
     meta: dict = field(default_factory=dict)
 
 
-def _norm_logpdf(x, mean, sd):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - math.log(sd) - 0.5 * _LOG_2PI
+# A Gaussian log factor in one scalar x is a quadratic c + k (x - a)^2, held
+# as (a, k, c); products of factors are sums of quadratics.
+
+
+def _normal(mean: float, sd: float) -> tuple[float, float, float]:
+    """log N(x; mean, sd^2)."""
+    return mean, -0.5 / sd**2, -math.log(sd) - 0.5 * _LOG_2PI
+
+
+def _data(y: Optional[np.ndarray], s: float) -> tuple[tuple[float, float, float], ...]:
+    """Log likelihood of observations y ~ N(x, s^2) as a function of x."""
+    if y is None:
+        return ()
+    ybar = float(y.mean())
+    spread = float(((y - ybar) ** 2).sum())
+    return ((ybar, -0.5 * y.size / s**2, y.size * _normal(0.0, s)[2] - 0.5 * spread / s**2),)
+
+
+def _quadratic(*factors: tuple[float, float, float]):
+    """Batched x -> sum of the factors' quadratics, as one quadratic."""
+    k = sum(f[1] for f in factors)
+    a = sum(f[1] * f[0] for f in factors) / k
+    c = sum(f[2] + f[1] * f[0] ** 2 for f in factors) - k * a * a
+
+    def log_factor(x):
+        d = x - a
+        return c + k * d * d
+
+    return log_factor
 
 
 def builtin_gaussian_chain(
@@ -113,35 +139,36 @@ def builtin_gaussian_chain(
         ]
     )
     prior2 = GaussianDensity(mu2, cov2)
-
-    def lj1(phi_m, psi_m):
-        out = float(_norm_logpdf(phi_m[0], mu1, sigma1))
-        if y1 is not None:
-            out += float(_norm_logpdf(y1, phi_m[0], s1).sum())
-        return out
+    end1, end3 = _normal(mu1, sigma1), _normal(mu3, sigma3)
+    prior1, post1 = _quadratic(end1), _quadratic(end1, *_data(y1, s1))
+    prior3, post3 = _quadratic(end3), _quadratic(end3, *_data(y3, s3))
+    psi_prior = None if tau is None else _quadratic(_normal(0.0, tau))
+    data2 = None if y2 is None else _quadratic(*_data(y2, s2))
 
     def lm1(x):
-        return _norm_logpdf(np.asarray(x, dtype=float)[..., 0], mu1, sigma1)
+        return prior1(np.asarray(x, dtype=float)[..., 0])
 
-    def lj3(phi_m, psi_m):
-        out = float(_norm_logpdf(phi_m[0], mu3, sigma3))
-        if y3 is not None:
-            out += float(_norm_logpdf(y3, phi_m[0], s3).sum())
-        return out
+    def lj1(phi_m, psi_m):
+        return post1(np.asarray(phi_m, dtype=float)[..., 0])
 
     def lm3(x):
-        return _norm_logpdf(np.asarray(x, dtype=float)[..., 0], mu3, sigma3)
+        return prior3(np.asarray(x, dtype=float)[..., 0])
 
-    def lj2(phi_m, psi_m):
-        out = float(prior2.logpdf(phi_m))
-        if tau is not None:
-            out += float(_norm_logpdf(psi_m[0], 0.0, tau))
-        if y2 is not None:
-            out += float(_norm_logpdf(y2, phi_m[0] + phi_m[1] + psi_m[0], s2).sum())
-        return out
+    def lj3(phi_m, psi_m):
+        return post3(np.asarray(phi_m, dtype=float)[..., 0])
 
     def lm2(x):
         return prior2.logpdf(np.asarray(x, dtype=float))
+
+    def lj2(phi_m, psi_m):
+        phi = np.asarray(phi_m, dtype=float)
+        out = prior2.logpdf(phi)
+        if psi_prior is not None:
+            psi = np.asarray(psi_m, dtype=float)[..., 0]
+            out = out + psi_prior(psi)
+            if data2 is not None:
+                out = out + data2(phi[..., 0] + phi[..., 1] + psi)
+        return out
 
     model = ChainModel(
         submodels=(
@@ -157,9 +184,10 @@ def builtin_gaussian_chain(
             PhiBlock("phi23", real_coords(1)),
         ),
     )
+    one_block = [_quadratic(_normal(mu2[b], sigma2[b])) for b in (0, 1)]
     boundary = {
-        (1, 0): lambda x: _norm_logpdf(np.asarray(x, dtype=float)[..., 0], mu2[0], sigma2[0]),
-        (1, 1): lambda x: _norm_logpdf(np.asarray(x, dtype=float)[..., 0], mu2[1], sigma2[1]),
+        (1, b): lambda x, _f=one_block[b]: _f(np.asarray(x, dtype=float)[..., 0])
+        for b in (0, 1)
     }
     meta = {
         "prior1": GaussianDensity([mu1], [[sigma1**2]]),
@@ -187,15 +215,24 @@ def _check_table(name: str, table: np.ndarray, normalized: bool) -> np.ndarray:
     return table
 
 
+def _flat_weights(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Row-major strides, in elements, of table axes ``start:stop``."""
+    strides = np.cumprod((shape + (1,))[:0:-1])[::-1]
+    return strides[start:stop].astype(float)
+
+
 def _table_lookup(table: np.ndarray, log_table: np.ndarray):
-    """Batched log lookup: last-axis coordinates index the table axes."""
+    """Batched log lookup: last-axis coordinates index the table axes.
+
+    Coordinates must hold exact category values (as the samplers and the
+    enumeration produce); each row maps to one flat index, so a batch is one
+    gather.
+    """
+    flat = log_table.ravel()
+    weights = _flat_weights(log_table.shape, 0, log_table.ndim)
 
     def lookup(x):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return float(log_table[tuple(int(v + 0.5) for v in x.tolist())])
-        idx = tuple(np.round(x[..., i]).astype(int) for i in range(x.shape[-1]))
-        return log_table[idx]
+        return flat[np.asarray(x).dot(weights).astype(np.intp)]
 
     return lookup
 
@@ -268,10 +305,13 @@ def builtin_discrete_chain(
         lm = _table_lookup(marg, _with_log(marg))
         n_phi = n_phi_axes[m]
 
-        def lj(phi_m, psi_m, _t=log_joint_table, _n=n_phi):
-            idx = tuple(int(round(v)) for v in np.asarray(phi_m).tolist())
-            idx += tuple(int(round(v)) for v in np.asarray(psi_m).tolist())
-            return float(_t[idx])
+        def lj(phi_m, psi_m, _t=log_joint_table.ravel(),
+               _wphi=_flat_weights(joint.shape, 0, n_phi),
+               _wpsi=_flat_weights(joint.shape, n_phi, joint.ndim)):
+            flat = np.asarray(phi_m).dot(_wphi)
+            if _wpsi.size:
+                flat += np.asarray(psi_m).dot(_wpsi)
+            return _t[flat.astype(np.intp)]
 
         left = "phi12" if m > 0 else None
         right = None if m > 1 else ("phi12" if m == 0 else "phi23")

@@ -14,9 +14,13 @@ Conventions used throughout the package:
 - A submodel's own shared quantities ``phi_m`` are the concatenation of
   its left and right block values, in chain order.
 - Log-density evaluators return ``-inf`` exactly off-support and never
-  NaN.  Prior-marginal evaluators must additionally accept arrays with
-  leading batch dimensions, i.e. shape ``(..., d)`` mapping to ``(...)``;
-  this is what makes vectorized grid evaluation of pooled priors cheap.
+  NaN.  Every evaluator is batched: ``log_prior_marginal`` maps
+  ``(..., d_phi)`` to ``(...)`` and ``log_joint`` maps ``(..., d_phi)`` and
+  ``(..., d_psi)`` to ``(...)``, a 1-D input giving a scalar.  Batching is
+  what makes grid evaluation of pooled priors cheap and lets the samplers
+  advance all their chains (``chains``, a positive integer, is the batch
+  size) in one call per move; ``SubmodelSpec.eval_log_joint`` rejects a
+  joint whose result does not have the batch shape.
 """
 
 from __future__ import annotations
@@ -131,19 +135,29 @@ class UnitFactorization:
         return len(self.phi_indices)
 
 
+def _has_nan(values: np.ndarray) -> bool:
+    if values.size > 256:
+        return bool(np.isnan(values).any())
+    # Cheapest for the samplers' small batches: the sum of squares is NaN
+    # exactly when some value is, since (+-inf)^2 is +inf.
+    values = values.ravel()
+    return math.isnan(values.dot(values))
+
+
 @dataclass(frozen=True)
 class SubmodelSpec:
     """One submodel with its data already bound into the evaluators.
 
     ``log_joint(phi_m, psi_m)`` evaluates log p_m(phi_m, psi_m, Y_m) and
     ``log_prior_marginal(phi_m)`` evaluates the prior marginal over the
-    submodel's shared quantities.  Both are unnormalized for MCMC use.
+    submodel's shared quantities.  Both are unnormalized for MCMC use and
+    batched over leading dimensions (see the module docstring).
     """
 
     index: int
     left_block: Optional[str]
     right_block: Optional[str]
-    log_joint: Callable[[np.ndarray, np.ndarray], float]
+    log_joint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     log_prior_marginal: LogDensity
     psi_coords: tuple[Coord, ...] = ()
     unit_factorization: Optional[UnitFactorization] = None
@@ -154,13 +168,29 @@ class SubmodelSpec:
     def psi_dim(self) -> int:
         return len(self.psi_coords)
 
-    def eval_log_joint(self, phi_m: np.ndarray, psi_m: np.ndarray) -> float:
+    def eval_log_joint(self, phi_m: np.ndarray, psi_m: np.ndarray):
+        """Log joint with the batch shape of its inputs; a float for 1-D inputs."""
         self.joint_calls.count += 1
-        value = float(self.log_joint(phi_m, psi_m))
-        if math.isnan(value):
-            raise ModelInconsistencyError(
-                f"submodel {self.index}: log_joint returned NaN"
+        value = self.log_joint(phi_m, psi_m)
+        try:
+            batch, psi_batch, shape = phi_m.shape[:-1], psi_m.shape[:-1], value.shape
+        except AttributeError:  # lists, or a Python float
+            batch, psi_batch = np.shape(phi_m)[:-1], np.shape(psi_m)[:-1]
+            shape = np.shape(value)
+        if psi_batch != batch:
+            batch = np.broadcast_shapes(batch, psi_batch)
+        if shape != batch:
+            raise StructureError(
+                f"submodel {self.index}: log_joint returned shape {shape} "
+                f"for batch shape {batch}; log_joint must be batched"
             )
+        if batch:
+            nan = _has_nan(value)
+        else:
+            value = float(value)
+            nan = math.isnan(value)
+        if nan:
+            raise ModelInconsistencyError(f"submodel {self.index}: log_joint returned NaN")
         return value
 
     def eval_log_prior(self, phi_m: np.ndarray):
@@ -174,7 +204,7 @@ class SubmodelSpec:
                 )
             return value
         arr = np.asarray(value, dtype=float)
-        if np.isnan(arr).any():
+        if _has_nan(arr):
             raise ModelInconsistencyError(
                 f"submodel {self.index}: log_prior_marginal returned NaN"
             )

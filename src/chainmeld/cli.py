@@ -33,7 +33,7 @@ from .builtins import (
     tv_distance,
 )
 from .chain import UnitFactorization, validate_chain
-from .errors import ChainmeldError, ConfigError
+from .errors import ChainmeldError, ConfigError, PoolingConfigError
 from .normal_approx import build_normal_approx_target, fit_gaussian_moments
 from .pooling import (
     GridSpec,
@@ -49,10 +49,9 @@ from .pooling import (
 from .samplers import (
     MHKernelConfig,
     MeldedChainOutput,
-    split_warmup,
-    mh_step,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
+    run_random_walk,
     run_sequential,
     run_stage_one_pair,
 )
@@ -61,6 +60,7 @@ from .diagnostics import ess_bulk, ess_tail, split_rhat
 __all__ = ["main", "run_from_config", "load_config", "build_model", "build_pool"]
 
 _SAMPLER_KINDS = ("parallel", "parallel-unitwise", "sequential", "normal-approx")
+_STAGES = ("stage_one", "stage_two", "stage_three")
 
 
 def _require(cfg: dict, path: str, types=None):
@@ -91,6 +91,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_stage(path: str, stage: str) -> None:
+    if stage not in _STAGES:
+        raise ConfigError(
+            f"{path}.{stage}: unknown stage; expected one of {', '.join(_STAGES)}"
+        )
+
+
 def validate_config(cfg: dict) -> None:
     name = _require(cfg, "model.name", str)
     if name not in ("gaussian-chain", "discrete-chain"):
@@ -105,11 +116,23 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("sampler.seed: must be an integer (no default)")
         iters = _require(cfg, "sampler.iterations", dict)
         for stage, n in iters.items():
+            _check_stage("sampler.iterations", stage)
             if not isinstance(n, int) or n < 100:
                 raise ConfigError(f"sampler.iterations.{stage}: must be an int >= 100")
+        scales = cfg["sampler"].get("scales", {})
+        if not isinstance(scales, dict):
+            raise ConfigError("sampler.scales: expected an object of per-stage scales")
+        for stage, scale in scales.items():
+            _check_stage("sampler.scales", stage)
+            if not _is_number(scale) or not 0 <= scale < float("inf"):
+                raise ConfigError(
+                    f"sampler.scales.{stage}: must be a finite number >= 0, got {scale!r}"
+                )
+        chains = cfg["sampler"].get("chains", 1)
+        if isinstance(chains, bool) or not isinstance(chains, int) or chains < 1:
+            raise ConfigError(f"sampler.chains: must be an integer >= 1, got {chains!r}")
         warmup = cfg["sampler"].get("warmup_frac", 0.1)
-        if isinstance(warmup, bool) or not isinstance(warmup, (int, float)) \
-                or not 0 <= warmup < 1:
+        if not _is_number(warmup) or not 0 <= warmup < 1:
             raise ConfigError(
                 f"sampler.warmup_frac: must be a number in [0, 1), got {warmup!r}"
             )
@@ -146,29 +169,36 @@ def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
     method = _require(cfg, "pooling.method", str)
     lam = cfg["pooling"].get("lambda")
     marginals = built.boundary_marginals
-    if method in ("logarithmic", "log"):
-        if lam is None:
-            raise ConfigError("pooling.lambda: required for logarithmic pooling")
-        return log_pooling(built.model, lam)
-    if method == "poe":
-        return poe_pooling(built.model)
-    if method == "linear":
-        if lam is None:
-            raise ConfigError("pooling.lambda: required for linear pooling")
-        return linear_pooling(built.model, lam, marginals)
-    if method == "dictatorial-partial":
-        return dictatorial_partial(
-            built.model,
-            int(_require(cfg, "pooling.authoritative")),
-            side_weights=lam,
-            boundary_marginals=marginals,
-        )
-    if method == "dictatorial-complete":
-        return dictatorial_complete(
-            built.model,
-            _require(cfg, "pooling.choices", list),
-            boundary_marginals=marginals,
-        )
+    key = "pooling.lambda"  # the key a rejected pool names
+    try:
+        if method in ("logarithmic", "log"):
+            if lam is None:
+                raise ConfigError("pooling.lambda: required for logarithmic pooling")
+            return log_pooling(built.model, lam)
+        if method == "poe":
+            return poe_pooling(built.model)
+        if method == "linear":
+            if lam is None:
+                raise ConfigError("pooling.lambda: required for linear pooling")
+            return linear_pooling(built.model, lam, marginals)
+        if method == "dictatorial-partial":
+            authoritative = _require(cfg, "pooling.authoritative")
+            if isinstance(authoritative, bool) or not isinstance(authoritative, int):
+                raise ConfigError(
+                    f"pooling.authoritative: must be a submodel index, got {authoritative!r}"
+                )
+            return dictatorial_partial(
+                built.model, authoritative, side_weights=lam, boundary_marginals=marginals
+            )
+        if method == "dictatorial-complete":
+            key = "pooling.choices"
+            return dictatorial_complete(
+                built.model,
+                _require(cfg, "pooling.choices", list),
+                boundary_marginals=marginals,
+            )
+    except (PoolingConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"pooling.method: unknown method {method!r}")
 
 
@@ -273,17 +303,14 @@ def _write_diagnostics(out_dir: Path, output: MeldedChainOutput) -> Path:
 
 def _kernels(cfg: dict) -> dict[str, MHKernelConfig]:
     scales = cfg.get("sampler", {}).get("scales", {})
-    return {
-        stage: MHKernelConfig(scales=float(scales.get(stage, 0.5)))
-        for stage in ("stage_one", "stage_two", "stage_three")
-    }
+    return {stage: MHKernelConfig(scales=float(scales.get(stage, 0.5))) for stage in _STAGES}
 
 
 def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
     sampler = cfg["sampler"]
     kind = sampler["kind"]
     seed = sampler["seed"]
-    chains = int(sampler.get("chains", 1))
+    chains = sampler.get("chains", 1)
     iters = sampler["iterations"]
     warmup = float(sampler.get("warmup_frac", 0.1))
     factor = factorize_for_sampler(pool, sampler.get("factorization", "subprior-ends"))
@@ -346,8 +373,6 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
     _require_middle_pool(pool)
     model = built.model
     iters = cfg["sampler"]["iterations"]
-    n2 = iters.get("stage_two", 1000)
-    burn, keep = split_warmup(n2, warmup)
     store1, store3 = run_stage_one_pair(
         model, factor, kernels["stage_one"], kernels["stage_one"],
         iters.get("stage_one", 1000), chains=chains, seed=seed, warmup_frac=warmup,
@@ -359,44 +384,27 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
     mode = cfg["sampler"].get("normal_approx_mode", "ratio")
     target = build_normal_approx_target(model, g1_post, g1_prior, g3_post, g3_prior, mode)
     d12 = model.phi_blocks[0].dim
-    d23 = model.phi_blocks[1].dim
+    d = d12 + model.phi_blocks[1].dim
     spec2 = model.submodels[1]
     coords = (
         tuple(model.phi_blocks[0].coords)
         + tuple(model.phi_blocks[1].coords)
         + tuple(spec2.psi_coords)
     )
-
-    def log_target(state):
-        return target(state[:d12], state[d12 : d12 + d23], state[d12 + d23 :])
-
-    out = {
-        "phi12": np.empty((chains, keep, d12)),
-        "phi23": np.empty((chains, keep, d23)),
-        "psi1": np.zeros((chains, keep, 0)),
-        "psi2": np.empty((chains, keep, spec2.psi_dim)),
-        "psi3": np.zeros((chains, keep, 0)),
-        "indices": np.zeros((chains, keep, 0), dtype=int),
-    }
-    accepted = 0
-    for c, ss in enumerate(np.random.SeedSequence(seed + 1).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        state = np.concatenate(
-            [g1_post.mean, g3_post.mean, np.zeros(spec2.psi_dim)]
-        )
-        log_p = log_target(state)
-        for t in range(n2):
-            state, log_p, acc = mh_step(
-                state, log_p, log_target, coords, kernels["stage_two"], rng
-            )
-            accepted += acc
-            if t >= burn:
-                k = t - burn
-                out["phi12"][c, k] = state[:d12]
-                out["phi23"][c, k] = state[d12 : d12 + d23]
-                out["psi2"][c, k] = state[d12 + d23 :]
+    n2 = iters.get("stage_two", 1000)
+    draws, accepted = run_random_walk(
+        lambda z: target(z[:, :d12], z[:, d12:d], z[:, d:]),
+        coords, kernels["stage_two"], n2, chains=chains, seed=seed + 1, warmup_frac=warmup,
+        init=np.concatenate([g1_post.mean, g3_post.mean, np.zeros(spec2.psi_dim)]),
+    )
+    chains, keep = draws.shape[:2]
     return MeldedChainOutput(
-        **out,
+        phi12=draws[..., :d12],
+        phi23=draws[..., d12:d],
+        psi1=np.zeros((chains, keep, 0)),
+        psi2=draws[..., d:],
+        psi3=np.zeros((chains, keep, 0)),
+        indices=np.zeros((chains, keep, 0), dtype=int),
         accept_counts={"normal-approx": accepted},
         proposal_counts={"normal-approx": chains * n2},
         seed=seed,
@@ -479,10 +487,25 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
         raise ChainmeldError(f"no sample file at {path}; run the sample command first")
     with path.open() as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
+        header = next(reader, [])
+        try:
+            data = np.array([[float(v) for v in row] for row in reader])
+        except ValueError as exc:
+            raise ChainmeldError(
+                f"{path}: every row must hold {len(header)} numbers ({exc})"
+            ) from None
+    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != len(header):
+        raise ChainmeldError(f"{path}: no rows of {len(header)} numbers to diagnose")
     chain_ids = data[:, 0].astype(int)
-    chains = chain_ids.max() + 1
+    if chain_ids.min() < 0:
+        raise ChainmeldError(f"{path}: chain ids must be >= 0")
+    counts = np.bincount(chain_ids)
+    if counts.min() != counts.max():
+        lengths = ", ".join(f"chain {c}: {n} rows" for c, n in enumerate(counts))
+        raise ChainmeldError(
+            f"{path}: diagnostics need chains 0..C-1 of equal length; got {lengths}"
+        )
+    chains = len(counts)
     rows = []
     for j, name in enumerate(header[2:], start=2):
         traces = np.stack([data[chain_ids == c, j] for c in range(chains)])

@@ -106,7 +106,7 @@ def build_normal_approx_target(
     g3_post: GaussianDensity,
     g3_prior: GaussianDensity,
     mode: str = "ratio",
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], float]:
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """Approximate melded log target over (phi12, phi23, psi2).
 
     In ``"ratio"`` mode the Gaussian factor is the stacked subposterior
@@ -151,12 +151,11 @@ def build_normal_approx_target(
 
     spec2 = model.submodels[1]
 
-    def log_target(phi12: np.ndarray, phi23: np.ndarray, psi2: np.ndarray) -> float:
-        phi = np.concatenate([np.atleast_1d(phi12), np.atleast_1d(phi23)])
+    def log_target(phi12: np.ndarray, phi23: np.ndarray, psi2: np.ndarray):
+        """Batched over leading dimensions; a float for 1-D inputs."""
+        phi = np.concatenate([np.atleast_1d(phi12), np.atleast_1d(phi23)], axis=-1)
         lj2 = spec2.eval_log_joint(phi, np.atleast_1d(np.asarray(psi2, dtype=float)))
-        if lj2 == -np.inf:
-            return -np.inf
-        return float(gauss.logpdf(phi)) + lj2
+        return gauss.logpdf(phi) + lj2
 
     log_target.gaussian_factor = gauss
     return log_target

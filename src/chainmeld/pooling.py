@@ -135,6 +135,11 @@ def split_term(terms: Sequence[PoolTerm], fn: LogDensity,
     return coef, tuple(t for t in terms if not t.evaluates(fn, blocks))
 
 
+def _nonnegative(w: np.ndarray) -> bool:
+    """Every weight finite and >= 0 (NaN fails)."""
+    return bool(((w >= 0) & np.isfinite(w)).all())
+
+
 @dataclass(frozen=True)
 class PooledPrior:
     """Pooling method, weights, and the evaluators harvested from a chain.
@@ -157,7 +162,7 @@ class PooledPrior:
         M = self.chain.n_submodels
         if self.method in ("logarithmic", "poe"):
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (M,) or (w < 0).any():
+            if w.shape != (M,) or not _nonnegative(w):
                 raise PoolingConfigError(f"logarithmic pooling needs {M} nonnegative weights")
             if not (w > 0).any():
                 raise PoolingConfigError("all-zero pooling weights")
@@ -165,7 +170,7 @@ class PooledPrior:
             terms = self._logarithmic_terms()
         elif self.method == "linear":
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (M - 1, 2) or (w < 0).any():
+            if w.shape != (M - 1, 2) or not _nonnegative(w):
                 raise PoolingConfigError(
                     f"linear pooling needs ({M - 1}, 2) nonnegative weights"
                 )
@@ -176,8 +181,12 @@ class PooledPrior:
         elif self.method == "dictatorial-partial":
             if self.authoritative is None or not 0 <= self.authoritative < M:
                 raise PoolingConfigError("partial dictatorial pooling needs a submodel index")
-            if self.weights is None:
-                object.__setattr__(self, "weights", np.ones(M))
+            w = np.ones(M) if self.weights is None else np.asarray(self.weights, dtype=float)
+            if w.shape != (M,) or not _nonnegative(w):
+                raise PoolingConfigError(
+                    f"partial dictatorial pooling needs {M} nonnegative side weights"
+                )
+            object.__setattr__(self, "weights", w)
             terms = self._partial_terms()
         else:
             if self.choices is None or len(self.choices) != M - 1:

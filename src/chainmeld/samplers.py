@@ -7,6 +7,17 @@ the middle pool factor, so the end submodels are never re-evaluated in
 stage two.  A sequential three-stage variant folds the submodels in one
 at a time, and a unitwise variant updates independent units of the end
 submodels one at a time.
+
+Every stage advances all of its chains in lockstep.  The chains' states
+are the rows of one ``(chains, d)`` array; each move proposes for every
+chain, evaluates all proposals in one batched call and accepts with a
+mask.  Each chain has its own generator, spawned from the stage's seed.
+Once the chain is initialized, it draws the whole stage's stage-one
+indices, proposal noise, unit orders and uniforms in blocks, and every
+move consumes one uniform.  A chain's draws therefore depend on its own
+generator only: with evaluators that give each row of a batch the value
+they give that row alone, chain c of a run is the same whatever the
+number of chains beside it.
 """
 
 from __future__ import annotations
@@ -17,15 +28,22 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainModel, Coord, SubmodelSpec, submodel_log_ratio
-from .errors import InitializationError, StructureError, UnsupportedConfigError
-from .pooling import PoolFactorization, split_term, sum_terms
+from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization
+from .errors import (
+    InitializationError,
+    ModelInconsistencyError,
+    NumericalFailureError,
+    StructureError,
+    UnsupportedConfigError,
+)
+from .pooling import _STRAY_END, PoolFactorization, split_term
 
 __all__ = [
     "MHKernelConfig",
     "SampleStore",
     "MeldedChainOutput",
     "mh_step",
+    "run_random_walk",
     "run_stage_one",
     "run_stage_one_pair",
     "run_parallel_stage_two",
@@ -34,6 +52,7 @@ __all__ = [
 ]
 
 _INIT_RETRIES = 100
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -133,59 +152,66 @@ def _jitter(state: np.ndarray, coords: Sequence[Coord], rng) -> np.ndarray:
     return out
 
 
-def _init_state(coords, log_target, rng, init=None):
-    state = (
-        np.asarray(init, dtype=float).copy()
-        if init is not None
-        else np.array([_default_value(c) for c in coords])
-    )
-    for _ in range(_INIT_RETRIES):
-        value = log_target(state)
-        if value > -math.inf:
-            return state, value
-        state = _jitter(state, coords, rng)
-    raise InitializationError(
-        f"no finite-density initial state after {_INIT_RETRIES} attempts"
-    )
+def _per_chain(rngs, draw, axis: int = 1) -> np.ndarray:
+    """``draw(rng)`` for every chain's generator, stacked along ``axis``."""
+    return np.stack([draw(rng) for rng in rngs], axis=axis)
 
 
-def _propose(state: np.ndarray, coords: Sequence[Coord], scales, rng):
-    """Random-walk / uniform-flip proposal; returns (proposal, log q ratio).
+def _walk_draw(rng, n: int, coords, scales):
+    """``n`` random-walk proposals for one chain: (mult, step, log q).
 
-    ``scales`` holds one step size per coordinate (``MHKernelConfig.per_coord``).
+    A proposal is ``x * mult + step``.  Real coordinates step by
+    scale * N(0, 1); positive ones are multiplied by exp(scale * N(0, 1)),
+    whose Jacobian is log q; discrete ones are redrawn uniformly over their
+    categories.  ``mult`` and ``log_q`` are None when no coordinate needs
+    them.
     """
-    prop = state.copy()
-    log_q = 0.0
-    for i, c in enumerate(coords):
-        if c.kind == "real":
-            prop[i] = state[i] + scales[i] * rng.standard_normal()
-        elif c.kind == "positive":
-            prop[i] = state[i] * math.exp(scales[i] * rng.standard_normal())
-            log_q += math.log(prop[i]) - math.log(state[i])
-        else:
-            prop[i] = rng.integers(c.cardinality)
-    return prop, log_q
+    kinds = [c.kind for c in coords]
+    cont = [i for i, k in enumerate(kinds) if k != "discrete"]
+    disc = [i for i, k in enumerate(kinds) if k == "discrete"]
+    pos = [i for i, k in enumerate(kinds) if k == "positive"]
+    scale = np.asarray(scales, dtype=float)[cont]
+    step = np.empty((n, len(coords)))
+    step[:, cont] = scale * rng.standard_normal((n, len(cont)))
+    if disc:
+        step[:, disc] = rng.integers([coords[i].cardinality for i in disc], size=(n, len(disc)))
+    if not (pos or disc):
+        return None, step, None
+    log_q = step[:, pos].sum(axis=1) if pos else None
+    mult = np.ones_like(step)
+    mult[:, pos] = np.exp(step[:, pos])
+    mult[:, disc] = 0.0
+    step[:, pos] = 0.0
+    return mult, step, log_q
 
 
-def _accept(rng, log_alpha: float) -> bool:
-    # Always consumes one uniform so chains with different update variants
-    # stay seed-comparable.
-    u = rng.random()
-    return math.log(u) < log_alpha
+class _Walk:
+    """``_walk_draw`` for ``n`` iterations of every chain, (iteration, chain, ...)."""
+
+    def __init__(self, coords: Sequence[Coord], scales, rngs, n: int):
+        draws = [_walk_draw(rng, n, coords, scales) for rng in rngs]
+        self.mult, self.step, self.log_q = (
+            None if part[0] is None else np.stack(part, axis=1) for part in zip(*draws)
+        )
+
+    def propose(self, x: np.ndarray, t: int) -> np.ndarray:
+        if self.mult is None:
+            return x + self.step[t]
+        return x * self.mult[t] + self.step[t]
 
 
 def mh_step(state, log_p, log_target, coords, kernel: MHKernelConfig, rng):
-    """One generic Metropolis-Hastings step.
+    """One generic Metropolis-Hastings step for a single state.
 
-    Returns (state, log density, accepted).  ``log_p`` must be the target
-    value at ``state`` (finite).
+    Uses the samplers' random-walk proposal and always consumes one
+    uniform.  Returns (state, log density, accepted); ``log_p`` must be the
+    target value at ``state`` (finite).
     """
-    prop, log_q = _propose(state, coords, kernel.per_coord(len(coords)), rng)
+    mult, step, log_q = _walk_draw(rng, 1, coords, kernel.per_coord(len(coords)))
+    prop = np.asarray(state, dtype=float) * (1.0 if mult is None else mult[0]) + step[0]
     lp_prop = log_target(prop)
-    if lp_prop == -math.inf:
-        _accept(rng, -math.inf)
-        return state, log_p, False
-    if _accept(rng, lp_prop - log_p + log_q):
+    log_alpha = lp_prop - log_p + (0.0 if log_q is None else log_q[0])
+    if math.log(rng.random()) < log_alpha:
         return prop, lp_prop, True
     return state, log_p, False
 
@@ -200,6 +226,383 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
     if warmup >= n_iter:
         raise UnsupportedConfigError("warmup leaves no post-warmup iterations")
     return warmup, n_iter - warmup
+
+
+# ---------------------------------------------------------------------------
+# batched targets
+# ---------------------------------------------------------------------------
+#
+# A target evaluates the proposals of every chain at once.  Its cached
+# terms are the rows of one (terms, chains) array whose row 0 is the log
+# target (-inf off the target's support).  ``plan(lo, hi)`` says which terms
+# a move of state columns lo:hi changes, and ``evaluate(z, plan, cur)``
+# returns the terms of every row of z, copying the unchanged ones from cur.
+# Off-support values are rare, so the -inf policy runs only where some term
+# is -inf.
+
+
+def _has_inf(terms: np.ndarray) -> bool:
+    if terms.size > 256:
+        return not np.isfinite(terms).all()
+    # Cheapest for small batches: the sum of squares is finite when every
+    # term is (and does not overflow; if it does, the -inf policy runs for
+    # nothing).
+    terms = terms.ravel()
+    return not math.isfinite(terms.dot(terms))
+
+
+def _check_consistent(spec: SubmodelSpec, lj: np.ndarray, lm: np.ndarray, phi) -> None:
+    """Raise for the first chain whose joint is finite where its prior marginal is -inf."""
+    bad = (lj > _NEG_INF) & (lm == _NEG_INF)
+    if bad.any():
+        raise ModelInconsistencyError(
+            f"submodel {spec.index}: joint is finite but prior marginal is -inf "
+            f"at phi_m={phi[np.argmax(bad)]}"
+        )
+
+
+class _EndTarget:
+    """pool_k(phi) + log p_k(phi, psi, Y) - log p_k(phi) for one end submodel.
+
+    The state is (phi, psi).  Under subprior-ends pool_k is p_k(phi) itself:
+    its value is reused, and the target is exactly the subposterior.
+    Terms: log target, log joint, pool_k - log p_k (which only a move of
+    phi changes), log p_k and pool_k.
+    """
+
+    def __init__(self, spec: SubmodelSpec, pool_k, subprior: bool, d_phi: int):
+        self.spec, self.pool_k, self.subprior, self.d = spec, pool_k, subprior, d_phi
+        # Under subprior-ends pool_k is the log p_k row and the difference stays 0.
+        self.pool_row = 3 if subprior else 4
+
+    def plan(self, lo: int, hi: int) -> bool:
+        return lo < self.d
+
+    def evaluate(self, z, phi_moved: bool, cur):
+        spec, d = self.spec, self.d
+        new = np.zeros((5, len(z))) if cur is None else cur.copy()
+        phi = z[:, :d]
+        new[1] = spec.eval_log_joint(phi, z[:, d:])
+        if phi_moved:
+            new[3] = spec.eval_log_prior(phi)
+            if not self.subprior:
+                new[4] = self.pool_k(phi)
+                new[2] = new[4] - new[3]
+            if _has_inf(new[3 : self.pool_row + 1]):
+                _check_consistent(spec, new[1], new[3], phi)
+                ok = (new[1] > _NEG_INF) & (new[self.pool_row] > _NEG_INF)
+                new[0] = np.where(ok, new[1] + new[2], _NEG_INF)
+                return new
+        new[0] = new[1] + new[2]
+        return new
+
+
+class _MiddleTarget:
+    """Middle-submodel terms of the stage-two target; state (phi12, phi23, psi2).
+
+    For a shared-block move these are the middle log joint and
+    pool2 - log p2(phi), one sum of weighted log-marginal terms in which the
+    middle marginal is evaluated once.  Terms: log target, log joint,
+    pool2 - log p2, log p2, then the value of every other pool2 term.  A
+    move re-evaluates only the terms that read a block it changes, so a move
+    of block 1 reuses the value of a term of block 2 alone.
+    """
+
+    def __init__(self, spec2: SubmodelSpec, factor: PoolFactorization, d12: int, d23: int):
+        self.spec = spec2
+        coef, self.rest = split_term(factor.terms2, spec2.eval_log_prior, (0, 1))
+        # Weights of log p2 and of the other terms, in the order of the terms.
+        self.coefs = np.array([coef - 1.0] + [t.coef for t in self.rest])[:, None]
+        self.d = d12 + d23
+        self.bounds = ((0, d12), (d12, self.d))
+        self.cols = tuple(
+            slice(self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1])
+            for t in self.rest
+        )
+
+    def plan(self, lo: int, hi: int):
+        """(does phi move, indices of the other terms to re-evaluate)."""
+        moved = {b for b, (a, e) in enumerate(self.bounds) if a < hi and lo < e}
+        return bool(moved), tuple(
+            k for k, t in enumerate(self.rest) if moved.intersection(t.blocks)
+        )
+
+    def evaluate(self, z, plan, cur):
+        phi_moved, which = plan
+        spec, d = self.spec, self.d
+        new = np.empty((4 + len(self.rest), len(z))) if cur is None else cur.copy()
+        phi = z[:, :d]
+        new[1] = spec.eval_log_joint(phi, z[:, d:])
+        if phi_moved:
+            new[3] = spec.eval_log_prior(phi)
+            values = new[4:]
+            for k in which:
+                values[k] = self.rest[k].fn(z[:, self.cols[k]])
+            weighted = self.coefs * new[3:]
+            lr = weighted[0]
+            for row in weighted[1:]:
+                lr = lr + row
+            new[2] = lr
+            if _has_inf(new[3:]):
+                new[0] = self._off_support(new, which, phi)
+                return new
+        new[0] = new[1] + new[2]
+        return new
+
+    def _off_support(self, new, which, phi):
+        """Log target under the -inf policy where log p2 or a changed term is -inf."""
+        lj, lm, values = new[1], new[3], new[4:]
+        # Surface the inconsistency rather than silently rejecting.
+        _check_consistent(self.spec, lj, lm, phi)
+        ok = lj > _NEG_INF
+        stray = np.zeros_like(ok)
+        # Unchanged terms are finite: every chain's current state is.
+        for k in which:
+            off = values[k] == _NEG_INF
+            if self.rest[k].pooled:
+                ok &= ~off
+            else:
+                stray |= off
+        if (stray & ok).any():
+            raise NumericalFailureError(_STRAY_END)
+        return np.where(ok, lj + new[2], _NEG_INF)
+
+
+class _FunctionTarget:
+    """A batched log target ``fn(z)``, its only term."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def plan(self, lo: int, hi: int):
+        return None
+
+    def evaluate(self, z, plan, cur):
+        new = np.empty((1, len(z)))
+        new[0] = self.fn(z)
+        return new
+
+
+# ---------------------------------------------------------------------------
+# lockstep state, moves and sweep
+# ---------------------------------------------------------------------------
+
+
+class _Lockstep:
+    """Every chain's state as one row of ``z``, with the target's terms."""
+
+    __slots__ = ("target", "z", "terms")
+
+    def __init__(self, target, z: np.ndarray):
+        self.target = target
+        self.z = z
+        self.terms = target.evaluate(z, target.plan(0, z.shape[1]), None)
+
+    @property
+    def lp(self) -> np.ndarray:
+        return self.terms[0]
+
+    def move(self, prop: np.ndarray, plan, log_u: np.ndarray, log_q=None) -> np.ndarray:
+        """Accept or reject every chain's proposal; returns the acceptance mask."""
+        new = self.target.evaluate(prop, plan, self.terms)
+        log_alpha = new[0] - self.terms[0]
+        if log_q is not None:
+            log_alpha += log_q
+        acc = log_u < log_alpha
+        np.copyto(self.z, prop, where=acc[:, None])
+        np.copyto(self.terms, new, where=acc)
+        return acc
+
+
+def _initialize(target, sources, walk_coords, rngs, start=None):
+    """Lockstep state with a finite target for every chain.
+
+    A chain starts from one uniformly drawn row of each source followed by
+    its walked coordinates at ``start`` (default: each coordinate's default
+    value).  A chain whose target is -inf redraws its rows and jitters its
+    walked coordinates with its own generator, up to ``_INIT_RETRIES``
+    evaluations.  Returns the state and every chain's source rows.
+    """
+    chains = len(rngs)
+    walk = np.empty((chains, len(walk_coords)))
+    walk[:] = [_default_value(c) for c in walk_coords] if start is None else start
+    rows = np.zeros((chains, len(sources)), dtype=int)
+    redo = range(chains)
+    for attempt in range(_INIT_RETRIES):
+        for c in redo:
+            rows[c] = [rngs[c].integers(len(s)) for s in sources]
+            if attempt:
+                walk[c] = _jitter(walk[c], walk_coords, rngs[c])
+        parts = [s[rows[:, i]] for i, s in enumerate(sources)]
+        state = _Lockstep(target, np.concatenate(parts + [walk], axis=1))
+        redo = np.flatnonzero(state.lp == _NEG_INF)
+        if not redo.size:
+            return state, rows
+    raise InitializationError(
+        f"no finite-density initial state after {_INIT_RETRIES} attempts"
+    )
+
+
+def _stage_two_init(target, sources, walk_coords, rngs, start=None):
+    """``_initialize`` for stage two, as its own function so that a trace can
+    tell initial evaluations from proposals."""
+    return _initialize(target, sources, walk_coords, rngs, start)
+
+
+class _IndexMove:
+    """Index resampling of state columns ``lo:lo + d`` from rows of ``source``.
+
+    The block is updated unit by unit: each chain visits the units in its
+    own random order every iteration and proposes each unit's columns from
+    a uniformly drawn row.  Per-step arrays are laid out (iteration, step,
+    chain) so that one step reads contiguous rows.
+    """
+
+    def __init__(self, state: _Lockstep, source, lo, units, rngs, n_iter, log_u):
+        d = source.shape[1]
+        self.state, self.cols, self.log_u = state, slice(lo, lo + d), log_u
+        self.plan = state.target.plan(lo, lo + d)
+        self.n_units = n = len(units)
+        self.draws = _per_chain(
+            rngs, lambda r: r.integers(len(source), size=(n_iter, n)), axis=-1
+        )
+        self.proposals = source[self.draws]
+        self.order = self.where = None
+        if n > 1:
+            self.order = _per_chain(
+                rngs, lambda r: r.permuted(np.tile(np.arange(n), (n_iter, 1)), axis=1),
+                axis=-1,
+            )
+            masks = np.zeros((n, d), dtype=bool)
+            for u, cols in enumerate(units):
+                masks[u, list(cols)] = True
+            self.where = masks[self.order]
+        self.accepted = np.empty(self.draws.shape, dtype=bool)
+
+    def __call__(self, t: int) -> None:
+        state = self.state
+        for j in range(self.n_units):
+            prop = state.z.copy()
+            if self.where is None:
+                prop[:, self.cols] = self.proposals[t, j]
+            else:
+                np.copyto(prop[:, self.cols], self.proposals[t, j], where=self.where[t, j])
+            self.accepted[t, j] = state.move(prop, self.plan, self.log_u[t, j])
+
+    def rows(self, start: np.ndarray) -> np.ndarray:
+        """Every chain's source row per unit after each iteration, (n_iter, chains, units).
+
+        ``start`` holds each chain's initial row; a unit's row is the draw
+        of its last accepted proposal.
+        """
+        n_iter, n, chains = self.draws.shape
+        draws = self.draws.reshape(n_iter * n, chains)
+        step = np.arange(n_iter * n).reshape(n_iter, n, 1)
+        out = np.empty((n_iter, chains, n), dtype=int)
+        for u in range(n):
+            hit = self.accepted if self.order is None else self.accepted & (self.order == u)
+            last = np.where(hit, step, -1).reshape(n_iter * n, chains)
+            last = np.maximum.accumulate(last, axis=0)[n - 1 :: n]
+            found = np.take_along_axis(draws, np.maximum(last, 0), axis=0)
+            out[..., u] = np.where(last >= 0, found, start)
+        return out
+
+
+class _WalkMove:
+    """Random walk on the state columns from ``lo`` on."""
+
+    n_units = 1
+
+    def __init__(self, state: _Lockstep, lo, coords, scales, rngs, n_iter, log_u):
+        self.state, self.lo, self.log_u = state, lo, log_u
+        self.walk = _Walk(coords, scales, rngs, n_iter)
+        self.plan = state.target.plan(lo, state.z.shape[1])
+        self.accepted = np.empty((n_iter, 1, len(rngs)), dtype=bool)
+
+    def __call__(self, t: int) -> None:
+        state, lo, walk = self.state, self.lo, self.walk
+        if lo:
+            prop = state.z.copy()
+            prop[:, lo:] = walk.propose(state.z[:, lo:], t)
+        else:
+            prop = walk.propose(state.z, t)
+        log_q = None if walk.log_q is None else walk.log_q[t]
+        self.accepted[t, 0] = state.move(prop, self.plan, self.log_u[t, 0], log_q)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Kept lockstep draws: states and log targets (chains, kept, ...), source
+    rows per unit, and accept/proposal counts per move (index moves, then
+    the walk)."""
+
+    z: np.ndarray
+    lp: np.ndarray
+    rows: np.ndarray
+    accepted: list
+    proposed: list
+
+
+def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_iter,
+                chains, seed, warmup_frac, start=None, init=_initialize) -> _Run:
+    """Lockstep Metropolis-within-Gibbs over ``chains`` chains.
+
+    The state is one block per source, updated by index resampling in the
+    units ``units[i]`` (column tuples within the block), followed by the
+    walked coordinates, updated by one random-walk move.
+    """
+    if isinstance(chains, bool) or not isinstance(chains, (int, np.integer)) or chains < 1:
+        raise UnsupportedConfigError(f"chains must be a positive integer, got {chains!r}")
+    warmup, kept = split_warmup(n_iter, warmup_frac)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+    scales = kernel.per_coord(len(walk_coords))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        state, start_rows = init(target, sources, walk_coords, rngs, start)
+        # One uniform per move and chain-iteration, drawn in one block per chain.
+        edges = np.cumsum([0] + [len(u) for u in units] + [1 if walk_coords else 0]).tolist()
+        log_u = np.log(_per_chain(rngs, lambda r: r.random((n_iter, edges[-1])), axis=-1))
+        moves, lo = [], 0
+        for i, source in enumerate(sources):
+            moves.append(_IndexMove(state, source, lo, units[i], rngs, n_iter,
+                                    log_u[:, edges[i] : edges[i + 1]]))
+            lo += source.shape[1]
+        if walk_coords:
+            moves.append(_WalkMove(state, lo, walk_coords, scales, rngs, n_iter,
+                                   log_u[:, edges[-2] :]))
+        z = np.empty((chains, kept, state.z.shape[1]))
+        lp = np.empty((chains, kept))
+        for t in range(n_iter):
+            for move in moves:
+                move(t)
+            if t >= warmup:
+                z[:, t - warmup] = state.z
+                lp[:, t - warmup] = state.lp
+    index_moves = moves[: len(sources)]
+    rows = [m.rows(start_rows[:, i])[warmup:] for i, m in enumerate(index_moves)]
+    rows = np.concatenate(rows, axis=-1) if rows else np.empty((kept, chains, 0), dtype=int)
+    accepted = [int(m.accepted.sum()) for m in index_moves]
+    accepted.append(int(moves[-1].accepted.sum()) if walk_coords else 0)
+    proposed = [chains * n_iter * m.n_units for m in index_moves]
+    proposed.append(chains * n_iter if walk_coords else 0)
+    return _Run(z, lp, rows.transpose(1, 0, 2), accepted, proposed)
+
+
+def _unit_gather(values: np.ndarray, rows: np.ndarray, units) -> np.ndarray:
+    """For each unit u, the columns ``units[u]`` of ``values[rows[..., u]]``."""
+    out = np.empty(rows.shape[:-1] + values.shape[1:])
+    for u, cols in enumerate(units):
+        cols = list(cols)
+        out[..., cols] = values[rows[..., u]][..., cols]
+    return out
+
+
+def _one_unit(dim: int) -> tuple[tuple[int, ...]]:
+    return (tuple(range(dim)),)
+
+
+# ---------------------------------------------------------------------------
+# runners
+# ---------------------------------------------------------------------------
 
 
 def _end_pieces(chain: ChainModel, factor: PoolFactorization, end: int):
@@ -223,59 +626,25 @@ def run_stage_one(
     warmup_frac: float = 0.1,
     init: Optional[np.ndarray] = None,
 ) -> SampleStore:
-    """MH chain targeting one end submodel's stage-one density.
+    """MH chains targeting one end submodel's stage-one density.
 
     The target is pool_k(phi) * p_k(phi, psi, Y) / p_k(phi); with the
     subprior-ends factorization pool_k is p_k(phi) itself, evaluated once,
     and the target is exactly the subposterior.
     """
     spec, block, pool_k = _end_pieces(chain, factor, end)
-    d_phi = block.dim
     coords = tuple(block.coords) + tuple(spec.psi_coords)
-    warmup, kept = split_warmup(n_iter, warmup_frac)
-
-    subprior = factor.mode == "subprior-ends"
-
-    def log_target(state):
-        phi = state[:d_phi]
-        psi = state[d_phi:]
-        lm = float(spec.eval_log_prior(phi))
-        # Under subprior-ends pool_k is p_k(phi) itself: reuse it.
-        base = lm if subprior else float(np.asarray(pool_k(phi)))
-        if base == -math.inf:
-            return -math.inf
-        lj = spec.eval_log_joint(phi, psi)
-        if lj == -math.inf:
-            return -math.inf
-        if lm == -math.inf:
-            submodel_log_ratio(spec, phi, psi)  # raises: joint finite, marginal -inf
-        return base + (lj - lm)
-
-    phi_out = np.empty((chains * kept, d_phi))
-    psi_out = np.empty((chains * kept, spec.psi_dim))
-    logd_out = np.empty(chains * kept)
-    chain_out = np.empty(chains * kept, dtype=int)
-    iter_out = np.empty(chains * kept, dtype=int)
-
-    for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        state, log_p = _init_state(coords, log_target, rng, init)
-        row = c * kept
-        for t in range(n_iter):
-            state, log_p, _ = mh_step(state, log_p, log_target, coords, kernel, rng)
-            if t >= warmup:
-                phi_out[row, :] = state[:d_phi]
-                psi_out[row, :] = state[d_phi:]
-                logd_out[row] = log_p
-                chain_out[row] = c
-                iter_out[row] = t
-                row += 1
+    target = _EndTarget(spec, pool_k, factor.mode == "subprior-ends", block.dim)
+    run = _run_chains(target, (), (), coords, kernel, n_iter, chains, seed, warmup_frac,
+                      start=init)
+    kept = run.z.shape[1]
+    draws = run.z.reshape(chains * kept, len(coords))
     return SampleStore(
-        phi=phi_out,
-        psi=psi_out,
-        log_density=logd_out,
-        chain_id=chain_out,
-        iteration=iter_out,
+        phi=draws[:, : block.dim].copy(),
+        psi=draws[:, block.dim :].copy(),
+        log_density=run.lp.reshape(-1),
+        chain_id=np.repeat(np.arange(chains), kept),
+        iteration=np.tile(np.arange(n_iter - kept, n_iter), chains),
         phi_coords=tuple(block.coords),
         psi_coords=tuple(spec.psi_coords),
     )
@@ -299,77 +668,56 @@ def run_stage_one_pair(
     )
 
 
-class _MiddleTarget:
-    """Middle-submodel terms of the stage-two target.
+def run_random_walk(
+    log_target,
+    coords: Sequence[Coord],
+    kernel: MHKernelConfig,
+    n_iter: int,
+    chains: int = 1,
+    seed: int = 0,
+    warmup_frac: float = 0.1,
+    init: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, int]:
+    """Lockstep random-walk Metropolis on a batched log target.
 
-    For a shared-block move these are the middle log joint and
-    pool2 - log p2(phi), one sum of weighted log-marginal terms in which
-    the middle marginal is evaluated once.
+    ``log_target`` maps states ``(chains, d)`` to ``(chains,)``.  Returns
+    the kept draws ``(chains, kept, d)`` and the number of accepted moves.
     """
-
-    __slots__ = ("spec", "coef", "rest")
-
-    def __init__(self, spec2: SubmodelSpec, factor: PoolFactorization):
-        self.spec = spec2
-        coef, self.rest = split_term(factor.terms2, spec2.eval_log_prior, (0, 1))
-        self.coef = coef - 1.0
-
-    def evaluate(self, phi12, phi23, psi2):
-        """(log joint, pool2 - log p2), or None where the target is -inf."""
-        phi_m = np.concatenate([phi12, phi23])
-        lj2 = self.spec.eval_log_joint(phi_m, psi2)
-        if lj2 == -math.inf:
-            return None
-        lm2 = float(self.spec.eval_log_prior(phi_m))
-        if lm2 == -math.inf:
-            # Surface the inconsistency rather than silently rejecting.
-            submodel_log_ratio(self.spec, phi_m, psi2)
-        rest = sum_terms(self.rest, (phi12, phi23))
-        if rest == -math.inf:
-            return None
-        return lj2, rest + self.coef * lm2
+    run = _run_chains(_FunctionTarget(log_target), (), (), tuple(coords), kernel, n_iter,
+                      chains, seed, warmup_frac, start=init)
+    return run.z, run.accepted[0]
 
 
-class _MiddleState:
-    """Mutable stage-two state for one chain: middle submodel caches."""
-
-    __slots__ = ("phi12", "phi23", "psi2", "lj2", "lr2")
-
-    def __init__(self, target: _MiddleTarget, phi12, phi23, psi2):
-        self.phi12 = phi12
-        self.phi23 = phi23
-        self.psi2 = psi2
-        self.lj2, self.lr2 = target.evaluate(phi12, phi23, psi2) or (-math.inf, -math.inf)
-
-    def finite(self) -> bool:
-        return self.lj2 > -math.inf and self.lr2 > -math.inf
-
-
-def _middle_ratio(target: _MiddleTarget, phi12, phi23, psi2, cur: _MiddleState):
-    """Log acceptance ratio for a shared-block move against the middle submodel.
-
-    Only middle-submodel terms and the middle pool factor appear: pooled
-    ratio x joint ratio x inverse prior-marginal ratio.
-    """
-    new = target.evaluate(phi12, phi23, psi2)
-    if new is None:
-        return -math.inf, None
-    return (new[1] - cur.lr2) + (new[0] - cur.lj2), new
-
-
-def _stage_two_init(target, store1, store3, psi2_coords, rng):
-    for _ in range(_INIT_RETRIES):
-        i1 = int(rng.integers(store1.n))
-        i3 = int(rng.integers(store3.n))
-        psi2 = np.array([_default_value(c) for c in psi2_coords])
-        state = _MiddleState(target, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
-        if state.finite():
-            return i1, i3, state
-        psi2 = _jitter(psi2, psi2_coords, rng)
-        state = _MiddleState(target, store1.phi[i1].copy(), store3.phi[i3].copy(), psi2)
-        if state.finite():
-            return i1, i3, state
-    raise InitializationError("stage two: no finite-density initial state")
+def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, seed,
+                        warmup_frac, uf1: UnitFactorization, uf3: UnitFactorization):
+    spec2 = chain.submodels[1]
+    d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
+    run = _run_chains(
+        _MiddleTarget(spec2, factor, d12, d23),
+        (store1.phi, store3.phi),
+        (uf1.phi_indices, uf3.phi_indices),
+        tuple(spec2.psi_coords),
+        kernel2,
+        n_iter,
+        chains,
+        seed,
+        warmup_frac,
+        init=_stage_two_init,
+    )
+    n1, d = uf1.n_units, d12 + d23
+    moves = ("phi1", "phi3", "psi2")
+    return MeldedChainOutput(
+        phi12=run.z[..., :d12],
+        phi23=run.z[..., d12:d],
+        psi1=_unit_gather(store1.psi, run.rows[..., :n1], uf1.psi_indices),
+        psi2=run.z[..., d:],
+        psi3=_unit_gather(store3.psi, run.rows[..., n1:], uf3.psi_indices),
+        indices=run.rows,
+        accept_counts=dict(zip(moves, run.accepted)),
+        proposal_counts=dict(zip(moves, run.proposed)),
+        seed=seed,
+        coord_info=_coord_info(chain, store1, store3),
+    )
 
 
 def run_parallel_stage_two(
@@ -391,66 +739,10 @@ def run_parallel_stage_two(
     """
     if chain.n_submodels != 3:
         raise UnsupportedConfigError("parallel stage two requires M = 3")
-    spec2 = chain.submodels[1]
-    target = _MiddleTarget(spec2, factor)
-    psi2_coords = tuple(spec2.psi_coords)
-    scales2 = kernel2.per_coord(len(psi2_coords))
-    warmup, kept = split_warmup(n_iter, warmup_frac)
-
-    d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
-    out = _allocate_output(chains, kept, d12, d23, store1, store3, spec2, n_index=2)
-    accept = {"phi1": 0, "phi3": 0, "psi2": 0}
-    propose = {"phi1": 0, "phi3": 0, "psi2": 0}
-
-    for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        i1, i3, cur = _stage_two_init(target, store1, store3, psi2_coords, rng)
-        for t in range(n_iter):
-            # (i) shared block 1 + psi1 via index resampling
-            n1 = int(rng.integers(store1.n))
-            log_alpha, new = _middle_ratio(
-                target, store1.phi[n1], cur.phi23, cur.psi2, cur
-            )
-            propose["phi1"] += 1
-            if _accept(rng, log_alpha):
-                accept["phi1"] += 1
-                i1 = n1
-                cur.phi12 = store1.phi[n1].copy()
-                cur.lj2, cur.lr2 = new
-            # (ii) shared block 2 + psi3
-            n3 = int(rng.integers(store3.n))
-            log_alpha, new = _middle_ratio(
-                target, cur.phi12, store3.phi[n3], cur.psi2, cur
-            )
-            propose["phi3"] += 1
-            if _accept(rng, log_alpha):
-                accept["phi3"] += 1
-                i3 = n3
-                cur.phi23 = store3.phi[n3].copy()
-                cur.lj2, cur.lr2 = new
-            # (iii) psi2 via generic MH
-            if psi2_coords:
-                prop, log_q = _propose(cur.psi2, psi2_coords, scales2, rng)
-                lj2 = spec2.eval_log_joint(
-                    np.concatenate([cur.phi12, cur.phi23]), prop
-                )
-                propose["psi2"] += 1
-                if lj2 == -math.inf:
-                    _accept(rng, -math.inf)
-                elif _accept(rng, lj2 - cur.lj2 + log_q):
-                    accept["psi2"] += 1
-                    cur.psi2 = prop
-                    cur.lj2 = lj2
-            if t >= warmup:
-                k = t - warmup
-                _record(out, c, k, cur, store1, store3, i1, i3, (i1, i3))
-    return MeldedChainOutput(
-        **out,
-        accept_counts=accept,
-        proposal_counts=propose,
-        seed=seed,
-        coord_info=_coord_info(chain, store1, store3),
-    )
+    whole1 = UnitFactorization(_one_unit(store1.phi.shape[1]), _one_unit(store1.psi.shape[1]))
+    whole3 = UnitFactorization(_one_unit(store3.phi.shape[1]), _one_unit(store3.psi.shape[1]))
+    return _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains,
+                               seed, warmup_frac, whole1, whole3)
 
 
 def run_parallel_stage_two_unitwise(
@@ -470,98 +762,18 @@ def run_parallel_stage_two_unitwise(
     in a fresh random order each iteration; each unit's slice is proposed
     from its own stage-one empirical marginal and accepted against the
     middle-submodel terms with the other units held at their current
-    values.  With a single unit this reduces exactly to the blocked
-    sampler (same seeds give the same chain).
+    values.  With a single unit this is exactly the blocked sampler (same
+    seeds give the same chain).
     """
     if chain.n_submodels != 3:
         raise UnsupportedConfigError("unitwise stage two requires M = 3")
-    spec1, spec2, spec3 = chain.submodels
-    uf1, uf3 = spec1.unit_factorization, spec3.unit_factorization
+    uf1, uf3 = chain.submodels[0].unit_factorization, chain.submodels[2].unit_factorization
     if uf1 is None or uf3 is None:
         raise UnsupportedConfigError(
             "unitwise updates need unit factorizations on submodels 0 and 2"
         )
-    target = _MiddleTarget(spec2, factor)
-    psi2_coords = tuple(spec2.psi_coords)
-    scales2 = kernel2.per_coord(len(psi2_coords))
-    warmup, kept = split_warmup(n_iter, warmup_frac)
-
-    d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
-    n_index = uf1.n_units + uf3.n_units
-    out = _allocate_output(chains, kept, d12, d23, store1, store3, spec2, n_index)
-    accept = {"phi1": 0, "phi3": 0, "psi2": 0}
-    propose = {"phi1": 0, "phi3": 0, "psi2": 0}
-
-    for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        i1, i3, cur = _stage_two_init(target, store1, store3, psi2_coords, rng)
-        units1 = np.full(uf1.n_units, i1, dtype=int)
-        units3 = np.full(uf3.n_units, i3, dtype=int)
-        psi1 = store1.psi[i1].copy()
-        psi3 = store3.psi[i3].copy()
-        for t in range(n_iter):
-            order1 = rng.permutation(uf1.n_units) if uf1.n_units > 1 else (0,)
-            for u in order1:
-                k1 = int(rng.integers(store1.n))
-                phi_prop = cur.phi12.copy()
-                idx = list(uf1.phi_indices[u])
-                phi_prop[idx] = store1.phi[k1][idx]
-                log_alpha, new = _middle_ratio(
-                    target, phi_prop, cur.phi23, cur.psi2, cur
-                )
-                propose["phi1"] += 1
-                if _accept(rng, log_alpha):
-                    accept["phi1"] += 1
-                    cur.phi12 = phi_prop
-                    cur.lj2, cur.lr2 = new
-                    units1[u] = k1
-                    sidx = list(uf1.psi_indices[u])
-                    psi1[sidx] = store1.psi[k1][sidx]
-            order3 = rng.permutation(uf3.n_units) if uf3.n_units > 1 else (0,)
-            for u in order3:
-                k3 = int(rng.integers(store3.n))
-                phi_prop = cur.phi23.copy()
-                idx = list(uf3.phi_indices[u])
-                phi_prop[idx] = store3.phi[k3][idx]
-                log_alpha, new = _middle_ratio(
-                    target, cur.phi12, phi_prop, cur.psi2, cur
-                )
-                propose["phi3"] += 1
-                if _accept(rng, log_alpha):
-                    accept["phi3"] += 1
-                    cur.phi23 = phi_prop
-                    cur.lj2, cur.lr2 = new
-                    units3[u] = k3
-                    sidx = list(uf3.psi_indices[u])
-                    psi3[sidx] = store3.psi[k3][sidx]
-            if psi2_coords:
-                prop, log_q = _propose(cur.psi2, psi2_coords, scales2, rng)
-                lj2 = spec2.eval_log_joint(
-                    np.concatenate([cur.phi12, cur.phi23]), prop
-                )
-                propose["psi2"] += 1
-                if lj2 == -math.inf:
-                    _accept(rng, -math.inf)
-                elif _accept(rng, lj2 - cur.lj2 + log_q):
-                    accept["psi2"] += 1
-                    cur.psi2 = prop
-                    cur.lj2 = lj2
-            if t >= warmup:
-                k = t - warmup
-                indices = tuple(units1) + tuple(units3)
-                out["phi12"][c, k] = cur.phi12
-                out["phi23"][c, k] = cur.phi23
-                out["psi1"][c, k] = psi1
-                out["psi2"][c, k] = cur.psi2
-                out["psi3"][c, k] = psi3
-                out["indices"][c, k] = indices
-    return MeldedChainOutput(
-        **out,
-        accept_counts=accept,
-        proposal_counts=propose,
-        seed=seed,
-        coord_info=_coord_info(chain, store1, store3),
-    )
+    return _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains,
+                               seed, warmup_frac, uf1, uf3)
 
 
 def run_sequential(
@@ -589,178 +801,48 @@ def run_sequential(
         n_iter = (n_iter, n_iter, n_iter)
     n1, n2, n3 = n_iter
     spec1, spec2, spec3 = chain.submodels
-    target = _MiddleTarget(spec2, factor)
-    pool3 = factor.pool3
-    subprior = factor.mode == "subprior-ends"
-    psi2_coords = tuple(spec2.psi_coords)
-    psi3_coords = tuple(spec3.psi_coords)
-    block23 = chain.phi_blocks[1]
+    block12, block23 = chain.phi_blocks
+    d12, d23 = block12.dim, block23.dim
+    d = d12 + d23
 
     ss1, ss2, ss3 = np.random.SeedSequence(seed).spawn(3)
     store1 = run_stage_one(chain, 0, factor, kernel1, n1, chains, ss1.entropy, warmup_frac)
 
-    # ---- stage two: (phi12 by index, phi23 + psi2 by random walk) ----
-    warmup2, kept2 = split_warmup(n2, warmup_frac)
-    rows_phi12 = np.empty((chains * kept2, store1.phi.shape[1]))
-    rows_phi23 = np.empty((chains * kept2, block23.dim))
-    rows_psi2 = np.empty((chains * kept2, spec2.psi_dim))
-    rows_i1 = np.empty(chains * kept2, dtype=int)
-    move_coords = tuple(block23.coords) + psi2_coords
-    scales2 = kernel2.per_coord(len(move_coords))
-    scales3 = kernel3.per_coord(len(psi3_coords))
-    accept = {"s2_phi1": 0, "s2_move": 0, "s3_index": 0, "s3_psi3": 0}
-    propose = {"s2_phi1": 0, "s2_move": 0, "s3_index": 0, "s3_psi3": 0}
-
-    for c, ss in enumerate(np.random.SeedSequence(ss2.entropy).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        i1, cur = None, None
-        for _ in range(_INIT_RETRIES):
-            i1 = int(rng.integers(store1.n))
-            phi23 = np.array([_default_value(cc) for cc in block23.coords])
-            psi2 = np.array([_default_value(cc) for cc in psi2_coords])
-            cur = _MiddleState(target, store1.phi[i1].copy(), phi23, psi2)
-            if cur.finite():
-                break
-            phi23 = _jitter(phi23, block23.coords, rng)
-            cur = _MiddleState(target, store1.phi[i1].copy(), phi23, psi2)
-            if cur.finite():
-                break
-        else:
-            raise InitializationError("sequential stage two: no finite initial state")
-        row = c * kept2
-        for t in range(n2):
-            n1_star = int(rng.integers(store1.n))
-            log_alpha, new = _middle_ratio(
-                target, store1.phi[n1_star], cur.phi23, cur.psi2, cur
-            )
-            propose["s2_phi1"] += 1
-            if _accept(rng, log_alpha):
-                accept["s2_phi1"] += 1
-                i1 = n1_star
-                cur.phi12 = store1.phi[n1_star].copy()
-                cur.lj2, cur.lr2 = new
-            move = np.concatenate([cur.phi23, cur.psi2])
-            prop, log_q = _propose(move, move_coords, scales2, rng)
-            phi23_p = prop[: block23.dim]
-            psi2_p = prop[block23.dim :]
-            log_alpha, new = _middle_ratio(target, cur.phi12, phi23_p, psi2_p, cur)
-            propose["s2_move"] += 1
-            if _accept(rng, log_alpha + log_q):
-                accept["s2_move"] += 1
-                cur.phi23 = phi23_p
-                cur.psi2 = psi2_p
-                cur.lj2, cur.lr2 = new
-            if t >= warmup2:
-                rows_phi12[row] = cur.phi12
-                rows_phi23[row] = cur.phi23
-                rows_psi2[row] = cur.psi2
-                rows_i1[row] = i1
-                row += 1
+    # ---- stage two: phi12 by index, (phi23, psi2) by random walk ----
+    two = _run_chains(
+        _MiddleTarget(spec2, factor, d12, d23), (store1.phi,), (_one_unit(d12),),
+        tuple(block23.coords) + tuple(spec2.psi_coords), kernel2, n2, chains, ss2.entropy,
+        warmup_frac, init=_stage_two_init,
+    )
+    rows = two.z.reshape(-1, two.z.shape[2])  # (phi12, phi23, psi2) per kept draw
+    rows_i1 = two.rows.reshape(-1)
 
     # ---- stage three: (whole stage-two state by index, psi3 by walk) ----
-    warmup3, kept3 = split_warmup(n3, warmup_frac)
-    n_rows = rows_phi12.shape[0]
-    out = {
-        "phi12": np.empty((chains, kept3, rows_phi12.shape[1])),
-        "phi23": np.empty((chains, kept3, rows_phi23.shape[1])),
-        "psi1": np.empty((chains, kept3, store1.psi.shape[1])),
-        "psi2": np.empty((chains, kept3, rows_psi2.shape[1])),
-        "psi3": np.empty((chains, kept3, spec3.psi_dim)),
-        "indices": np.empty((chains, kept3, 2), dtype=int),
-    }
-
-    def _stage3_terms(phi23, psi3):
-        lj3 = spec3.eval_log_joint(phi23, psi3)
-        if lj3 == -math.inf:
-            return None
-        lm3 = float(np.asarray(spec3.eval_log_prior(phi23)))
-        if lm3 == -math.inf:
-            submodel_log_ratio(spec3, phi23, psi3)
-        # Under subprior-ends pool3 is p3(phi23) itself: reuse it.
-        lp3 = lm3 if subprior else float(np.asarray(pool3(phi23)))
-        if lp3 == -math.inf:
-            return None
-        return lj3, lm3, lp3
-
-    for c, ss in enumerate(np.random.SeedSequence(ss3.entropy).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        terms = None
-        for _ in range(_INIT_RETRIES):
-            j = int(rng.integers(n_rows))
-            psi3 = np.array([_default_value(cc) for cc in psi3_coords])
-            terms = _stage3_terms(rows_phi23[j], psi3)
-            if terms is not None:
-                break
-            psi3 = _jitter(psi3, psi3_coords, rng)
-            terms = _stage3_terms(rows_phi23[j], psi3)
-            if terms is not None:
-                break
-        else:
-            raise InitializationError("sequential stage three: no finite initial state")
-        lj3, lm3, lp3 = terms
-        for t in range(n3):
-            j_star = int(rng.integers(n_rows))
-            new = _stage3_terms(rows_phi23[j_star], psi3)
-            propose["s3_index"] += 1
-            if new is None:
-                _accept(rng, -math.inf)
-            else:
-                log_alpha = (new[2] - lp3) + (new[0] - lj3) + (lm3 - new[1])
-                if _accept(rng, log_alpha):
-                    accept["s3_index"] += 1
-                    j = j_star
-                    lj3, lm3, lp3 = new
-            if psi3_coords:
-                prop, log_q = _propose(psi3, psi3_coords, scales3, rng)
-                lj3_p = spec3.eval_log_joint(rows_phi23[j], prop)
-                propose["s3_psi3"] += 1
-                if lj3_p == -math.inf:
-                    _accept(rng, -math.inf)
-                elif _accept(rng, lj3_p - lj3 + log_q):
-                    accept["s3_psi3"] += 1
-                    psi3 = prop
-                    lj3 = lj3_p
-            if t >= warmup3:
-                k = t - warmup3
-                out["phi12"][c, k] = rows_phi12[j]
-                out["phi23"][c, k] = rows_phi23[j]
-                out["psi1"][c, k] = store1.psi[rows_i1[j]]
-                out["psi2"][c, k] = rows_psi2[j]
-                out["psi3"][c, k] = psi3
-                out["indices"][c, k] = (j, rows_i1[j])
+    three = _run_chains(
+        _EndTarget(spec3, factor.pool3, factor.mode == "subprior-ends", d23),
+        (np.ascontiguousarray(rows[:, d12:d]),), (_one_unit(d23),), tuple(spec3.psi_coords),
+        kernel3, n3, chains, ss3.entropy, warmup_frac,
+    )
+    j = three.rows[..., 0]
+    moves = ("s2_phi1", "s2_move", "s3_index", "s3_psi3")
     return MeldedChainOutput(
-        **out,
-        accept_counts=accept,
-        proposal_counts=propose,
+        phi12=rows[j, :d12],
+        phi23=rows[j, d12:d],
+        psi1=store1.psi[rows_i1[j]],
+        psi2=rows[j, d:],
+        psi3=three.z[..., d23:],
+        indices=np.stack([j, rows_i1[j]], axis=-1),
+        accept_counts=dict(zip(moves, two.accepted + three.accepted)),
+        proposal_counts=dict(zip(moves, two.proposed + three.proposed)),
         seed=seed,
         coord_info={
-            "phi12": tuple(chain.phi_blocks[0].coords),
-            "phi23": tuple(chain.phi_blocks[1].coords),
+            "phi12": tuple(block12.coords),
+            "phi23": tuple(block23.coords),
             "psi1": tuple(spec1.psi_coords),
             "psi2": tuple(spec2.psi_coords),
             "psi3": tuple(spec3.psi_coords),
         },
     )
-
-
-def _allocate_output(chains, kept, d12, d23, store1, store3, spec2, n_index):
-    return {
-        "phi12": np.empty((chains, kept, d12)),
-        "phi23": np.empty((chains, kept, d23)),
-        "psi1": np.empty((chains, kept, store1.psi.shape[1])),
-        "psi2": np.empty((chains, kept, spec2.psi_dim)),
-        "psi3": np.empty((chains, kept, store3.psi.shape[1])),
-        "indices": np.empty((chains, kept, n_index), dtype=int),
-    }
-
-
-def _record(out, c, k, cur: _MiddleState, store1, store3, i1, i3, indices):
-    out["phi12"][c, k] = cur.phi12
-    out["phi23"][c, k] = cur.phi23
-    out["psi1"][c, k] = store1.psi[i1]
-    out["psi2"][c, k] = cur.psi2
-    out["psi3"][c, k] = store3.psi[i3]
-    out["indices"][c, k] = indices
 
 
 def _coord_info(chain: ChainModel, store1: SampleStore, store3: SampleStore):

@@ -356,35 +356,62 @@ def test_acceptance_8_marginal_replacement():
     _report(8, "marginal replacement (pooled marginals preserved)", ok)
 
 
-def test_acceptance_9_determinism(tmp_path):
-    cfg = {
-        "model": {
-            "name": "gaussian-chain",
-            "params": {"rho": 0.2, "y1": [-2.0], "y3": [2.0], "y2": [0.5], "s2": 2.0, "tau": 1.0},
-        },
-        "pooling": {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
-        "sampler": {
-            "kind": "parallel",
-            "seed": 314,
-            "chains": 2,
-            "iterations": {"stage_one": 800, "stage_two": 800},
-        },
-        "outputs": {"directory": str(tmp_path / "run")},
-        "grid": {"axes": [[-6, 6, 60], [-6, 6, 60]]},
+def _discrete_cli_params(seed=7):
+    """The 64-state discrete test chain (units on both ends) as CLI params."""
+    rng = np.random.default_rng(seed)
+    p1 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
+    p3 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
+    p2 = random_table(rng, (2, 2, 2, 2, 2, 2))
+    lik2 = np.exp(0.3 * rng.standard_normal((2, 2, 2, 2, 2, 2)))
+    unit = {"phi_indices": [[0], [1]], "psi_indices": [[], []]}
+    return {
+        "prior1": p1.tolist(),
+        "prior2": p2.tolist(),
+        "prior3": p3.tolist(),
+        "phi_cards": [[2, 2], [2, 2]],
+        "psi_cards": [[], [2, 2], []],
+        "likelihoods": [None, lik2.tolist(), None],
+        "units": [unit, None, unit],
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg, indent=1))
+
+
+def test_acceptance_9_determinism(tmp_path):
+    gaussian = {"name": "gaussian-chain",
+                "params": {"rho": 0.2, "y1": [-2.0], "y3": [2.0], "y2": [0.5], "s2": 2.0,
+                           "tau": 1.0}}
+    discrete = {"name": "discrete-chain", "params": _discrete_cli_params()}
+    log_pool = {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]}
+    middle_pool = {"method": "dictatorial-complete", "choices": [1, 1]}
+    iterations = {"stage_one": 800, "stage_two": 800, "stage_three": 800}
+    # every sampler kind, each with several lockstep chains
+    runs = [
+        ("parallel", gaussian, log_pool, 2),
+        ("parallel-unitwise", discrete, log_pool, 3),
+        ("sequential", discrete, log_pool, 3),
+        ("normal-approx", gaussian, middle_pool, 2),
+    ]
+    sample_artifacts = ("melded_samples.csv", "diagnostics.csv", "manifest.txt")
     ok = True
-    for command, artifacts in (
-        ("sample", ("melded_samples.csv", "diagnostics.csv", "manifest.txt")),
-        ("pool-grid", ("pooled_grid.csv",)),
-    ):
-        blobs = []
-        for run_dir in ("a", "b"):
-            out = str(tmp_path / run_dir)
-            assert main([command, "--config", str(path), "--out-dir", out]) == 0
-            blobs.append(
-                tuple((tmp_path / run_dir / name).read_bytes() for name in artifacts)
-            )
-        ok = ok and blobs[0] == blobs[1]
+    for kind, model, pooling, chains in runs:
+        cfg = {
+            "model": model,
+            "pooling": pooling,
+            "sampler": {"kind": kind, "seed": 314, "chains": chains, "iterations": iterations},
+            "outputs": {"directory": str(tmp_path / "run")},
+            "grid": {"axes": [[-6, 6, 60], [-6, 6, 60]]},
+        }
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(cfg, indent=1))
+        commands = [("sample", sample_artifacts)]
+        if kind == "parallel":
+            commands.append(("pool-grid", ("pooled_grid.csv",)))
+        for command, artifacts in commands:
+            blobs = []
+            for run_dir in ("a", "b"):
+                out = str(tmp_path / kind / run_dir)
+                assert main([command, "--config", str(path), "--out-dir", out]) == 0
+                blobs.append(
+                    tuple((tmp_path / kind / run_dir / name).read_bytes() for name in artifacts)
+                )
+            ok = ok and blobs[0] == blobs[1]
     _report(9, "byte-identical reruns", ok)

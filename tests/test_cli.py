@@ -101,6 +101,61 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
 
 
+class TestSamplerKeys:
+    """Bad sampler keys exit 1 and name the key path, for validate and sample."""
+
+    def _rejects(self, tmp_path, capsys, cfg, path_name):
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        assert path_name in capsys.readouterr().err
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
+    def test_unknown_iterations_key(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["iterations"]["stage_1"] = 500
+        self._rejects(tmp_path, capsys, cfg, "sampler.iterations.stage_1")
+
+    @pytest.mark.parametrize("scale", ["big", None, [0.5], -0.1, True])
+    def test_bad_scale(self, tmp_path, capsys, scale):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["scales"]["stage_one"] = scale
+        self._rejects(tmp_path, capsys, cfg, "sampler.scales.stage_one")
+
+    def test_unknown_scales_key(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["scales"]["stage_2"] = 0.5
+        self._rejects(tmp_path, capsys, cfg, "sampler.scales.stage_2")
+
+    @pytest.mark.parametrize("chains", [0, -1, 2.5, "2", True])
+    def test_chains_must_be_positive_int(self, tmp_path, capsys, chains):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["chains"] = chains
+        self._rejects(tmp_path, capsys, cfg, "sampler.chains")
+
+
+class TestPoolingKeys:
+    @pytest.mark.parametrize(
+        "pooling, key",
+        [
+            ({"method": "logarithmic", "lambda": [0.5, -1, 0.5]}, "pooling.lambda"),
+            ({"method": "logarithmic", "lambda": [0.5, 0.5]}, "pooling.lambda"),
+            ({"method": "logarithmic", "lambda": ["a", 1, 1]}, "pooling.lambda"),
+            ({"method": "linear", "lambda": [[0.5, -0.5], [0.5, 0.5]]}, "pooling.lambda"),
+            ({"method": "dictatorial-partial", "authoritative": 1,
+              "lambda": [1, -1, 1]}, "pooling.lambda"),
+            ({"method": "dictatorial-partial", "authoritative": "1"},
+             "pooling.authoritative"),
+            ({"method": "dictatorial-complete", "choices": [2, 1]}, "pooling.choices"),
+        ],
+    )
+    def test_invalid_pool_is_config_error(self, tmp_path, capsys, pooling, key):
+        path = _write_config(tmp_path, _gaussian_config(tmp_path, pooling=pooling))
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        assert key in capsys.readouterr().err
+
+
 class TestSample:
     def test_writes_expected_artifacts(self, tmp_path):
         path = _write_config(tmp_path, _gaussian_config(tmp_path))
@@ -243,3 +298,13 @@ class TestDiag:
     def test_missing_samples_is_runtime_error(self, tmp_path):
         path = _write_config(tmp_path, _gaussian_config(tmp_path))
         assert main(["diag", "--config", path]) == 2
+
+    def test_unequal_chain_lengths_is_runtime_error(self, tmp_path, capsys):
+        path = _write_config(tmp_path, _gaussian_config(tmp_path))
+        assert main(["sample", "--config", path]) == 0
+        samples = tmp_path / "out" / "melded_samples.csv"
+        lines = samples.read_text().splitlines()
+        samples.write_text("\n".join(lines[:-1]) + "\n")  # drop chain 1's last row
+        assert main(["diag", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "chain 0: 450 rows" in err and "chain 1: 449 rows" in err

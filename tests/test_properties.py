@@ -1,4 +1,5 @@
-"""Property tests for pooled-prior term lists and the cached Gaussian factor."""
+"""Property tests: pooled-prior term lists, the cached Gaussian factor and the
+batched log-joint contract."""
 
 import math
 
@@ -7,13 +8,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from chainmeld import (
     ChainModel,
     GaussianDensity,
     NumericalFailureError,
     PhiBlock,
+    StructureError,
     SubmodelSpec,
     builtin_gaussian_chain,
     dictatorial_complete,
@@ -23,6 +25,8 @@ from chainmeld import (
     log_pooling,
     real_coords,
 )
+
+from conftest import make_discrete_chain
 
 BUILT = builtin_gaussian_chain(rho=0.6)
 
@@ -149,3 +153,60 @@ def test_neg_inf_end_with_zero_weight_raises(lam, x0, x1):
         factor.pool2(np.array([x0]), np.array([x1]))
     with pytest.raises(NumericalFailureError):
         factor.pool2(np.array([[x0], [1.0]]), np.array([[x1], [x1]]))
+
+
+# -- batched log_joint contract ------------------------------------------------
+
+GAUSS_DATA = builtin_gaussian_chain(rho=0.3, y1=[-2.0, -1.0], y3=[2.0], y2=[0.5, 1.5],
+                                    s2=2.0, tau=1.0)
+DISCRETE = make_discrete_chain()
+
+
+@st.composite
+def joint_batches(draw, built, discrete):
+    """(spec, phi, psi) with a random batch shape for one submodel of ``built``."""
+    m = draw(st.integers(0, 2))
+    spec = built.model.submodels[m]
+    d_phi = sum(built.model.phi_blocks[b].dim for b in built.model.blocks_of(m))
+    batch = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    if discrete:
+        phi = draw(arrays(float, batch + (d_phi,), elements=st.sampled_from([0.0, 1.0])))
+        psi = draw(arrays(float, batch + (spec.psi_dim,), elements=st.sampled_from([0.0, 1.0])))
+    else:
+        phi = draw(arrays(float, batch + (d_phi,), elements=coord))
+        psi = draw(arrays(float, batch + (spec.psi_dim,), elements=coord))
+    return spec, phi, psi
+
+
+def _row_by_row(spec, phi, psi):
+    out = np.empty(phi.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        value = spec.eval_log_joint(phi[idx], psi[idx])
+        assert isinstance(value, float)
+        out[idx] = value
+    return out
+
+
+@given(case=joint_batches(DISCRETE, discrete=True))
+def test_discrete_batched_joint_equals_rows(case):
+    spec, phi, psi = case
+    batched = spec.eval_log_joint(phi, psi)
+    assert batched.shape == phi.shape[:-1]
+    np.testing.assert_array_equal(batched, _row_by_row(spec, phi, psi))
+
+
+@given(case=joint_batches(GAUSS_DATA, discrete=False))
+def test_gaussian_batched_joint_equals_rows(case):
+    spec, phi, psi = case
+    batched = spec.eval_log_joint(phi, psi)
+    assert batched.shape == phi.shape[:-1]
+    np.testing.assert_allclose(batched, _row_by_row(spec, phi, psi), rtol=1e-12, atol=1e-12)
+
+
+def test_scalar_only_joint_is_rejected():
+    spec = SubmodelSpec(4, None, "a", lambda p, s: 0.0, _quad)
+    assert spec.eval_log_joint(np.zeros(1), np.empty(0)) == 0.0
+    with pytest.raises(StructureError, match="submodel 4"):
+        spec.eval_log_joint(np.zeros((3, 1)), np.empty((3, 0)))
+    with pytest.raises(StructureError, match="submodel 4"):
+        spec.eval_log_joint(np.zeros((1, 1)), np.empty((1, 0)))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from chainmeld import (
+    ChainModel,
     Coord,
     InitializationError,
     MHKernelConfig,
+    StructureError,
+    SubmodelSpec,
     UnsupportedConfigError,
     builtin_gaussian_chain,
     factorize_for_sampler,
@@ -300,9 +303,11 @@ class TestEvaluationCounts:
         assert spec1.marginal_calls.count == 301
         assert spec1.joint_calls.count == 301
 
-    def test_phi_proposal_makes_three_marginal_calls(self):
+    def test_phi_proposal_makes_two_marginal_calls(self):
         # log pool with lambda = 0.5: pool2 - log p2 is
-        # -0.5 log p1 - 0.5 log p2 - 0.5 log p3, one call to each marginal
+        # -0.5 log p1 - 0.5 log p2 - 0.5 log p3.  A block-1 proposal changes
+        # only the log p1 and log p2 terms, a block-2 proposal only log p2
+        # and log p3: two marginal calls, the other end's term is reused.
         built, _, factor = _gaussian_setup()
         s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, seed=4)
         built.model.reset_counters()
@@ -311,6 +316,57 @@ class TestEvaluationCounts:
         phi_proposals = out.proposal_counts["phi1"] + out.proposal_counts["phi3"]
         assert phi_proposals == 2 * n
         # the initial state adds one evaluation of each term
-        for spec in built.model.submodels:
-            assert spec.marginal_calls.count == phi_proposals + 1
-        assert built.model.submodels[1].joint_calls.count == phi_proposals + 1
+        spec1, spec2, spec3 = built.model.submodels
+        assert spec1.marginal_calls.count == n + 1
+        assert spec3.marginal_calls.count == n + 1
+        assert spec2.marginal_calls.count == phi_proposals + 1
+        total = sum(spec.marginal_calls.count for spec in built.model.submodels)
+        assert total == 2 * phi_proposals + 3
+        assert spec2.joint_calls.count == phi_proposals + 1
+
+
+class TestLockstep:
+    """Chains advance together, but each one only reads its own generator."""
+
+    def _setup(self):
+        built = make_discrete_chain()
+        pool = log_pooling(built.model, [0.5, 0.5, 0.5])
+        factor = factorize_for_sampler(pool, "subprior-ends")
+        return built, factor
+
+    def test_stage_one_chain_zero_ignores_other_chains(self):
+        built, factor = self._setup()
+        one = run_stage_one(built.model, 0, factor, KERNEL, 600, chains=1, seed=5)
+        four = run_stage_one(built.model, 0, factor, KERNEL, 600, chains=4, seed=5)
+        first = four.chain_id == 0
+        np.testing.assert_array_equal(four.draws[first], one.draws)
+        np.testing.assert_array_equal(four.log_density[first], one.log_density)
+        np.testing.assert_array_equal(four.iteration[first], one.iteration)
+
+    @pytest.mark.parametrize("runner", [run_parallel_stage_two, run_parallel_stage_two_unitwise])
+    def test_stage_two_chain_zero_ignores_other_chains(self, runner):
+        built, factor = self._setup()
+        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 1000, chains=2, seed=6)
+        one = runner(built.model, factor, s1, s3, KERNEL, 600, chains=1, seed=7)
+        four = runner(built.model, factor, s1, s3, KERNEL, 600, chains=4, seed=7)
+        for group in ("phi12", "phi23", "psi1", "psi2", "psi3", "indices"):
+            np.testing.assert_array_equal(getattr(four, group)[:1], getattr(one, group))
+        assert not np.array_equal(four.indices[0], four.indices[1])
+
+    def test_scalar_only_joint_fails_loudly(self):
+        built, factor = self._setup()
+        spec = built.model.submodels[0]
+        scalar = SubmodelSpec(
+            0, spec.left_block, spec.right_block,
+            lambda phi, psi: float(spec.log_joint(phi[0], psi[0])),  # reads row 0 only
+            spec.log_prior_marginal,
+        )
+        model = ChainModel((scalar,) + built.model.submodels[1:], built.model.phi_blocks)
+        with pytest.raises(StructureError, match="submodel 0"):
+            run_stage_one(model, 0, factor, KERNEL, 200, chains=1, seed=1)
+
+    @pytest.mark.parametrize("chains", [0, -2, 1.5, True])
+    def test_chains_must_be_positive_integer(self, chains):
+        built, factor = self._setup()
+        with pytest.raises(UnsupportedConfigError, match="chains"):
+            run_stage_one(built.model, 0, factor, KERNEL, 200, chains=chains, seed=1)
