@@ -17,7 +17,9 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +209,34 @@ def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _csv_field(text: str) -> str:
+    """``text`` as csv's excel dialect writes it: quoted if it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column) -> map:
+    """A column's CSV cells: integers in decimal, floats as their shortest round-trip repr."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    if column.dtype.kind == "U":
+        return map(_csv_field, column.tolist())
+    return map(repr, column.astype(float, copy=False).tolist())
+
+
+def _csv_rows(columns):
+    """Join equal-length columns into CSV rows; the formatting runs as they are consumed."""
+    yield from map(",".join, zip(*map(_cells, columns)))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and preformatted rows, each ended by CRLF as csv's excel dialect does."""
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(map(_csv_field, header)) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            handle.write(row + "\r\n")
 
 
 def _vector_columns(name: str, dim: int) -> list[str]:
@@ -242,58 +258,36 @@ def _write_manifest(out_dir: Path, cfg: dict, extra: dict) -> None:
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _sample_columns(output: MeldedChainOutput) -> tuple[list[str], list[str]]:
+def _sample_columns(output: MeldedChainOutput) -> tuple[list[str], list[np.ndarray]]:
+    """Name and (chains, kept) trace of every sampled coordinate, in CSV column order."""
     names = []
-    groups = []
+    traces = []
     for group in ("phi12", "phi23", "psi2", "psi1", "psi3"):
-        dim = getattr(output, group).shape[2]
-        if dim == 0:
-            continue
-        names.extend(_vector_columns(group, dim))
-        groups.extend([group] * dim)
-    return names, groups
+        arr = getattr(output, group)
+        names.extend(_vector_columns(group, arr.shape[2]))
+        traces.extend(arr[:, :, k] for k in range(arr.shape[2]))
+    return names, traces
 
 
 def _write_samples(out_dir: Path, output: MeldedChainOutput) -> Path:
-    names, groups = _sample_columns(output)
+    names, traces = _sample_columns(output)
     chains, kept = output.phi12.shape[:2]
-    rows = []
-    for c in range(chains):
-        for t in range(kept):
-            row = [c, t]
-            for group in ("phi12", "phi23", "psi2", "psi1", "psi3"):
-                arr = getattr(output, group)
-                if arr.shape[2]:
-                    row.extend(arr[c, t])
-            rows.append(row)
+    columns = [np.repeat(np.arange(chains), kept), np.tile(np.arange(kept), chains)]
+    columns.extend(t.ravel() for t in traces)
     path = out_dir / "melded_samples.csv"
-    _write_csv(path, ["chain", "iteration"] + names, rows)
+    _write_csv(path, ["chain", "iteration"] + names, _csv_rows(columns))
     return path
 
 
-def _write_diagnostics(out_dir: Path, output: MeldedChainOutput) -> Path:
-    names, groups = _sample_columns(output)
-    rates = output.acceptance_rates()
-    mean_rate = sum(rates.values()) / max(1, len(rates))
-    rows = []
-    col_of_group: dict[str, int] = {}
-    for name, group in zip(names, groups):
-        k = col_of_group.get(group, 0)
-        col_of_group[group] = k + 1
-        traces = getattr(output, group)[:, :, k]
-        rhat = split_rhat(traces) if traces.shape[0] > 1 else None
-        rows.append(
-            [
-                name,
-                float("nan") if rhat is None else rhat.value,
-                ess_bulk(traces).value,
-                ess_tail(traces).value,
-                mean_rate,
-            ]
-        )
-    path = out_dir / "diagnostics.csv"
-    _write_csv(path, ["parameter", "rhat", "ess_bulk", "ess_tail", "acceptance_rate"], rows)
-    return path
+def _write_diagnostics(path: Path, names: list[str], traces, rate: float) -> None:
+    """One row per parameter: split R-hat (NaN for one chain), bulk and tail ESS, ``rate``."""
+    stats = [
+        (split_rhat(t).value if t.shape[0] > 1 else math.nan, ess_bulk(t).value, ess_tail(t).value)
+        for t in traces
+    ]
+    rhat, bulk, tail = np.array(stats, dtype=float).reshape(-1, 3).T
+    header = ["parameter", "rhat", "ess_bulk", "ess_tail", "acceptance_rate"]
+    _write_csv(path, header, _csv_rows([names, rhat, bulk, tail, np.full(len(names), rate)]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +428,7 @@ def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
     table = grid_normalize(pool, spec)
     dim = len(spec.axes)
     header = [f"x{i}" for i in range(dim)] + ["density"]
-    _write_csv(out_dir / "pooled_grid.csv", header, table.rows())
+    _write_csv(out_dir / "pooled_grid.csv", header, _csv_rows(table.columns()))
     print(f"grid mass {table.total_mass()!r}")
     if dim >= 2:
         print(f"grid correlation {table.correlation(0, 1)!r}")
@@ -450,8 +444,9 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     pool = build_pool(cfg, built)
     output = _run_sampler(cfg, built, pool)
     _write_samples(out_dir, output)
-    _write_diagnostics(out_dir, output)
     rates = output.acceptance_rates()
+    mean_rate = sum(rates.values()) / max(1, len(rates))
+    _write_diagnostics(out_dir / "diagnostics.csv", *_sample_columns(output), mean_rate)
     _write_manifest(
         out_dir,
         cfg,
@@ -468,8 +463,8 @@ def _cmd_oracle(cfg: dict, out_dir: Path) -> int:
     pool = build_pool(cfg, built)
     oracle = enumerate_melded_posterior(built, pool)
     header = [f"x{i}" for i in range(oracle.states.shape[1])] + ["probability"]
-    rows = [tuple(oracle.states[k]) + (oracle.probs[k],) for k in range(len(oracle.probs))]
-    _write_csv(out_dir / "oracle_posterior.csv", header, rows)
+    columns = [*oracle.states.T, oracle.probs]
+    _write_csv(out_dir / "oracle_posterior.csv", header, _csv_rows(columns))
     extra = {"artifact": "oracle_posterior.csv"}
     if "sampler" in cfg:
         validate_config(cfg)
@@ -481,41 +476,46 @@ def _cmd_oracle(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_diag(cfg: dict, out_dir: Path) -> int:
-    path = out_dir / "melded_samples.csv"
-    if not path.exists():
-        raise ChainmeldError(f"no sample file at {path}; run the sample command first")
-    with path.open() as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        try:
-            data = np.array([[float(v) for v in row] for row in reader])
-        except ValueError as exc:
-            raise ChainmeldError(
-                f"{path}: every row must hold {len(header)} numbers ({exc})"
-            ) from None
-    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != len(header):
+def _read_samples(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and (columns, chains, draws) traces of a ``melded_samples.csv``.
+
+    Chain ids (column 0) must be the integers 0..C-1, each with the same
+    number of rows; rows keep their file order within a chain.
+    """
+    header: list[str] = []
+    try:
+        with path.open() as handle:
+            header = next(csv.reader(handle), [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body
+                data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error) as exc:
+        raise ChainmeldError(
+            f"{path}: every row must hold {len(header)} numbers ({exc})"
+        ) from None
+    if data.shape[0] == 0 or data.shape[1] != len(header):
         raise ChainmeldError(f"{path}: no rows of {len(header)} numbers to diagnose")
-    chain_ids = data[:, 0].astype(int)
-    if chain_ids.min() < 0:
+    ids, counts = np.unique(data[:, 0], return_counts=True)
+    if ids[0] < 0:
         raise ChainmeldError(f"{path}: chain ids must be >= 0")
-    counts = np.bincount(chain_ids)
+    if not np.array_equal(ids, np.arange(ids.size)):
+        got = ids[:5].tolist()
+        raise ChainmeldError(f"{path}: chain ids must be the integers 0..C-1; got {got}")
     if counts.min() != counts.max():
         lengths = ", ".join(f"chain {c}: {n} rows" for c, n in enumerate(counts))
         raise ChainmeldError(
             f"{path}: diagnostics need chains 0..C-1 of equal length; got {lengths}"
         )
-    chains = len(counts)
-    rows = []
-    for j, name in enumerate(header[2:], start=2):
-        traces = np.stack([data[chain_ids == c, j] for c in range(chains)])
-        rhat = split_rhat(traces).value if chains > 1 else float("nan")
-        rows.append([name, rhat, ess_bulk(traces).value, ess_tail(traces).value, float("nan")])
-    _write_csv(
-        out_dir / "diagnostics.csv",
-        ["parameter", "rhat", "ess_bulk", "ess_tail", "acceptance_rate"],
-        rows,
-    )
+    order = np.argsort(data[:, 0], kind="stable")
+    return header, np.take(data.T, order, axis=1).reshape(len(header), ids.size, -1)
+
+
+def _cmd_diag(cfg: dict, out_dir: Path) -> int:
+    path = out_dir / "melded_samples.csv"
+    if not path.exists():
+        raise ChainmeldError(f"no sample file at {path}; run the sample command first")
+    header, traces = _read_samples(path)
+    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], traces[2:], math.nan)
     print(f"wrote {out_dir / 'diagnostics.csv'}")
     return 0
 

@@ -43,10 +43,13 @@ def _as_traces(traces, min_draws: int) -> np.ndarray:
 
 
 def _average_ranks(flat: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties given their average rank; all NaN if any is NaN."""
+    """1-based ranks with ties given their average rank; all NaN if any is NaN.
+
+    Every member of a tie gets the same rank, so the sort need not be stable.
+    """
     if np.isnan(flat).any():
         return np.full(flat.shape, np.nan)
-    order = np.argsort(flat, kind="mergesort")
+    order = np.argsort(flat)
     ordered = flat[order]
     new_run = np.concatenate([[True], ordered[1:] != ordered[:-1]])
     starts = np.flatnonzero(new_run)

@@ -446,11 +446,16 @@ class GridTable:
     def total_mass(self) -> float:
         return float(self.density.sum() * self.cell_volume)
 
+    def columns(self) -> list[np.ndarray]:
+        """Coordinate columns, then the density column, over the cells in C order."""
+        mesh = np.meshgrid(*self.centers, indexing="ij")
+        return [m.ravel() for m in mesh] + [self.density.ravel()]
+
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean vector and covariance matrix of the grid distribution."""
-        mesh = np.meshgrid(*self.centers, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        w = self.density.ravel() * self.cell_volume
+        *coords, dens = self.columns()
+        pts = np.stack(coords, axis=1)
+        w = dens * self.cell_volume
         mean = w @ pts
         diff = pts - mean
         cov = (diff * w[:, None]).T @ diff
@@ -459,14 +464,6 @@ class GridTable:
     def correlation(self, i: int = 0, j: int = 1) -> float:
         _, cov = self.moments()
         return float(cov[i, j] / math.sqrt(cov[i, i] * cov[j, j]))
-
-    def rows(self):
-        """Iterate (coordinates..., density) rows in C order."""
-        mesh = np.meshgrid(*self.centers, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        dens = self.density.ravel()
-        for k in range(pts.shape[0]):
-            yield tuple(pts[k]) + (dens[k],)
 
 
 def grid_normalize(pool: PooledPrior, grid: GridSpec) -> GridTable:

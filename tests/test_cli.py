@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,91 @@ class TestDiag:
         assert main(["diag", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "chain 0: 450 rows" in err and "chain 1: 449 rows" in err
+
+
+def _samples_lines(chains=2, draws=8):
+    """Lines of a valid melded_samples.csv with two parameter columns."""
+    rng = np.random.default_rng(3)
+    lines = ["chain,iteration,theta_0,theta_1"]
+    for c in range(chains):
+        for t in range(draws):
+            a, b = rng.standard_normal(2).tolist()
+            lines.append(f"{c},{t},{a!r},{b!r}")
+    return lines
+
+
+def _diag_on(tmp_path, text):
+    """Write ``text`` as the sample file of a diag config and run diag on it."""
+    path = _write_config(tmp_path, _gaussian_config(tmp_path))
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    (out / "melded_samples.csv").write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's warning on an empty body
+        return main(["diag", "--config", path])
+
+
+class TestDiagInput:
+    @pytest.mark.parametrize("chain_id", ["1.7", "1e12", "-0.5", "nan"])
+    def test_chain_ids_must_be_0_to_c_minus_1(self, tmp_path, capsys, chain_id):
+        lines = _samples_lines()
+        lines[9:] = [chain_id + line[1:] for line in lines[9:]]  # every chain-1 row
+        assert _diag_on(tmp_path, "\n".join(lines) + "\n") == 2
+        err = capsys.readouterr().err
+        assert "chain ids" in err and "melded_samples.csv" in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "truncated last line",
+            "non-numeric cell",
+            "extra field",
+            "missing field",
+            "extra field in every row",
+            "header only",
+            "empty file",
+        ],
+    )
+    def test_malformed_file_is_runtime_error(self, tmp_path, capsys, case, newline):
+        lines = _samples_lines()
+        end = newline
+        if case == "truncated last line":
+            lines[-1] = lines[-1][: lines[-1].index(",", 2)]
+            end = ""
+        elif case == "non-numeric cell":
+            lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        elif case == "extra field":
+            lines[5] += ",0.5"
+        elif case == "missing field":
+            lines[5] = lines[5].rsplit(",", 1)[0]
+        elif case == "extra field in every row":
+            lines[1:] = [line + ",0.5" for line in lines[1:]]
+        elif case == "header only":
+            lines = lines[:1]
+        else:
+            lines, end = [], ""
+        assert _diag_on(tmp_path, newline.join(lines) + end) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_line_endings_and_blank_lines_do_not_change_diagnostics(self, tmp_path):
+        lines = _samples_lines()
+        results = []
+        for k, text in enumerate(
+            [
+                "\n".join(lines) + "\n",
+                "\r\n".join(lines) + "\r\n",
+                "\n".join(lines),
+                "\r\n".join(lines) + "\r\n\r\n",
+                "\n".join(lines[:5] + [""] + lines[5:]) + "\n\n",
+            ]
+        ):
+            run = tmp_path / str(k)
+            run.mkdir()
+            assert _diag_on(run, text) == 0
+            results.append((run / "out" / "diagnostics.csv").read_bytes())
+        assert results[0].count(b"\r\n") == 3
+        assert all(r == results[0] for r in results)

@@ -291,9 +291,11 @@ class TestGridNormalize:
         with pytest.raises(PoolingConfigError):
             grid_normalize(pool, GridSpec(((-6, 6, 4000), (-6, 6, 4000))))
 
-    def test_rows_are_deterministic(self, gaussian_chain):
+    def test_columns_are_c_order(self, gaussian_chain):
         pool = poe_pooling(gaussian_chain.model)
-        table = grid_normalize(pool, GridSpec(((-3, 3, 5), (-3, 3, 5))))
-        rows = list(table.rows())
-        assert len(rows) == 25
-        assert rows == list(table.rows())
+        table = grid_normalize(pool, GridSpec(((-3, 3, 5), (-2, 2, 4))))
+        x0, x1, density = table.columns()
+        assert x0.shape == x1.shape == density.shape == (20,)
+        assert np.array_equal(x0, np.repeat(table.centers[0], 4))
+        assert np.array_equal(x1, np.tile(table.centers[1], 5))
+        assert np.array_equal(density, table.density.ravel())

@@ -1,7 +1,11 @@
-"""Property tests: pooled-prior term lists, the cached Gaussian factor and the
-batched log-joint contract."""
+"""Property tests: pooled-prior term lists, the cached Gaussian factor, the
+batched log-joint contract and the CSV artifact format."""
 
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from chainmeld import cli
 from chainmeld import (
     ChainModel,
     GaussianDensity,
@@ -25,6 +30,7 @@ from chainmeld import (
     log_pooling,
     real_coords,
 )
+from chainmeld.diagnostics import _average_ranks
 
 from conftest import make_discrete_chain
 
@@ -210,3 +216,101 @@ def test_scalar_only_joint_is_rejected():
         spec.eval_log_joint(np.zeros((3, 1)), np.empty((3, 0)))
     with pytest.raises(StructureError, match="submodel 4"):
         spec.eval_log_joint(np.zeros((1, 1)), np.empty((1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# CSV artifacts
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+               2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1e16]
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+csv_text = st.text(st.characters(blacklist_categories=("Cs",)))  # utf-8 encodable
+
+
+def _reference_field(value) -> str:
+    """The row-by-row writer's rule: text as is, integers in decimal, else repr(float)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and 2-5 equal-length int, float or text columns."""
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["int64", "int32", "float64", "float32", "text"]),
+                          min_size=2, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind.startswith("int"):
+            columns.append(draw(arrays(np.dtype(kind), n)))
+        elif kind == "float64":
+            columns.append(draw(arrays(np.float64, n, elements=any_float)))
+        elif kind == "float32":
+            columns.append(draw(arrays(np.float32, n, elements=st.floats(width=32))))
+        else:
+            columns.append(draw(st.lists(csv_text, min_size=n, max_size=n)))
+    header = draw(st.lists(csv_text, min_size=len(kinds), max_size=len(kinds)))
+    return header, columns
+
+
+@given(table=csv_tables())
+def test_csv_rows_match_csv_writer(table):
+    header, columns = table
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_reference_field(v) for v in row])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, header, cli._csv_rows(columns))
+        with path.open(newline="") as handle:
+            assert handle.read() == expected.getvalue()
+
+
+@given(
+    chains=st.integers(1, 3),
+    draws=st.integers(1, 6),
+    params=st.integers(1, 3),
+    interleave=st.booleans(),
+    data=st.data(),
+)
+def test_sample_reader_returns_written_floats_bit_for_bit(chains, draws, params, interleave, data):
+    values = data.draw(arrays(np.float64, (params, chains, draws), elements=any_float))
+    c, t = np.meshgrid(np.arange(chains), np.arange(draws), indexing="ij")
+    if interleave:  # rows of the chains alternate; each chain keeps its order
+        c, t, values = c.T, t.T, values.transpose(0, 2, 1)
+    columns = [c.ravel(), t.ravel(), *(v.ravel() for v in values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "melded_samples.csv"
+        header = ["chain", "iteration"] + [f"theta_{j}" for j in range(params)]
+        cli._write_csv(path, header, cli._csv_rows(columns))
+        read_header, traces = cli._read_samples(path)
+    assert read_header == header
+    assert traces.shape == (2 + params, chains, draws)
+    expected = values.transpose(0, 2, 1) if interleave else values
+    got = traces[2:]
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+
+
+def _mergesort_average_ranks(flat):
+    order = np.argsort(flat, kind="mergesort")
+    ordered = flat[order]
+    new_run = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], flat.size)
+    ranks = np.empty(flat.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new_run) - 1]
+    return ranks
+
+
+@given(arrays(np.float64, st.integers(1, 400),
+              elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, math.inf])))
+def test_average_ranks_match_stable_sort_on_ties(flat):
+    np.testing.assert_array_equal(_average_ranks(flat), _mergesort_average_ranks(flat))
