@@ -47,7 +47,6 @@ from .pooling import (
     factorize_for_sampler,
     grid_normalize,
     linear_pooling,
-    log_pool_eval,
     log_pooling,
     poe_pooling,
 )
@@ -55,9 +54,9 @@ from .samplers import (
     MHKernelConfig,
     MeldedChainOutput,
     SampleStore,
-    mh_step,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
+    run_random_walk,
     run_sequential,
     run_stage_one,
     run_stage_one_pair,

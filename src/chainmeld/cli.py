@@ -36,8 +36,9 @@ from .builtins import (
 )
 from .chain import UnitFactorization, validate_chain
 from .errors import ChainmeldError, ConfigError, PoolingConfigError
-from .normal_approx import build_normal_approx_target, fit_gaussian_moments
+from .normal_approx import MODES, build_normal_approx_target, fit_gaussian_moments
 from .pooling import (
+    FACTORIZATIONS,
     GridSpec,
     PooledPrior,
     dictatorial_complete,
@@ -63,6 +64,8 @@ __all__ = ["main", "run_from_config", "load_config", "build_model", "build_pool"
 
 _SAMPLER_KINDS = ("parallel", "parallel-unitwise", "sequential", "normal-approx")
 _STAGES = ("stage_one", "stage_two", "stage_three")
+_SAMPLER_KEYS = ("kind", "seed", "chains", "iterations", "scales", "warmup_frac",
+                 "factorization", "normal_approx_mode")
 
 
 def _require(cfg: dict, path: str, types=None):
@@ -97,10 +100,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_stage(path: str, stage: str) -> None:
-    if stage not in _STAGES:
+def _check_choice(path: str, value, choices, what: str) -> None:
+    if value not in choices:
         raise ConfigError(
-            f"{path}.{stage}: unknown stage; expected one of {', '.join(_STAGES)}"
+            f"{path}: unknown {what} {value!r}; expected one of {', '.join(choices)}"
         )
 
 
@@ -110,22 +113,28 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"model.name: unknown builtin {name!r}")
     _require(cfg, "pooling.method", str)
     if "sampler" in cfg:
-        kind = _require(cfg, "sampler.kind", str)
-        if kind not in _SAMPLER_KINDS:
-            raise ConfigError(f"sampler.kind: unknown sampler {kind!r}")
+        _check_choice("sampler.kind", _require(cfg, "sampler.kind", str), _SAMPLER_KINDS,
+                      "sampler")
+        for key in cfg["sampler"]:
+            _check_choice(f"sampler.{key}", key, _SAMPLER_KEYS, "key")
+        _check_choice("sampler.factorization",
+                      cfg["sampler"].get("factorization", "subprior-ends"),
+                      FACTORIZATIONS, "factorization")
+        _check_choice("sampler.normal_approx_mode",
+                      cfg["sampler"].get("normal_approx_mode", "ratio"), MODES, "mode")
         seed = _require(cfg, "sampler.seed")
         if not isinstance(seed, int):
             raise ConfigError("sampler.seed: must be an integer (no default)")
         iters = _require(cfg, "sampler.iterations", dict)
         for stage, n in iters.items():
-            _check_stage("sampler.iterations", stage)
+            _check_choice(f"sampler.iterations.{stage}", stage, _STAGES, "stage")
             if not isinstance(n, int) or n < 100:
                 raise ConfigError(f"sampler.iterations.{stage}: must be an int >= 100")
         scales = cfg["sampler"].get("scales", {})
         if not isinstance(scales, dict):
             raise ConfigError("sampler.scales: expected an object of per-stage scales")
         for stage, scale in scales.items():
-            _check_stage("sampler.scales", stage)
+            _check_choice(f"sampler.scales.{stage}", stage, _STAGES, "stage")
             if not _is_number(scale) or not 0 <= scale < float("inf"):
                 raise ConfigError(
                     f"sampler.scales.{stage}: must be a finite number >= 0, got {scale!r}"
@@ -401,7 +410,6 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
         indices=np.zeros((chains, keep, 0), dtype=int),
         accept_counts={"normal-approx": accepted},
         proposal_counts={"normal-approx": chains * n2},
-        seed=seed,
     )
 
 

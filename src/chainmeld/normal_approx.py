@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _JITTER = 1e-10
+MODES = ("ratio", "poe-flat-prior")
 
 
 def _select_columns(store: SampleStore, selector) -> tuple[np.ndarray, tuple]:
@@ -117,7 +118,7 @@ def build_normal_approx_target(
     """
     if model.n_submodels != 3:
         raise UnsupportedConfigError("normal approximation is defined for M = 3 chains")
-    if mode not in ("ratio", "poe-flat-prior"):
+    if mode not in MODES:
         raise UnsupportedConfigError(f"unknown mode {mode!r}")
     b12, b23 = model.phi_blocks
     for block in (b12, b23):

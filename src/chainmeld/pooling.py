@@ -33,7 +33,6 @@ __all__ = [
     "linear_pooling",
     "dictatorial_partial",
     "dictatorial_complete",
-    "log_pool_eval",
     "factorize_for_sampler",
     "grid_normalize",
 ]
@@ -45,6 +44,7 @@ METHODS = (
     "dictatorial-partial",
     "dictatorial-complete",
 )
+FACTORIZATIONS = ("flat-ends", "subprior-ends")
 
 
 @dataclass(frozen=True)
@@ -76,38 +76,38 @@ def _block_values(phi: Sequence[np.ndarray], blocks: tuple[int, ...]) -> np.ndar
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def sum_terms(terms: Sequence[PoolTerm], phi: Sequence[np.ndarray]):
-    """Sum of weighted log terms under the -inf policy; blocks may be batched.
+def neg_inf_policy(terms: Sequence[PoolTerm], values, total, zero=np.False_) -> np.ndarray:
+    """``total`` where the pooled density is positive, -inf where it is zero.
 
-    A pooled term at -inf makes the sum -inf; an unpooled term at -inf
-    where every pooled term is finite raises ``NumericalFailureError``.
+    ``values[k]`` holds the value of ``terms[k]``, batched like ``total``.  A
+    pooled term at -inf is a zero of the density, as is ``zero``; an unpooled
+    term at -inf where the density is not otherwise zero raises
+    ``NumericalFailureError``.
     """
-    if max(np.ndim(x) for x in phi) <= 1:
-        total, stray = 0.0, False
-        for t in terms:
-            value = float(t.fn(_block_values(phi, t.blocks)))
-            if value == -math.inf:
-                if t.pooled:
-                    return -math.inf
-                stray = True
-            else:
-                total = total + t.coef * value
-        if stray:
-            raise NumericalFailureError(_STRAY_END)
-        return total
-    total = 0.0
-    zero = stray = np.False_
-    for t in terms:
-        value = np.asarray(t.fn(_block_values(phi, t.blocks)), dtype=float)
+    stray = np.False_
+    for t, value in zip(terms, values):
+        off = np.isneginf(value)
         if t.pooled:
-            zero = np.logical_or(zero, np.isneginf(value))
+            zero = zero | off
         else:
-            stray = np.logical_or(stray, np.isneginf(value))
-        with np.errstate(invalid="ignore"):
-            total = total + t.coef * value
-    if np.any(np.logical_and(stray, np.logical_not(zero))):
+            stray = stray | off
+    if np.any(stray & ~zero):
         raise NumericalFailureError(_STRAY_END)
     return np.where(zero, -np.inf, total)
+
+
+def sum_terms(terms: Sequence[PoolTerm], phi: Sequence[np.ndarray]):
+    """Sum of weighted log terms under ``neg_inf_policy``; blocks may be batched.
+
+    A float for unbatched blocks.
+    """
+    values = [np.asarray(t.fn(_block_values(phi, t.blocks)), dtype=float) for t in terms]
+    total = 0.0
+    with np.errstate(invalid="ignore"):
+        for t, value in zip(terms, values):
+            total = total + t.coef * value
+    out = neg_inf_policy(terms, values, total)
+    return float(out) if out.ndim == 0 else out
 
 
 def merge_term(terms: Sequence[PoolTerm], coef: float, fn: LogDensity,
@@ -339,12 +339,6 @@ def dictatorial_complete(
     )
 
 
-def log_pool_eval(pool: PooledPrior, phi: Sequence[np.ndarray]):
-    """Functional wrapper around ``PooledPrior.log_density``."""
-    out = pool.log_density(phi)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class PoolFactorization:
     """Three-factor split of a pooled prior for the multi-stage samplers.
@@ -401,8 +395,7 @@ def factorize_for_sampler(pool: PooledPrior, mode: str = "flat-ends") -> PoolFac
         raise UnsupportedConfigError(f"unknown factorization mode {mode!r}")
 
     def pool2(x0, x1):
-        out = sum_terms(terms2, (x0, x1))
-        return float(out) if np.ndim(out) == 0 else out
+        return sum_terms(terms2, (x0, x1))
 
     return PoolFactorization(pool1, pool2, pool3, mode, terms2)
 

@@ -23,7 +23,7 @@ number of chains beside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,17 +32,15 @@ from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization
 from .errors import (
     InitializationError,
     ModelInconsistencyError,
-    NumericalFailureError,
     StructureError,
     UnsupportedConfigError,
 )
-from .pooling import _STRAY_END, PoolFactorization, split_term
+from .pooling import PoolFactorization, PoolTerm, neg_inf_policy, split_term
 
 __all__ = [
     "MHKernelConfig",
     "SampleStore",
     "MeldedChainOutput",
-    "mh_step",
     "run_random_walk",
     "run_stage_one",
     "run_stage_one_pair",
@@ -65,12 +63,9 @@ class MHKernelConfig:
     categories.  ``scales`` broadcasts per coordinate.
     """
 
-    proposal: str = "random-walk"
     scales: Union[float, np.ndarray] = 0.1
 
     def __post_init__(self):
-        if self.proposal not in ("random-walk", "discrete-flip"):
-            raise UnsupportedConfigError(f"unknown proposal kind {self.proposal!r}")
         if np.any(np.asarray(self.scales, dtype=float) < 0):
             raise UnsupportedConfigError("proposal scales must be >= 0")
 
@@ -110,7 +105,7 @@ class SampleStore:
 
 @dataclass(frozen=True)
 class MeldedChainOutput:
-    """Per-iteration melded states plus index provenance and seed record."""
+    """Per-iteration melded states plus index provenance."""
 
     phi12: np.ndarray  # (chains, n, d12)
     phi23: np.ndarray
@@ -120,8 +115,6 @@ class MeldedChainOutput:
     indices: np.ndarray  # (chains, n, k) accepted stage-one/-two indices
     accept_counts: dict[str, int]
     proposal_counts: dict[str, int]
-    seed: int
-    coord_info: dict[str, tuple[Coord, ...]] = field(default_factory=dict)
 
     def acceptance_rates(self) -> dict[str, float]:
         return {
@@ -200,22 +193,6 @@ class _Walk:
         return x * self.mult[t] + self.step[t]
 
 
-def mh_step(state, log_p, log_target, coords, kernel: MHKernelConfig, rng):
-    """One generic Metropolis-Hastings step for a single state.
-
-    Uses the samplers' random-walk proposal and always consumes one
-    uniform.  Returns (state, log density, accepted); ``log_p`` must be the
-    target value at ``state`` (finite).
-    """
-    mult, step, log_q = _walk_draw(rng, 1, coords, kernel.per_coord(len(coords)))
-    prop = np.asarray(state, dtype=float) * (1.0 if mult is None else mult[0]) + step[0]
-    lp_prop = log_target(prop)
-    log_alpha = lp_prop - log_p + (0.0 if log_q is None else log_q[0])
-    if math.log(rng.random()) < log_alpha:
-        return prop, lp_prop, True
-    return state, log_p, False
-
-
 def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
     """(warmup, kept) iteration counts; needs 0 <= warmup_frac < 1 and >= 1 kept."""
     if not 0.0 <= warmup_frac < 1.0:
@@ -261,60 +238,28 @@ def _check_consistent(spec: SubmodelSpec, lj: np.ndarray, lm: np.ndarray, phi) -
         )
 
 
-class _EndTarget:
-    """pool_k(phi) + log p_k(phi, psi, Y) - log p_k(phi) for one end submodel.
+class _StageTarget:
+    """One submodel's stage target, log p_m(phi, psi, Y) - log p_m(phi) + its pool factor.
 
-    The state is (phi, psi).  Under subprior-ends pool_k is p_k(phi) itself:
-    its value is reused, and the target is exactly the subposterior.
-    Terms: log target, log joint, pool_k - log p_k (which only a move of
-    phi changes), log p_k and pool_k.
+    The state is the submodel's shared blocks, in chain order, then psi_m.
+    ``terms`` is the stage's factor of the pooled prior as weighted
+    log-marginal terms over chain blocks, and ``widths`` maps each of the
+    submodel's blocks to its width.  The coefficient c of log p_m among the
+    terms merges with the divided-out marginal, so the target is the log
+    joint + (c - 1) log p_m + the other terms, and with c = 1 and no other
+    term it is exactly the subposterior.  Terms: log target, log joint,
+    (c - 1) log p_m + the other terms, log p_m, then each other term.  A move
+    re-evaluates only the terms that read a block it changes.
     """
 
-    def __init__(self, spec: SubmodelSpec, pool_k, subprior: bool, d_phi: int):
-        self.spec, self.pool_k, self.subprior, self.d = spec, pool_k, subprior, d_phi
-        # Under subprior-ends pool_k is the log p_k row and the difference stays 0.
-        self.pool_row = 3 if subprior else 4
-
-    def plan(self, lo: int, hi: int) -> bool:
-        return lo < self.d
-
-    def evaluate(self, z, phi_moved: bool, cur):
-        spec, d = self.spec, self.d
-        new = np.zeros((5, len(z))) if cur is None else cur.copy()
-        phi = z[:, :d]
-        new[1] = spec.eval_log_joint(phi, z[:, d:])
-        if phi_moved:
-            new[3] = spec.eval_log_prior(phi)
-            if not self.subprior:
-                new[4] = self.pool_k(phi)
-                new[2] = new[4] - new[3]
-            if _has_inf(new[3 : self.pool_row + 1]):
-                _check_consistent(spec, new[1], new[3], phi)
-                ok = (new[1] > _NEG_INF) & (new[self.pool_row] > _NEG_INF)
-                new[0] = np.where(ok, new[1] + new[2], _NEG_INF)
-                return new
-        new[0] = new[1] + new[2]
-        return new
-
-
-class _MiddleTarget:
-    """Middle-submodel terms of the stage-two target; state (phi12, phi23, psi2).
-
-    For a shared-block move these are the middle log joint and
-    pool2 - log p2(phi), one sum of weighted log-marginal terms in which the
-    middle marginal is evaluated once.  Terms: log target, log joint,
-    pool2 - log p2, log p2, then the value of every other pool2 term.  A
-    move re-evaluates only the terms that read a block it changes, so a move
-    of block 1 reuses the value of a term of block 2 alone.
-    """
-
-    def __init__(self, spec2: SubmodelSpec, factor: PoolFactorization, d12: int, d23: int):
-        self.spec = spec2
-        coef, self.rest = split_term(factor.terms2, spec2.eval_log_prior, (0, 1))
-        # Weights of log p2 and of the other terms, in the order of the terms.
+    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int]):
+        self.spec = spec
+        coef, self.rest = split_term(terms, spec.eval_log_prior, tuple(widths))
         self.coefs = np.array([coef - 1.0] + [t.coef for t in self.rest])[:, None]
-        self.d = d12 + d23
-        self.bounds = ((0, d12), (d12, self.d))
+        self.subposterior = coef == 1.0 and not self.rest
+        edges = np.cumsum([0, *widths.values()]).tolist()
+        self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
+        self.d = edges[-1]
         self.cols = tuple(
             slice(self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1])
             for t in self.rest
@@ -322,7 +267,7 @@ class _MiddleTarget:
 
     def plan(self, lo: int, hi: int):
         """(does phi move, indices of the other terms to re-evaluate)."""
-        moved = {b for b, (a, e) in enumerate(self.bounds) if a < hi and lo < e}
+        moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
         return bool(moved), tuple(
             k for k, t in enumerate(self.rest) if moved.intersection(t.blocks)
         )
@@ -330,7 +275,7 @@ class _MiddleTarget:
     def evaluate(self, z, plan, cur):
         phi_moved, which = plan
         spec, d = self.spec, self.d
-        new = np.empty((4 + len(self.rest), len(z))) if cur is None else cur.copy()
+        new = np.zeros((4 + len(self.rest), len(z))) if cur is None else cur.copy()
         phi = z[:, :d]
         new[1] = spec.eval_log_joint(phi, z[:, d:])
         if phi_moved:
@@ -338,34 +283,38 @@ class _MiddleTarget:
             values = new[4:]
             for k in which:
                 values[k] = self.rest[k].fn(z[:, self.cols[k]])
-            weighted = self.coefs * new[3:]
-            lr = weighted[0]
-            for row in weighted[1:]:
-                lr = lr + row
-            new[2] = lr
+            # A subposterior's weighted sum is 0; skipping it keeps stage one fast.
+            if not self.subposterior:
+                weighted = self.coefs * new[3:]
+                lr = weighted[0]
+                for row in weighted[1:]:
+                    lr = lr + row
+                new[2] = lr
             if _has_inf(new[3:]):
-                new[0] = self._off_support(new, which, phi)
+                # Surface the inconsistency rather than silently rejecting.
+                _check_consistent(spec, new[1], new[3], phi)
+                new[0] = neg_inf_policy(self.rest, values, new[1] + new[2],
+                                        np.isneginf(new[1]))
                 return new
         new[0] = new[1] + new[2]
         return new
 
-    def _off_support(self, new, which, phi):
-        """Log target under the -inf policy where log p2 or a changed term is -inf."""
-        lj, lm, values = new[1], new[3], new[4:]
-        # Surface the inconsistency rather than silently rejecting.
-        _check_consistent(self.spec, lj, lm, phi)
-        ok = lj > _NEG_INF
-        stray = np.zeros_like(ok)
-        # Unchanged terms are finite: every chain's current state is.
-        for k in which:
-            off = values[k] == _NEG_INF
-            if self.rest[k].pooled:
-                ok &= ~off
-            else:
-                stray |= off
-        if (stray & ok).any():
-            raise NumericalFailureError(_STRAY_END)
-        return np.where(ok, lj + new[2], _NEG_INF)
+
+def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _StageTarget:
+    """Stage target of submodel m of an M = 3 chain.
+
+    The middle takes pool2.  An end takes its own prior marginal under
+    subprior-ends, which makes its target the subposterior, and pool1 or
+    pool3 otherwise.
+    """
+    spec, blocks = chain.submodels[m], chain.blocks_of(m)
+    if m == 1:
+        terms = factor.terms2
+    else:
+        pool_k = spec.eval_log_prior if factor.mode == "subprior-ends" else (
+            factor.pool1 if m == 0 else factor.pool3)
+        terms = (PoolTerm(1.0, pool_k, blocks),)
+    return _StageTarget(spec, terms, {b: chain.phi_blocks[b].dim for b in blocks})
 
 
 class _FunctionTarget:
@@ -605,16 +554,6 @@ def _one_unit(dim: int) -> tuple[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _end_pieces(chain: ChainModel, factor: PoolFactorization, end: int):
-    if chain.n_submodels != 3:
-        raise UnsupportedConfigError("stage-one targets are defined for M = 3 chains")
-    if end == 0:
-        return chain.submodels[0], chain.phi_blocks[0], factor.pool1
-    if end == 2:
-        return chain.submodels[2], chain.phi_blocks[1], factor.pool3
-    raise UnsupportedConfigError(f"stage one targets submodel 0 or 2, got {end}")
-
-
 def run_stage_one(
     chain: ChainModel,
     end: int,
@@ -632,11 +571,14 @@ def run_stage_one(
     subprior-ends factorization pool_k is p_k(phi) itself, evaluated once,
     and the target is exactly the subposterior.
     """
-    spec, block, pool_k = _end_pieces(chain, factor, end)
+    if chain.n_submodels != 3:
+        raise UnsupportedConfigError("stage-one targets are defined for M = 3 chains")
+    if end not in (0, 2):
+        raise UnsupportedConfigError(f"stage one targets submodel 0 or 2, got {end}")
+    spec, block = chain.submodels[end], chain.phi_blocks[end // 2]
     coords = tuple(block.coords) + tuple(spec.psi_coords)
-    target = _EndTarget(spec, pool_k, factor.mode == "subprior-ends", block.dim)
-    run = _run_chains(target, (), (), coords, kernel, n_iter, chains, seed, warmup_frac,
-                      start=init)
+    run = _run_chains(_stage_target(chain, factor, end), (), (), coords, kernel, n_iter,
+                      chains, seed, warmup_frac, start=init)
     kept = run.z.shape[1]
     draws = run.z.reshape(chains * kept, len(coords))
     return SampleStore(
@@ -693,7 +635,7 @@ def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, 
     spec2 = chain.submodels[1]
     d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
     run = _run_chains(
-        _MiddleTarget(spec2, factor, d12, d23),
+        _stage_target(chain, factor, 1),
         (store1.phi, store3.phi),
         (uf1.phi_indices, uf3.phi_indices),
         tuple(spec2.psi_coords),
@@ -715,8 +657,6 @@ def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, 
         indices=run.rows,
         accept_counts=dict(zip(moves, run.accepted)),
         proposal_counts=dict(zip(moves, run.proposed)),
-        seed=seed,
-        coord_info=_coord_info(chain, store1, store3),
     )
 
 
@@ -800,7 +740,7 @@ def run_sequential(
     if isinstance(n_iter, int):
         n_iter = (n_iter, n_iter, n_iter)
     n1, n2, n3 = n_iter
-    spec1, spec2, spec3 = chain.submodels
+    spec2, spec3 = chain.submodels[1:]
     block12, block23 = chain.phi_blocks
     d12, d23 = block12.dim, block23.dim
     d = d12 + d23
@@ -810,7 +750,7 @@ def run_sequential(
 
     # ---- stage two: phi12 by index, (phi23, psi2) by random walk ----
     two = _run_chains(
-        _MiddleTarget(spec2, factor, d12, d23), (store1.phi,), (_one_unit(d12),),
+        _stage_target(chain, factor, 1), (store1.phi,), (_one_unit(d12),),
         tuple(block23.coords) + tuple(spec2.psi_coords), kernel2, n2, chains, ss2.entropy,
         warmup_frac, init=_stage_two_init,
     )
@@ -819,7 +759,7 @@ def run_sequential(
 
     # ---- stage three: (whole stage-two state by index, psi3 by walk) ----
     three = _run_chains(
-        _EndTarget(spec3, factor.pool3, factor.mode == "subprior-ends", d23),
+        _stage_target(chain, factor, 2),
         (np.ascontiguousarray(rows[:, d12:d]),), (_one_unit(d23),), tuple(spec3.psi_coords),
         kernel3, n3, chains, ss3.entropy, warmup_frac,
     )
@@ -834,22 +774,4 @@ def run_sequential(
         indices=np.stack([j, rows_i1[j]], axis=-1),
         accept_counts=dict(zip(moves, two.accepted + three.accepted)),
         proposal_counts=dict(zip(moves, two.proposed + three.proposed)),
-        seed=seed,
-        coord_info={
-            "phi12": tuple(block12.coords),
-            "phi23": tuple(block23.coords),
-            "psi1": tuple(spec1.psi_coords),
-            "psi2": tuple(spec2.psi_coords),
-            "psi3": tuple(spec3.psi_coords),
-        },
     )
-
-
-def _coord_info(chain: ChainModel, store1: SampleStore, store3: SampleStore):
-    return {
-        "phi12": tuple(chain.phi_blocks[0].coords),
-        "phi23": tuple(chain.phi_blocks[1].coords),
-        "psi1": tuple(store1.psi_coords),
-        "psi2": tuple(chain.submodels[1].psi_coords),
-        "psi3": tuple(store3.psi_coords),
-    }

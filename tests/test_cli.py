@@ -134,6 +134,30 @@ class TestSamplerKeys:
         cfg["sampler"]["chains"] = chains
         self._rejects(tmp_path, capsys, cfg, "sampler.chains")
 
+    def test_unknown_sampler_key(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["warmup_fraction"] = 0.9  # warmup_frac misspelt
+        self._rejects(tmp_path, capsys, cfg, "sampler.warmup_fraction")
+
+    def test_unknown_factorization(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["factorization"] = "bogus"
+        self._rejects(tmp_path, capsys, cfg, "sampler.factorization")
+
+    def test_unknown_normal_approx_mode(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["pooling"] = {"method": "dictatorial-complete", "choices": [1, 1]}
+        cfg["sampler"]["kind"] = "normal-approx"
+        cfg["sampler"]["normal_approx_mode"] = "bogus"
+        self._rejects(tmp_path, capsys, cfg, "sampler.normal_approx_mode")
+
+    @pytest.mark.parametrize("key, value", [("factorization", "flat-ends"),
+                                            ("normal_approx_mode", "poe-flat-prior")])
+    def test_documented_keys_validate(self, tmp_path, capsys, key, value):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"][key] = value
+        assert main(["validate", "--config", _write_config(tmp_path, cfg)]) == 0
+
 
 class TestPoolingKeys:
     @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from chainmeld import (
     factorize_for_sampler,
     grid_normalize,
     linear_pooling,
-    log_pool_eval,
     log_pooling,
     poe_pooling,
     real_coords,
@@ -43,8 +42,8 @@ class TestLogarithmicPooling:
         poe = poe_pooling(model)
         ones = log_pooling(model, [1.0, 1.0, 1.0])
         for phi in _random_phi(rng):
-            assert log_pool_eval(poe, phi) == pytest.approx(
-                log_pool_eval(ones, phi), abs=1e-12
+            assert poe.log_density(phi) == pytest.approx(
+                ones.log_density(phi), abs=1e-12
             )
 
     def test_weighted_sum_identity(self, gaussian_chain, rng):
@@ -56,14 +55,14 @@ class TestLogarithmicPooling:
                 w * float(np.asarray(spec.eval_log_prior(model.phi_m(m, phi))))
                 for m, (w, spec) in enumerate(zip(lam, model.submodels))
             )
-            assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+            assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weight_skips_submodel(self, gaussian_chain, rng):
         model = gaussian_chain.model
         pool = log_pooling(model, [0.0, 1.0, 0.0])
         phi = [np.array([0.3]), np.array([-0.2])]
         expected = float(model.submodels[1].eval_log_prior(np.array([0.3, -0.2])))
-        assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+        assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_all_zero_weights_rejected(self, gaussian_chain):
         with pytest.raises(PoolingConfigError):
@@ -98,7 +97,7 @@ class TestLinearPooling:
         ) + np.logaddexp(
             math.log(0.6) + one(1, 1, phi[1]), math.log(0.4) + one(2, 1, phi[1])
         )
-        assert log_pool_eval(pool, phi) == pytest.approx(float(expected), abs=1e-12)
+        assert pool.log_density(phi) == pytest.approx(float(expected), abs=1e-12)
 
     def test_inter_block_independence(self, gaussian_chain, rng):
         # separability: f(a0,a1) + f(b0,b1) == f(a0,b1) + f(b0,a1)
@@ -108,8 +107,8 @@ class TestLinearPooling:
         )
         a0, a1 = rng.standard_normal((2, 1))
         b0, b1 = rng.standard_normal((2, 1))
-        lhs = log_pool_eval(pool, [a0, a1]) + log_pool_eval(pool, [b0, b1])
-        rhs = log_pool_eval(pool, [a0, b1]) + log_pool_eval(pool, [b0, a1])
+        lhs = pool.log_density([a0, a1]) + pool.log_density([b0, b1])
+        rhs = pool.log_density([a0, b1]) + pool.log_density([b0, a1])
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_missing_marginal_fails_at_construction(self, gaussian_chain):
@@ -133,7 +132,7 @@ class TestDictatorialPooling:
                     )
                 )
             )
-            assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+            assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_partial_end_authoritative_pools_other_side(self, gaussian_chain, rng):
         built = gaussian_chain
@@ -148,7 +147,7 @@ class TestDictatorialPooling:
             + float(np.asarray(built.boundary_marginals[(1, 1)](phi[1])))
             + float(np.asarray(m[2].eval_log_prior(phi[1])))
         )
-        assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+        assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_partial_needs_valid_index(self, gaussian_chain):
         with pytest.raises(PoolingConfigError):
@@ -166,7 +165,7 @@ class TestDictatorialPooling:
         expected = float(np.asarray(m[0].eval_log_prior(phi[0]))) + float(
             np.asarray(m[2].eval_log_prior(phi[1]))
         )
-        assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+        assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_complete_preserves_middle_dependence_m5(self):
         # five submodels, boundaries assigned (1, 3, 3, 5): the two middle
@@ -196,7 +195,7 @@ class TestDictatorialPooling:
             + float(marginals[2](np.concatenate([phi[1], phi[2]])))
             + float(marginals[4](phi[3]))
         )
-        assert log_pool_eval(pool, phi) == pytest.approx(expected, abs=1e-12)
+        assert pool.log_density(phi) == pytest.approx(expected, abs=1e-12)
 
     def test_complete_missing_marginal(self, gaussian_chain):
         # boundary 0 assigned to the middle submodel needs its one-block marginal
@@ -210,7 +209,7 @@ class TestFactorization:
         for mode in ("flat-ends", "subprior-ends"):
             factor = factorize_for_sampler(pool, mode)
             diffs = [
-                float(factor.log_density(phi)) - log_pool_eval(pool, phi)
+                float(factor.log_density(phi)) - pool.log_density(phi)
                 for phi in _random_phi(rng)
             ]
             np.testing.assert_allclose(diffs, diffs[0], atol=1e-10)

@@ -1,5 +1,5 @@
-"""Property tests: pooled-prior term lists, the cached Gaussian factor, the
-batched log-joint contract and the CSV artifact format."""
+"""Property tests: pooled-prior term lists, the stage targets, the cached
+Gaussian factor, the batched log-joint contract and the CSV artifact format."""
 
 import csv
 import io
@@ -18,6 +18,7 @@ from chainmeld import cli
 from chainmeld import (
     ChainModel,
     GaussianDensity,
+    ModelInconsistencyError,
     NumericalFailureError,
     PhiBlock,
     StructureError,
@@ -29,8 +30,10 @@ from chainmeld import (
     linear_pooling,
     log_pooling,
     real_coords,
+    submodel_log_ratio,
 )
 from chainmeld.diagnostics import _average_ranks
+from chainmeld.samplers import _stage_target
 
 from conftest import make_discrete_chain
 
@@ -126,11 +129,21 @@ def _quad(x):
     return -0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
 
 
+def _flat_joint(phi, psi):
+    return np.zeros(np.shape(phi)[:-1])
+
+
+def _middle_joint(phi, psi):
+    """0 where phi23 >= -3, -inf below, inside the middle prior's support."""
+    return np.where(np.asarray(phi, dtype=float)[..., 1] >= -3.0, 0.0, -np.inf)
+
+
+# End 0's joint is finite where its prior is -inf: a model inconsistency.
 HALF_LINE_CHAIN = ChainModel(
     submodels=(
-        SubmodelSpec(0, None, "a", lambda p, s: 0.0, _half_line),
-        SubmodelSpec(1, "a", "b", lambda p, s: 0.0, _quad),
-        SubmodelSpec(2, "b", None, lambda p, s: 0.0, _quad),
+        SubmodelSpec(0, None, "a", _flat_joint, _half_line),
+        SubmodelSpec(1, "a", "b", _middle_joint, _quad),
+        SubmodelSpec(2, "b", None, _flat_joint, _quad),
     ),
     phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
 )
@@ -159,6 +172,74 @@ def test_neg_inf_end_with_zero_weight_raises(lam, x0, x1):
         factor.pool2(np.array([x0]), np.array([x1]))
     with pytest.raises(NumericalFailureError):
         factor.pool2(np.array([[x0], [1.0]]), np.array([[x1], [x1]]))
+
+
+# -- stage targets -------------------------------------------------------------
+
+
+def _stage_reference(chain, factor, m, phi, psi):
+    """Stage-m log target from the public functions: its pool factor plus
+    ``submodel_log_ratio``, -inf without evaluating the factor where the
+    joint is -inf."""
+    ratio = submodel_log_ratio(chain.submodels[m], phi, psi)
+    if ratio == -math.inf:
+        return ratio
+    if m == 1:
+        d12 = chain.phi_blocks[0].dim
+        return factor.pool2(phi[:d12], phi[d12:]) + ratio
+    return (factor.pool1 if m == 0 else factor.pool3)(phi) + ratio
+
+
+def _stage_value(target, z):
+    """Log target of each row of z, evaluated from scratch as the samplers do."""
+    with np.errstate(invalid="ignore"):
+        return target.evaluate(z, target.plan(0, z.shape[1]), None)[0]
+
+
+def _check_stage_targets(chain, factor, x):
+    """Every stage target at one state equals the reference, or raises as it does."""
+    for m in range(3):
+        target = _stage_target(chain, factor, m)
+        phi = np.concatenate([x[b] for b in chain.blocks_of(m)])
+        psi = np.zeros(chain.submodels[m].psi_dim)
+        z = np.concatenate([phi, psi])[None, :]
+        try:
+            expected = _stage_reference(chain, factor, m, phi, psi)
+        except (ModelInconsistencyError, NumericalFailureError) as exc:
+            with pytest.raises(type(exc)):
+                _stage_value(target, z)
+            continue
+        assert _stage_value(target, z)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@given(pool=pools(), x=st.lists(coord, min_size=2, max_size=2),
+       mode=st.sampled_from(["flat-ends", "subprior-ends"]))
+def test_stage_targets_match_reference(pool, x, mode):
+    _check_stage_targets(BUILT.model, factorize_for_sampler(pool, mode),
+                         [np.array([x[0]]), np.array([x[1]])])
+
+
+@given(lam=st.lists(weight, min_size=3, max_size=3), x=st.lists(coord, min_size=2, max_size=2),
+       mode=st.sampled_from(["flat-ends", "subprior-ends"]))
+def test_stage_targets_raise_where_reference_raises(lam, x, mode):
+    assume(max(lam) > 0)
+    factor = factorize_for_sampler(log_pooling(HALF_LINE_CHAIN, lam), mode)
+    _check_stage_targets(HALF_LINE_CHAIN, factor, [np.array([x[0]]), np.array([x[1]])])
+
+
+def test_stage_two_stray_end_raises_unless_middle_joint_is_neg_inf():
+    # log p1 is -inf at phi12 = -1 and has pool weight 0, so pool2 raises.  The
+    # stage-two target raises too, except at phi23 = -3.5, where the middle
+    # joint is -inf and so is the target.
+    factor = factorize_for_sampler(log_pooling(HALF_LINE_CHAIN, [0.0, 1.0, 1.0]),
+                                   "subprior-ends")
+    target = _stage_target(HALF_LINE_CHAIN, factor, 1)
+    for phi23 in (0.0, -3.5):
+        with pytest.raises(NumericalFailureError):
+            factor.pool2(np.array([-1.0]), np.array([phi23]))
+    with pytest.raises(NumericalFailureError):
+        _stage_value(target, np.array([[-1.0, 0.0]]))
+    assert _stage_value(target, np.array([[-1.0, -3.5]]))[0] == -math.inf
 
 
 # -- batched log_joint contract ------------------------------------------------

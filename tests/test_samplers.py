@@ -14,9 +14,9 @@ from chainmeld import (
     builtin_gaussian_chain,
     factorize_for_sampler,
     log_pooling,
-    mh_step,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
+    run_random_walk,
     run_sequential,
     run_stage_one,
     run_stage_one_pair,
@@ -37,60 +37,31 @@ def _gaussian_setup(seed=0, **params):
 
 
 class TestMHStep:
+    """The random-walk Metropolis-Hastings kernel alone, on one chain."""
+
     def test_standard_normal_target(self):
-        rng = np.random.default_rng(1)
-        coords = real_coords(1)
-
-        def target(x):
-            return -0.5 * float(x[0] ** 2)
-
-        state = np.zeros(1)
-        log_p = target(state)
-        draws = []
-        for _ in range(20000):
-            state, log_p, _ = mh_step(state, log_p, target, coords, KERNEL, rng)
-            draws.append(state[0])
-        draws = np.array(draws[2000:])
+        draws, _ = run_random_walk(lambda z: -0.5 * z[:, 0] ** 2, real_coords(1), KERNEL,
+                                   20000, seed=1)
+        draws = draws[0, :, 0]
         assert abs(draws.mean()) < 0.05
         assert draws.var() == pytest.approx(1.0, abs=0.1)
 
     def test_positive_coordinate_stays_positive(self):
-        rng = np.random.default_rng(2)
-        coords = (Coord("positive"),)
-
-        def target(x):  # Exponential(1), density on x > 0
-            return -float(x[0])
-
-        state = np.ones(1)
-        log_p = target(state)
-        draws = []
-        for _ in range(30000):
-            state, log_p, _ = mh_step(state, log_p, target, coords, KERNEL, rng)
-            draws.append(state[0])
-        draws = np.array(draws[3000:])
+        # Exponential(1), density on x > 0
+        draws, _ = run_random_walk(lambda z: -z[:, 0], (Coord("positive"),), KERNEL, 30000,
+                                   seed=2)
+        draws = draws[0, :, 0]
         assert (draws > 0).all()
         assert draws.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_discrete_coordinate_resampled_uniformly(self):
-        rng = np.random.default_rng(3)
-        coords = (Coord("discrete", 3),)
         log_w = np.log(np.array([0.2, 0.5, 0.3]))
-
-        def target(x):
-            return float(log_w[int(round(x[0]))])
-
-        state = np.zeros(1)
-        log_p = target(state)
-        counts = np.zeros(3)
-        for _ in range(30000):
-            state, log_p, _ = mh_step(state, log_p, target, coords, KERNEL, rng)
-            counts[int(state[0])] += 1
-        freq = counts / counts.sum()
+        draws, _ = run_random_walk(lambda z: log_w[z[:, 0].astype(int)],
+                                   (Coord("discrete", 3),), KERNEL, 30000, seed=3)
+        freq = np.bincount(draws[0, :, 0].astype(int), minlength=3) / draws.shape[1]
         np.testing.assert_allclose(freq, np.exp(log_w), atol=0.02)
 
     def test_kernel_validation(self):
-        with pytest.raises(UnsupportedConfigError):
-            MHKernelConfig(proposal="hamiltonian")
         with pytest.raises(UnsupportedConfigError):
             MHKernelConfig(scales=-0.1)
 
