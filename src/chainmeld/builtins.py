@@ -1,10 +1,11 @@
 """Built-in example chains and the exact enumeration oracle.
 
 Two families are provided: a fully Gaussian M = 3 chain whose pooled
-priors and melded posteriors have closed forms, and a small discrete chain
-with explicit probability tables whose melded posterior can be computed
-exactly by enumeration.  Both expose the one-block marginals of the middle
-submodel that linear and dictatorial pooling need.
+priors and melded posteriors have closed forms, and small discrete chains
+of any length M >= 2 with explicit probability tables, whose melded
+posterior can be computed exactly by enumeration.  Both expose the
+one-block marginals of the middle submodels that linear and dictatorial
+pooling need.
 """
 
 from __future__ import annotations
@@ -117,17 +118,19 @@ def builtin_gaussian_chain(
     for name, value in (("sigma1", sigma1), ("sigma3", sigma3), ("s1", s1),
                         ("s3", s3), ("s2", s2)):
         if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-    sigma2 = tuple(float(s) for s in sigma2)
-    if len(sigma2) != 2 or min(sigma2) <= 0:
-        raise ConfigError(f"sigma2 must be two positive scales, got {sigma2}")
+            raise ConfigError(f"{name}: must be positive, got {value}")
+    sigma2, mu2 = np.asarray(sigma2, dtype=float), np.asarray(mu2, dtype=float)
+    if sigma2.shape != (2,) or not (sigma2 > 0).all():
+        raise ConfigError(f"sigma2: must be two positive scales, got {sigma2.tolist()}")
+    sigma2 = tuple(sigma2.tolist())
+    if mu2.shape != (2,):
+        raise ConfigError(f"mu2: must be two means, got {mu2.tolist()}")
     if not -1.0 < rho < 1.0:
-        raise ConfigError(f"correlation must satisfy |rho| < 1, got {rho}")
+        raise ConfigError(f"rho: correlation must satisfy |rho| < 1, got {rho}")
     if tau is not None and tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+        raise ConfigError(f"tau: must be positive, got {tau}")
     if y2 is not None and tau is None:
-        raise ConfigError("middle-submodel data y2 requires tau (psi2 scale)")
-    mu2 = np.asarray(mu2, dtype=float)
+        raise ConfigError("y2: middle-submodel data requires tau (the psi2 scale)")
     y1 = None if y1 is None else np.asarray(y1, dtype=float)
     y3 = None if y3 is None else np.asarray(y3, dtype=float)
     y2 = None if y2 is None else np.asarray(y2, dtype=float)
@@ -204,8 +207,13 @@ def builtin_gaussian_chain(
 # ---------------------------------------------------------------------------
 
 
-def _check_table(name: str, table: np.ndarray, normalized: bool) -> np.ndarray:
+def _check_table(name: str, table, shape: tuple[int, ...], normalized: bool):
+    """``table`` as a float array of ``shape``, or None for None."""
+    if table is None:
+        return None
     table = np.asarray(table, dtype=float)
+    if table.shape != shape:
+        raise ConfigError(f"{name}: shape {table.shape}, expected {shape}")
     if (table < 0).any():
         raise ConfigError(f"{name}: probability table has negative entries")
     if normalized and abs(table.sum() - 1.0) > 1e-9:
@@ -242,68 +250,76 @@ def _with_log(table: np.ndarray) -> np.ndarray:
         return np.log(table)
 
 
+def _factorization_gap(table: np.ndarray, units: Sequence[Sequence[int]]) -> float:
+    """Largest gap between a table and the product of its marginals over ``units``
+    (groups of table axes), both scaled to total mass 1; 0 when the table is a
+    product of per-unit factors."""
+    total = table.sum()
+    if total == 0:
+        return 0.0
+    product = np.ones(table.shape)
+    for axes in units:
+        others = tuple(a for a in range(table.ndim) if a not in axes)
+        product = product * (table.sum(axis=others, keepdims=True) / total)
+    return float(np.abs(table / total - product).max())
+
+
 def builtin_discrete_chain(
-    prior1: np.ndarray,
-    prior2: np.ndarray,
-    prior3: np.ndarray,
+    *priors: np.ndarray,
     phi_cards: Sequence[Sequence[int]],
-    psi_cards: Sequence[Sequence[int]] = ((), (), ()),
-    likelihoods: Sequence[Optional[np.ndarray]] = (None, None, None),
-    units: Sequence[Optional[UnitFactorization]] = (None, None, None),
+    psi_cards: Optional[Sequence[Sequence[int]]] = None,
+    likelihoods: Optional[Sequence[Optional[np.ndarray]]] = None,
+    units: Optional[Sequence[Optional[UnitFactorization]]] = None,
     normalized: bool = True,
 ) -> BuiltChain:
-    """M = 3 chain over finite supports with explicit probability tables.
+    """Chain of M = len(priors) submodels over finite supports, from probability tables.
 
-    ``prior1`` has one axis per (phi12, psi1) coordinate, ``prior2`` per
-    (phi12, phi23, psi2) coordinate, ``prior3`` per (phi23, psi3)
-    coordinate, with axis lengths from ``phi_cards`` / ``psi_cards``.
-    Optional ``likelihoods`` are positive factors of the same shapes with
-    the data folded in.  Prior marginals and the middle submodel's
-    one-block marginals are computed by exact summation.
+    Block b is shared by submodels b and b + 1, is labelled
+    ``phi{b+1}{b+2}`` and has the cardinalities ``phi_cards[b]``.
+    ``priors[m]`` has one axis per coordinate of the blocks submodel m
+    touches, then one per coordinate of psi_m (cardinalities
+    ``psi_cards[m]``, default none).  Optional ``likelihoods`` are
+    positive factors of the same shapes with the data folded in.  Prior
+    marginals and the middle submodels' one-block marginals are computed by
+    exact summation.  A declared unit factorization must split its
+    submodel's joint and prior-marginal tables into per-unit factors, to
+    1e-12 on tables scaled to mass 1.
     """
-    if len(phi_cards) != 2:
-        raise ConfigError(f"need cardinalities for 2 shared blocks, got {len(phi_cards)}")
-    if len(psi_cards) != 3:
-        raise ConfigError(f"need psi cardinalities for 3 submodels, got {len(psi_cards)}")
-    cards12 = tuple(int(c) for c in phi_cards[0])
-    cards23 = tuple(int(c) for c in phi_cards[1])
+    M = len(priors)
+    if M < 2:
+        raise ConfigError(f"priors: a chain needs at least 2 submodel tables, got {M}")
+    psi_cards = psi_cards or ((),) * M
+    likelihoods = likelihoods or (None,) * M
+    units = units or (None,) * M
+    for key, value, n in (("phi_cards", phi_cards, M - 1), ("psi_cards", psi_cards, M),
+                          ("likelihoods", likelihoods, M), ("units", units, M)):
+        if len(value) != n:
+            raise ConfigError(f"{key}: need {n} entries for {M} submodels, got {len(value)}")
+    phi_cards = tuple(tuple(int(c) for c in p) for p in phi_cards)
     psi_cards = tuple(tuple(int(c) for c in p) for p in psi_cards)
-    shapes = (
-        cards12 + psi_cards[0],
-        cards12 + cards23 + psi_cards[1],
-        cards23 + psi_cards[2],
-    )
-    priors = []
-    for m, (raw, shape) in enumerate(zip((prior1, prior2, prior3), shapes)):
-        table = _check_table(f"submodel {m} prior", raw, normalized)
-        if table.shape != shape:
-            raise ConfigError(
-                f"submodel {m} prior has shape {table.shape}, expected {shape}"
-            )
-        priors.append(table)
-    liks = []
-    for m, raw in enumerate(likelihoods):
-        if raw is None:
-            liks.append(None)
-            continue
-        table = _check_table(f"submodel {m} likelihood", raw, normalized=False)
-        if table.shape != shapes[m]:
-            raise ConfigError(
-                f"submodel {m} likelihood has shape {table.shape}, expected {shapes[m]}"
-            )
-        liks.append(table)
+    labels = [f"phi{b + 1}{b + 2}" for b in range(M - 1)]
+    phi_shapes = [sum((phi_cards[b] for b in (m - 1, m) if 0 <= b < M - 1), ())
+                  for m in range(M)]
+    shapes = [phi + psi for phi, psi in zip(phi_shapes, psi_cards)]
+    priors = [_check_table(f"prior{m + 1}", t, shapes[m], normalized) for m, t in enumerate(priors)]
+    liks = [_check_table(f"likelihoods[{m}]", t, shapes[m], False)
+            for m, t in enumerate(likelihoods)]
 
-    n_phi_axes = (len(cards12), len(cards12) + len(cards23), len(cards23))
     specs = []
     marginal_tables = []
-    for m in range(3):
-        joint = priors[m] if liks[m] is None else priors[m] * liks[m]
+    for m, (prior, lik, uf) in enumerate(zip(priors, liks, units)):
+        joint = prior if lik is None else prior * lik
+        n_phi = len(phi_shapes[m])
+        marg = prior.sum(axis=tuple(range(n_phi, prior.ndim))) if psi_cards[m] else prior
+        if uf is not None:
+            joint_units = [(*phi, *(n_phi + i for i in psi))
+                           for phi, psi in zip(uf.phi_indices, uf.psi_indices)]
+            gap = max(_factorization_gap(joint, joint_units),
+                      _factorization_gap(marg, uf.phi_indices))
+            if gap > 1e-12:
+                raise ConfigError(f"units: submodel {m}'s tables are not products of "
+                                  f"per-unit factors (largest gap {gap:.3g} > 1e-12)")
         log_joint_table = _with_log(joint)
-        psi_axes = tuple(range(n_phi_axes[m], joint.ndim))
-        marg = priors[m].sum(axis=psi_axes) if psi_axes else priors[m]
-        marginal_tables.append(marg)
-        lm = _table_lookup(marg, _with_log(marg))
-        n_phi = n_phi_axes[m]
 
         def lj(phi_m, psi_m, _t=log_joint_table.ravel(),
                _wphi=_flat_weights(joint.shape, 0, n_phi),
@@ -313,41 +329,40 @@ def builtin_discrete_chain(
                 flat += np.asarray(psi_m).dot(_wpsi)
             return _t[flat.astype(np.intp)]
 
-        left = "phi12" if m > 0 else None
-        right = None if m > 1 else ("phi12" if m == 0 else "phi23")
-        if m == 2:
-            left = "phi23"
         specs.append(
             SubmodelSpec(
-                m, left, right, lj, lm,
+                m,
+                labels[m - 1] if m > 0 else None,
+                labels[m] if m < M - 1 else None,
+                lj,
+                _table_lookup(marg, _with_log(marg)),
                 psi_coords=discrete_coords(psi_cards[m]),
-                unit_factorization=units[m],
+                unit_factorization=uf,
             )
         )
+        marginal_tables.append(marg)
 
-    # One-block marginals of the middle submodel over each boundary.
-    marg2 = marginal_tables[1]
-    m2_12 = marg2.sum(axis=tuple(range(len(cards12), marg2.ndim)))
-    m2_23 = marg2.sum(axis=tuple(range(len(cards12))))
-    boundary = {
-        (1, 0): _table_lookup(m2_12, _with_log(m2_12)),
-        (1, 1): _table_lookup(m2_23, _with_log(m2_23)),
-    }
+    # One-block marginals of each middle submodel over its two boundaries.
+    boundary = {}
+    for m in range(1, M - 1):
+        marg, n_left = marginal_tables[m], len(phi_cards[m - 1])
+        left = marg.sum(axis=tuple(range(n_left, marg.ndim)))
+        right = marg.sum(axis=tuple(range(n_left)))
+        boundary[(m, m - 1)] = _table_lookup(left, _with_log(left))
+        boundary[(m, m)] = _table_lookup(right, _with_log(right))
     model = ChainModel(
         submodels=tuple(specs),
-        phi_blocks=(
-            PhiBlock("phi12", discrete_coords(cards12)),
-            PhiBlock("phi23", discrete_coords(cards23)),
+        phi_blocks=tuple(
+            PhiBlock(label, discrete_coords(cards)) for label, cards in zip(labels, phi_cards)
         ),
     )
-    all_cards = cards12 + cards23 + psi_cards[0] + psi_cards[1] + psi_cards[2]
+    all_cards = sum(phi_cards, ()) + sum(psi_cards, ())
     supports = tuple(tuple(float(v) for v in range(c)) for c in all_cards)
     meta = {
-        "phi_cards": (cards12, cards23),
+        "phi_cards": phi_cards,
         "psi_cards": psi_cards,
         "prior_tables": tuple(priors),
         "likelihood_tables": tuple(liks),
-        "marginal_tables": tuple(marginal_tables),
     }
     return BuiltChain(model=model, boundary_marginals=boundary, supports=supports, meta=meta)
 
@@ -361,9 +376,9 @@ def builtin_discrete_chain(
 class DiscreteTable:
     """Exact discrete distribution over enumerated states.
 
-    ``states`` holds one row per state in the fixed column order
-    (phi12, phi23, psi1, psi2, psi3); ``column_groups`` gives the column
-    index ranges of those five groups.
+    ``states`` holds one row per state, its columns in the chain's state
+    order (``ChainModel.state_groups``: the blocks by label, then psi1 ..
+    psiM); ``column_groups`` maps each group name to its column range.
     """
 
     states: np.ndarray
@@ -386,84 +401,42 @@ class DiscreteTable:
         return cols
 
 
-def _state_layout(built: BuiltChain):
-    cards12, cards23 = built.meta["phi_cards"]
-    psi_cards = built.meta["psi_cards"]
-    sizes = {
-        "phi12": len(cards12),
-        "phi23": len(cards23),
-        "psi1": len(psi_cards[0]),
-        "psi2": len(psi_cards[1]),
-        "psi3": len(psi_cards[2]),
-    }
-    groups = {}
-    offset = 0
-    for name in ("phi12", "phi23", "psi1", "psi2", "psi3"):
-        groups[name] = (offset, offset + sizes[name])
-        offset += sizes[name]
-    return groups, offset
+def _enumerate(built: BuiltChain, n_groups: int, log_density) -> DiscreteTable:
+    """Normalized exp(log_density) over every state of the first ``n_groups`` state groups.
 
-
-def _log_weights(built: BuiltChain, log_state_density) -> DiscreteTable:
+    ``log_density`` maps the groups' values, each ``(n_states, width)``, to
+    the states' log weights in one batched call.
+    """
     if built.supports is None:
         raise UnsupportedConfigError("enumeration requires a discrete chain")
-    n_states = 1
-    for sup in built.supports:
-        n_states *= len(sup)
+    groups = built.model.state_groups()[:n_groups]
+    edges = np.cumsum([0] + [width for _, width in groups]).tolist()
+    supports = built.supports[: edges[-1]]
+    n_states = math.prod(len(sup) for sup in supports)
     if n_states > 10**6:
         raise UnsupportedConfigError(f"state space has {n_states} states, limit is 1e6")
-    groups, total_dim = _state_layout(built)
-    states = np.array(list(itertools.product(*built.supports)), dtype=float)
-    states = states.reshape(n_states, total_dim)
-    logw = np.array([log_state_density(states[k]) for k in range(n_states)])
+    states = np.array(list(itertools.product(*supports)), dtype=float)
+    states = states.reshape(n_states, edges[-1])
+    logw = log_density([states[:, lo:hi] for lo, hi in zip(edges, edges[1:])])
     peak = logw.max()
     if peak == -math.inf:
         raise UnsupportedConfigError("density is zero on every enumerated state")
     w = np.exp(logw - peak)
-    return DiscreteTable(states, w / w.sum(), groups)
+    column_groups = {name: (lo, hi) for (name, _), lo, hi in zip(groups, edges, edges[1:])}
+    return DiscreteTable(states, w / w.sum(), column_groups)
 
 
 def enumerate_melded_posterior(built: BuiltChain, pool) -> DiscreteTable:
     """Exact melded posterior over all discrete states by direct summation."""
-    if built.supports is None:
-        raise UnsupportedConfigError("enumeration requires a discrete chain")
-    groups, _ = _state_layout(built)
-
-    def log_state(row):
-        phi = [
-            row[slice(*groups["phi12"])],
-            row[slice(*groups["phi23"])],
-        ]
-        psi = [
-            row[slice(*groups["psi1"])],
-            row[slice(*groups["psi2"])],
-            row[slice(*groups["psi3"])],
-        ]
-        return log_melded_density(built.model, pool, phi, psi)
-
-    return _log_weights(built, log_state)
+    model = built.model
+    B = len(model.phi_blocks)
+    return _enumerate(built, B + model.n_submodels,
+                      lambda parts: log_melded_density(model, pool, parts[:B], parts[B:]))
 
 
 def enumerate_pooled_prior(built: BuiltChain, pool) -> DiscreteTable:
     """Exact normalized pooled prior over the discrete shared-block states."""
-    if built.supports is None:
-        raise UnsupportedConfigError("enumeration requires a discrete chain")
-    groups, _ = _state_layout(built)
-    d12 = groups["phi12"][1] - groups["phi12"][0]
-    d23 = groups["phi23"][1] - groups["phi23"][0]
-    supports = built.supports[: d12 + d23]
-    n_states = 1
-    for sup in supports:
-        n_states *= len(sup)
-    states = np.array(list(itertools.product(*supports)), dtype=float)
-    states = states.reshape(n_states, d12 + d23)
-    logw = np.array(
-        [float(pool.log_density([row[:d12], row[d12:]])) for row in states]
-    )
-    w = np.exp(logw - logw.max())
-    return DiscreteTable(
-        states, w / w.sum(), {"phi12": (0, d12), "phi23": (d12, d12 + d23)}
-    )
+    return _enumerate(built, len(built.model.phi_blocks), pool.log_density)
 
 
 def tv_distance(p: DiscreteTable, q: DiscreteTable) -> float:

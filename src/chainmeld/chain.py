@@ -237,6 +237,12 @@ class ChainModel:
             touched.append(m)
         return tuple(touched)
 
+    def state_groups(self) -> list[tuple[str, int]]:
+        """(name, width) of each part of a state: the blocks by label, then psi1 .. psiM."""
+        return [(b.label, b.dim) for b in self.phi_blocks] + [
+            (f"psi{m + 1}", spec.psi_dim) for m, spec in enumerate(self.submodels)
+        ]
+
     def phi_m(self, m: int, phi: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenated shared-block values seen by submodel m.
 
@@ -261,9 +267,10 @@ class ChainModel:
                 f"expected {self.n_submodels} psi vectors, got {len(psi)}"
             )
         for m, spec in enumerate(self.submodels):
-            if np.size(psi[m]) != spec.psi_dim:
+            dim = np.shape(psi[m])[-1:]
+            if dim != (spec.psi_dim,):
                 raise StructureError(
-                    f"submodel {m}: psi dim {np.size(psi[m])} != declared {spec.psi_dim}"
+                    f"submodel {m}: psi dim {dim} != declared {spec.psi_dim}"
                 )
 
     def reset_counters(self) -> None:
@@ -320,6 +327,17 @@ def validate_chain(model: ChainModel) -> list[str]:
     return report
 
 
+def check_consistent(spec: SubmodelSpec, lj, lm, phi_m) -> None:
+    """Raise for the first state whose joint is finite where its prior marginal is -inf."""
+    bad = (lj > -math.inf) & (lm == -math.inf)
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), np.shape(bad))
+        raise ModelInconsistencyError(
+            f"submodel {spec.index}: joint is finite but prior marginal is -inf "
+            f"at phi_m={np.asarray(phi_m)[first]}"
+        )
+
+
 def submodel_log_ratio(spec: SubmodelSpec, phi_m: np.ndarray, psi_m: np.ndarray) -> float:
     """log p_m(phi_m, psi_m, Y_m) - log p_m(phi_m) under the -inf policy.
 
@@ -331,30 +349,32 @@ def submodel_log_ratio(spec: SubmodelSpec, phi_m: np.ndarray, psi_m: np.ndarray)
     if lj == -math.inf:
         return -math.inf
     lm = spec.eval_log_prior(phi_m)
-    if lm == -math.inf:
-        raise ModelInconsistencyError(
-            f"submodel {spec.index}: joint is finite but prior marginal is -inf "
-            f"at phi_m={np.asarray(phi_m)}"
-        )
+    check_consistent(spec, lj, lm, phi_m)
     return lj - lm
 
 
-def log_melded_density(model: ChainModel, pool, phi, psi) -> float:
-    """Unnormalized log density of the chained melded model.
+def log_melded_density(model: ChainModel, pool, phi, psi):
+    """Unnormalized log density of the chained melded model; states may be batched.
 
     ``pool`` is anything with a ``log_density(phi_blocks)`` method (a
-    ``PooledPrior`` or ``PoolFactorization``-backed evaluator).
+    ``PooledPrior`` or ``PoolFactorization``).  A state is -inf where the
+    pool is, or where a submodel's joint is -inf; otherwise a finite joint
+    whose prior marginal is -inf, checked in submodel order, raises.  A
+    float for unbatched states.
     """
     model.check_dims(phi, psi)
-    total = float(pool.log_density(phi))
-    if total == -math.inf:
-        return -math.inf
+    total = np.asarray(pool.log_density(phi), dtype=float)
+    zero = total == -math.inf
     for m, spec in enumerate(model.submodels):
-        term = submodel_log_ratio(spec, model.phi_m(m, phi), np.asarray(psi[m], dtype=float))
-        if term == -math.inf:
-            return -math.inf
-        total += term
-    return total
+        phi_m = model.phi_m(m, phi)
+        lj = spec.eval_log_joint(phi_m, np.asarray(psi[m], dtype=float))
+        lm = spec.eval_log_prior(phi_m)
+        check_consistent(spec, np.where(zero, -math.inf, lj), lm, phi_m)
+        zero = zero | (lj == -math.inf)
+        with np.errstate(invalid="ignore"):
+            total = total + (lj - lm)
+    out = np.where(zero, -math.inf, total)
+    return float(out) if out.ndim == 0 else out
 
 
 def markov_combination_density(

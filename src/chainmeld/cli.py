@@ -35,7 +35,7 @@ from .builtins import (
     tv_distance,
 )
 from .chain import UnitFactorization, validate_chain
-from .errors import ChainmeldError, ConfigError, PoolingConfigError
+from .errors import ChainmeldError, ConfigError, PoolingConfigError, StructureError
 from .normal_approx import MODES, build_normal_approx_target, fit_gaussian_moments
 from .pooling import (
     FACTORIZATIONS,
@@ -108,9 +108,7 @@ def _check_choice(path: str, value, choices, what: str) -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    name = _require(cfg, "model.name", str)
-    if name not in ("gaussian-chain", "discrete-chain"):
-        raise ConfigError(f"model.name: unknown builtin {name!r}")
+    _check_choice("model.name", _require(cfg, "model.name", str), _PARAMS, "builtin")
     _require(cfg, "pooling.method", str)
     if "sampler" in cfg:
         _check_choice("sampler.kind", _require(cfg, "sampler.kind", str), _SAMPLER_KINDS,
@@ -150,30 +148,86 @@ def validate_config(cfg: dict) -> None:
     _require(cfg, "outputs.directory", str)
 
 
+def _typed(ok, what: str):
+    """A check that passes a config value through if ``ok(value)``, else raises TypeError."""
+
+    def check(value):
+        if not ok(value):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return check
+
+
+_number = _typed(_is_number, "a number")
+_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_list = _typed(lambda v: isinstance(v, list), "a list")
+_unit_keys = _typed(lambda v: isinstance(v, dict) and sorted(v) == ["phi_indices", "psi_indices"],
+                    "an object with phi_indices and psi_indices")
+
+
+def _list_of(check):
+    return lambda value: tuple(map(check, _list(value)))
+
+
+def _optional(check):
+    return lambda value: None if value is None else check(value)
+
+
+def _table(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _unit(value) -> UnitFactorization:
+    value = _unit_keys(value)
+    return UnitFactorization(_CARDS(value["phi_indices"]), _CARDS(value["psi_indices"]))
+
+
+_CARDS = _list_of(_list_of(_integer))
+# The check that reads each builtin's parameters from the config.
+_PARAMS = {
+    "gaussian-chain": {
+        **dict.fromkeys(("mu1", "sigma1", "mu3", "sigma3", "rho", "s1", "s3", "s2"), _number),
+        **dict.fromkeys(("mu2", "sigma2"), _table),
+        **dict.fromkeys(("y1", "y2", "y3"), _optional(_table)),
+        "tau": _optional(_number),
+    },
+    "discrete-chain": {
+        **dict.fromkeys(("prior1", "prior2", "prior3"), _table),
+        "phi_cards": _CARDS,
+        "psi_cards": _CARDS,
+        "likelihoods": _list_of(_optional(_table)),
+        "units": _list_of(_optional(_unit)),
+        "normalized": _typed(lambda v: isinstance(v, bool), "true or false"),
+    },
+}
+_REQUIRED = {"gaussian-chain": (), "discrete-chain": ("prior1", "prior2", "prior3", "phi_cards")}
+
+
 def build_model(cfg: dict) -> BuiltChain:
+    """The configured builtin chain; a bad ``model.params`` value names its key."""
     name = _require(cfg, "model.name", str)
-    params = dict(cfg["model"].get("params", {}))
-    if name == "gaussian-chain":
-        return builtin_gaussian_chain(**params)
-    for key in ("prior1", "prior2", "prior3"):
-        if key in params:
-            params[key] = np.asarray(params[key], dtype=float)
-    if "likelihoods" in params:
-        params["likelihoods"] = tuple(
-            None if t is None else np.asarray(t, dtype=float)
-            for t in params["likelihoods"]
-        )
-    if "units" in params:
-        params["units"] = tuple(
-            None
-            if u is None
-            else UnitFactorization(
-                tuple(tuple(i) for i in u["phi_indices"]),
-                tuple(tuple(i) for i in u["psi_indices"]),
-            )
-            for u in params["units"]
-        )
-    return builtin_discrete_chain(**params)
+    _check_choice("model.name", name, _PARAMS, "builtin")
+    params = cfg["model"].get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"model.params: expected an object, got {type(params).__name__}")
+    args = {}
+    for key, value in params.items():
+        _check_choice(f"model.params.{key}", key, _PARAMS[name], "key")
+        try:
+            args[key] = _PARAMS[name][key](value)
+        except (TypeError, ValueError, StructureError) as exc:
+            raise ConfigError(f"model.params.{key}: {exc}") from None
+    for key in _REQUIRED[name]:
+        if key not in args:
+            raise ConfigError(f"model.params.{key}: missing required key")
+    try:
+        if name == "gaussian-chain":
+            return builtin_gaussian_chain(**args)
+        priors = [args.pop(key) for key in _REQUIRED[name][:3]]
+        return builtin_discrete_chain(*priors, **args)
+    except ConfigError as exc:
+        raise ConfigError(f"model.params.{exc}") from None
 
 
 def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
@@ -267,20 +321,22 @@ def _write_manifest(out_dir: Path, cfg: dict, extra: dict) -> None:
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _sample_columns(output: MeldedChainOutput) -> tuple[list[str], list[np.ndarray]]:
-    """Name and (chains, kept) trace of every sampled coordinate, in CSV column order."""
+def _sample_columns(output: MeldedChainOutput, chain) -> tuple[list[str], list[np.ndarray]]:
+    """Name and (chains, kept) trace of every sampled coordinate, in CSV column order:
+    the blocks, then the middle submodels' psi, then the ends' psi."""
+    groups = list(zip(chain.state_groups(), (*output.phi, *output.psi)))
+    blocks, psi = groups[: len(output.phi)], groups[len(output.phi) :]
     names = []
     traces = []
-    for group in ("phi12", "phi23", "psi2", "psi1", "psi3"):
-        arr = getattr(output, group)
-        names.extend(_vector_columns(group, arr.shape[2]))
-        traces.extend(arr[:, :, k] for k in range(arr.shape[2]))
+    for (name, dim), arr in blocks + psi[1:-1] + [psi[0], psi[-1]]:
+        names.extend(_vector_columns(name, dim))
+        traces.extend(arr[:, :, k] for k in range(dim))
     return names, traces
 
 
-def _write_samples(out_dir: Path, output: MeldedChainOutput) -> Path:
-    names, traces = _sample_columns(output)
-    chains, kept = output.phi12.shape[:2]
+def _write_samples(out_dir: Path, output: MeldedChainOutput, chain) -> Path:
+    names, traces = _sample_columns(output, chain)
+    chains, kept = output.phi[0].shape[:2]
     columns = [np.repeat(np.arange(chains), kept), np.tile(np.arange(kept), chains)]
     columns.extend(t.ravel() for t in traces)
     path = out_dir / "melded_samples.csv"
@@ -322,14 +378,8 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
         return run_sequential(
             built.model,
             factor,
-            kernels["stage_one"],
-            kernels["stage_two"],
-            kernels["stage_three"],
-            (
-                iters.get("stage_one", 1000),
-                iters.get("stage_two", 1000),
-                iters.get("stage_three", 1000),
-            ),
+            [kernels[stage] for stage in _STAGES],
+            tuple(iters.get(stage, 1000) for stage in _STAGES),
             chains=chains,
             seed=seed,
             warmup_frac=warmup,
@@ -401,12 +451,10 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
         init=np.concatenate([g1_post.mean, g3_post.mean, np.zeros(spec2.psi_dim)]),
     )
     chains, keep = draws.shape[:2]
+    empty = np.zeros((chains, keep, 0))
     return MeldedChainOutput(
-        phi12=draws[..., :d12],
-        phi23=draws[..., d12:d],
-        psi1=np.zeros((chains, keep, 0)),
-        psi2=draws[..., d:],
-        psi3=np.zeros((chains, keep, 0)),
+        phi=(draws[..., :d12], draws[..., d12:d]),
+        psi=(empty, draws[..., d:], empty),
         indices=np.zeros((chains, keep, 0), dtype=int),
         accept_counts={"normal-approx": accepted},
         proposal_counts={"normal-approx": chains * n2},
@@ -451,10 +499,11 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     built = build_model(cfg)
     pool = build_pool(cfg, built)
     output = _run_sampler(cfg, built, pool)
-    _write_samples(out_dir, output)
+    _write_samples(out_dir, output, built.model)
     rates = output.acceptance_rates()
     mean_rate = sum(rates.values()) / max(1, len(rates))
-    _write_diagnostics(out_dir / "diagnostics.csv", *_sample_columns(output), mean_rate)
+    _write_diagnostics(out_dir / "diagnostics.csv", *_sample_columns(output, built.model),
+                       mean_rate)
     _write_manifest(
         out_dir,
         cfg,

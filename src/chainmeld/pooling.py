@@ -341,63 +341,62 @@ def dictatorial_complete(
 
 @dataclass(frozen=True)
 class PoolFactorization:
-    """Three-factor split of a pooled prior for the multi-stage samplers.
+    """Split of a pooled prior into one factor per submodel, for the multi-stage samplers.
 
-    In log space, pool1(block 1) + pool2(block 1, block 2) + pool3(block 2)
-    equals the pooled log density.  ``terms2`` is pool2 as a term list; the
-    stage-two samplers evaluate it directly.  Under "subprior-ends", pool1
-    and pool3 are the end submodels' own prior marginals, so stage one
-    evaluates each of them once, as part of its end's subposterior.
+    ``terms[m]`` is submodel m's factor as weighted log-marginal terms; it
+    reads only the blocks submodel m touches, and the factors sum to the
+    pooled log density.  The samplers evaluate ``terms``.  ``pool1`` and
+    ``pool3`` evaluate the first and last factor on the end blocks, and
+    ``pool2(*blocks)`` the middle factors together on every block.
     """
 
+    terms: tuple[tuple[PoolTerm, ...], ...]
     pool1: LogDensity
-    pool2: Callable[[np.ndarray, np.ndarray], float]
+    pool2: Callable[..., np.ndarray]
     pool3: LogDensity
-    mode: str
-    terms2: tuple[PoolTerm, ...]
 
     def log_density(self, phi: Sequence[np.ndarray]):
-        x0 = np.asarray(phi[0], dtype=float)
-        x1 = np.asarray(phi[1], dtype=float)
         return (
-            np.asarray(self.pool1(x0))
-            + np.asarray(self.pool2(x0, x1))
-            + np.asarray(self.pool3(x1))
+            np.asarray(self.pool1(phi[0]))
+            + np.asarray(self.pool2(*phi))
+            + np.asarray(self.pool3(phi[-1]))
         )
-
-
-def _zero(x: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    return 0.0 if x.ndim <= 1 else np.zeros(x.shape[:-1])
 
 
 def factorize_for_sampler(pool: PooledPrior, mode: str = "flat-ends") -> PoolFactorization:
-    """Split a pooled prior for the two-stage samplers (M = 3 only).
+    """Split a pooled prior into one factor per submodel of its chain.
 
-    "flat-ends" puts the whole pooled density in the middle factor;
-    "subprior-ends" uses each end submodel's own prior marginal as its end
-    factor, so stage one targets the plain subposteriors, and subtracts
-    those marginals from the pool's terms to form the middle factor.
+    Each pool term goes to the first submodel m >= 1 whose blocks hold all
+    of its blocks.  "flat-ends" stops there, so the end factors are empty
+    unless M = 2.  "subprior-ends" gives each end submodel e its own prior
+    marginal, 1 * log p_e, so stage one targets the plain subposterior, and
+    subtracts log p_e from the factor the same rule picks for e's block.
     """
-    chain = pool.chain
-    if chain.n_submodels != 3:
-        raise UnsupportedConfigError(
-            f"sampler factorization supports M = 3 chains, got M = {chain.n_submodels}"
-        )
-    if mode == "flat-ends":
-        pool1 = pool3 = _zero
-        terms2 = pool.terms
-    elif mode == "subprior-ends":
-        pool1 = chain.submodels[0].eval_log_prior
-        pool3 = chain.submodels[2].eval_log_prior
-        terms2 = merge_term(merge_term(pool.terms, -1.0, pool1, (0,)), -1.0, pool3, (1,))
-    else:
+    if mode not in FACTORIZATIONS:
         raise UnsupportedConfigError(f"unknown factorization mode {mode!r}")
+    chain = pool.chain
+    M = chain.n_submodels
 
-    def pool2(x0, x1):
-        return sum_terms(terms2, (x0, x1))
+    def owner(blocks):
+        return next(m for m in range(1, M) if set(blocks) <= set(chain.blocks_of(m)))
 
-    return PoolFactorization(pool1, pool2, pool3, mode, terms2)
+    terms = [()] * M
+    for t in pool.terms:
+        terms[owner(t.blocks)] += (t,)
+    if mode == "subprior-ends":
+        for e in (0, M - 1):
+            fn, blocks = chain.submodels[e].eval_log_prior, chain.blocks_of(e)
+            m = owner(blocks)
+            if m != e:  # at M = 2 the last end's +1 and -1 cancel
+                terms[e] += (PoolTerm(1.0, fn, blocks),)
+                terms[m] = merge_term(terms[m], -1.0, fn, blocks)
+    terms, middle, pad = tuple(terms), sum(terms[1:-1], ()), (None,) * (M - 2)
+    return PoolFactorization(
+        terms,
+        pool1=lambda x: sum_terms(terms[0], (x,)),
+        pool2=lambda *blocks: sum_terms(middle, blocks),
+        pool3=lambda x: sum_terms(terms[-1], pad + (x,)),
+    )
 
 
 @dataclass(frozen=True)

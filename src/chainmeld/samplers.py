@@ -1,12 +1,13 @@
-"""Multi-stage MCMC for the chained melded posterior (M = 3).
+"""Multi-stage MCMC for the chained melded posterior.
 
-Stage one samples the two end submodels independently; stage two reuses
-those draws as Metropolis proposals inside a Gibbs sweep over the middle
-submodel.  The acceptance ratios involve only middle-submodel terms and
-the middle pool factor, so the end submodels are never re-evaluated in
-stage two.  A sequential three-stage variant folds the submodels in one
-at a time, and a unitwise variant updates independent units of the end
-submodels one at a time.
+The stage of submodel m targets its joint over its own prior marginal,
+times its factor ``factor.terms[m]`` of the pooled prior, and reuses
+earlier stages' draws as index-resampling proposals, so no stage
+re-evaluates an earlier stage's submodel.  The sequential sampler folds in
+the submodels of a chain of any length one at a time.  The parallel
+sampler (M = 3) samples both ends in stage one and reuses both stores in a
+Gibbs sweep over the middle submodel; its unitwise variant updates
+independent units of the ends one at a time.
 
 Every stage advances all of its chains in lockstep.  The chains' states
 are the rows of one ``(chains, d)`` array; each move proposes for every
@@ -28,14 +29,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization
+from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent
 from .errors import (
     InitializationError,
-    ModelInconsistencyError,
     StructureError,
     UnsupportedConfigError,
 )
-from .pooling import PoolFactorization, PoolTerm, neg_inf_policy, split_term
+from .pooling import PoolFactorization, neg_inf_policy, split_term
 
 __all__ = [
     "MHKernelConfig",
@@ -105,14 +105,15 @@ class SampleStore:
 
 @dataclass(frozen=True)
 class MeldedChainOutput:
-    """Per-iteration melded states plus index provenance."""
+    """Per-iteration melded states plus index provenance.
 
-    phi12: np.ndarray  # (chains, n, d12)
-    phi23: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-    psi3: np.ndarray
-    indices: np.ndarray  # (chains, n, k) accepted stage-one/-two indices
+    ``phi[b]`` holds block b's draws and ``psi[m]`` submodel m's, each
+    ``(chains, n, dim)``.
+    """
+
+    phi: tuple[np.ndarray, ...]
+    psi: tuple[np.ndarray, ...]
+    indices: np.ndarray  # (chains, n, k) accepted indices into earlier stages' draws
     accept_counts: dict[str, int]
     proposal_counts: dict[str, int]
 
@@ -123,9 +124,9 @@ class MeldedChainOutput:
         }
 
     def state_matrix(self) -> np.ndarray:
-        """All retained draws flattened to rows (phi12, phi23, psi1, psi2, psi3)."""
-        parts = [self.phi12, self.phi23, self.psi1, self.psi2, self.psi3]
-        rows = self.phi12.shape[0] * self.phi12.shape[1]
+        """All retained draws flattened to rows: every block, then psi of every submodel."""
+        parts = [*self.phi, *self.psi]
+        rows = parts[0].shape[0] * parts[0].shape[1]
         return np.concatenate([p.reshape(rows, p.shape[2]) for p in parts], axis=1)
 
 
@@ -228,16 +229,6 @@ def _has_inf(terms: np.ndarray) -> bool:
     return not math.isfinite(terms.dot(terms))
 
 
-def _check_consistent(spec: SubmodelSpec, lj: np.ndarray, lm: np.ndarray, phi) -> None:
-    """Raise for the first chain whose joint is finite where its prior marginal is -inf."""
-    bad = (lj > _NEG_INF) & (lm == _NEG_INF)
-    if bad.any():
-        raise ModelInconsistencyError(
-            f"submodel {spec.index}: joint is finite but prior marginal is -inf "
-            f"at phi_m={phi[np.argmax(bad)]}"
-        )
-
-
 class _StageTarget:
     """One submodel's stage target, log p_m(phi, psi, Y) - log p_m(phi) + its pool factor.
 
@@ -292,7 +283,7 @@ class _StageTarget:
                 new[2] = lr
             if _has_inf(new[3:]):
                 # Surface the inconsistency rather than silently rejecting.
-                _check_consistent(spec, new[1], new[3], phi)
+                check_consistent(spec, new[1], new[3], phi)
                 new[0] = neg_inf_policy(self.rest, values, new[1] + new[2],
                                         np.isneginf(new[1]))
                 return new
@@ -301,20 +292,12 @@ class _StageTarget:
 
 
 def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _StageTarget:
-    """Stage target of submodel m of an M = 3 chain.
-
-    The middle takes pool2.  An end takes its own prior marginal under
-    subprior-ends, which makes its target the subposterior, and pool1 or
-    pool3 otherwise.
-    """
-    spec, blocks = chain.submodels[m], chain.blocks_of(m)
-    if m == 1:
-        terms = factor.terms2
-    else:
-        pool_k = spec.eval_log_prior if factor.mode == "subprior-ends" else (
-            factor.pool1 if m == 0 else factor.pool3)
-        terms = (PoolTerm(1.0, pool_k, blocks),)
-    return _StageTarget(spec, terms, {b: chain.phi_blocks[b].dim for b in blocks})
+    """Stage target of submodel m, with its factor ``factor.terms[m]`` of the pool."""
+    if len(factor.terms) != chain.n_submodels:
+        raise UnsupportedConfigError(f"{len(factor.terms)} pool factors for a chain of "
+                                     f"{chain.n_submodels} submodels")
+    return _StageTarget(chain.submodels[m], factor.terms[m],
+                        {b: chain.phi_blocks[b].dim for b in chain.blocks_of(m)})
 
 
 class _FunctionTarget:
@@ -567,15 +550,14 @@ def run_stage_one(
 ) -> SampleStore:
     """MH chains targeting one end submodel's stage-one density.
 
-    The target is pool_k(phi) * p_k(phi, psi, Y) / p_k(phi); with the
-    subprior-ends factorization pool_k is p_k(phi) itself, evaluated once,
-    and the target is exactly the subposterior.
+    The target is p_k(phi, psi, Y) / p_k(phi) times the end's pool factor;
+    with the subprior-ends factorization that factor is p_k(phi) itself,
+    evaluated once, and the target is exactly the subposterior.
     """
-    if chain.n_submodels != 3:
-        raise UnsupportedConfigError("stage-one targets are defined for M = 3 chains")
-    if end not in (0, 2):
-        raise UnsupportedConfigError(f"stage one targets submodel 0 or 2, got {end}")
-    spec, block = chain.submodels[end], chain.phi_blocks[end // 2]
+    last = chain.n_submodels - 1
+    if end not in (0, last):
+        raise UnsupportedConfigError(f"stage one targets submodel 0 or {last}, got {end}")
+    spec, block = chain.submodels[end], chain.phi_blocks[chain.blocks_of(end)[0]]
     coords = tuple(block.coords) + tuple(spec.psi_coords)
     run = _run_chains(_stage_target(chain, factor, end), (), (), coords, kernel, n_iter,
                       chains, seed, warmup_frac, start=init)
@@ -602,11 +584,12 @@ def run_stage_one_pair(
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> tuple[SampleStore, SampleStore]:
-    """Run both stage-one samplers on independent RNG streams."""
+    """Run the stage-one samplers of both ends, each from its own spawned seed."""
     ss1, ss3 = np.random.SeedSequence(seed).spawn(2)
+    last = chain.n_submodels - 1
     return (
         run_stage_one(chain, 0, factor, kernel1, n_iter, chains, ss1.entropy, warmup_frac),
-        run_stage_one(chain, 2, factor, kernel3, n_iter, chains, ss3.entropy, warmup_frac),
+        run_stage_one(chain, last, factor, kernel3, n_iter, chains, ss3.entropy, warmup_frac),
     )
 
 
@@ -649,11 +632,12 @@ def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, 
     n1, d = uf1.n_units, d12 + d23
     moves = ("phi1", "phi3", "psi2")
     return MeldedChainOutput(
-        phi12=run.z[..., :d12],
-        phi23=run.z[..., d12:d],
-        psi1=_unit_gather(store1.psi, run.rows[..., :n1], uf1.psi_indices),
-        psi2=run.z[..., d:],
-        psi3=_unit_gather(store3.psi, run.rows[..., n1:], uf3.psi_indices),
+        phi=(run.z[..., :d12], run.z[..., d12:d]),
+        psi=(
+            _unit_gather(store1.psi, run.rows[..., :n1], uf1.psi_indices),
+            run.z[..., d:],
+            _unit_gather(store3.psi, run.rows[..., n1:], uf3.psi_indices),
+        ),
         indices=run.rows,
         accept_counts=dict(zip(moves, run.accepted)),
         proposal_counts=dict(zip(moves, run.proposed)),
@@ -671,7 +655,7 @@ def run_parallel_stage_two(
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> MeldedChainOutput:
-    """Metropolis-within-Gibbs targeting the melded posterior.
+    """Metropolis-within-Gibbs targeting the melded posterior of an M = 3 chain.
 
     Each iteration: (i) propose (phi12, psi1) by index resampling from
     store1, (ii) likewise (phi23, psi3) from store3, (iii) generic MH on
@@ -696,7 +680,7 @@ def run_parallel_stage_two_unitwise(
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> MeldedChainOutput:
-    """Stage two with individual-at-a-time updates of the end submodels.
+    """Stage two with individual-at-a-time updates of the end submodels (M = 3).
 
     Requires unit factorizations on submodels 1 and 3.  Units are visited
     in a fresh random order each iteration; each unit's slice is proposed
@@ -719,59 +703,61 @@ def run_parallel_stage_two_unitwise(
 def run_sequential(
     chain: ChainModel,
     factor: PoolFactorization,
-    kernel1: MHKernelConfig,
-    kernel2: MHKernelConfig,
-    kernel3: MHKernelConfig,
-    n_iter: Union[int, tuple[int, int, int]],
+    kernels: Sequence[MHKernelConfig],
+    n_iter: Union[int, Sequence[int]],
     chains: int = 1,
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> MeldedChainOutput:
-    """Three-stage sequential sampler.
+    """M-stage sequential sampler, one stage per submodel.
 
-    Stage one targets the first end submodel; stage two folds in the
-    middle submodel, reusing stage-one draws as shared-block proposals;
-    stage three folds in the remaining end submodel, reusing stage-two
-    draws.  Acceptance ratios in stages two and three contain no
-    first-submodel terms.
+    Stage one targets the first submodel.  Stage s + 1 folds in submodel s:
+    it index-resamples block s - 1 from stage s's kept draws and walks
+    block s (except in the last stage) and psi_s.  ``kernels`` and
+    ``n_iter`` (an int for every stage) hold one entry per stage.  Stage
+    k's index move is ``s{k}_phi1`` when it draws from the stage-one store
+    and ``s{k}_index`` otherwise; its walk is ``s{k}_psi{k}`` when it moves
+    only psi and ``s{k}_move`` otherwise.
     """
-    if chain.n_submodels != 3:
-        raise UnsupportedConfigError("sequential sampler requires M = 3")
-    if isinstance(n_iter, int):
-        n_iter = (n_iter, n_iter, n_iter)
-    n1, n2, n3 = n_iter
-    spec2, spec3 = chain.submodels[1:]
-    block12, block23 = chain.phi_blocks
-    d12, d23 = block12.dim, block23.dim
-    d = d12 + d23
-
-    ss1, ss2, ss3 = np.random.SeedSequence(seed).spawn(3)
-    store1 = run_stage_one(chain, 0, factor, kernel1, n1, chains, ss1.entropy, warmup_frac)
-
-    # ---- stage two: phi12 by index, (phi23, psi2) by random walk ----
-    two = _run_chains(
-        _stage_target(chain, factor, 1), (store1.phi,), (_one_unit(d12),),
-        tuple(block23.coords) + tuple(spec2.psi_coords), kernel2, n2, chains, ss2.entropy,
-        warmup_frac, init=_stage_two_init,
-    )
-    rows = two.z.reshape(-1, two.z.shape[2])  # (phi12, phi23, psi2) per kept draw
-    rows_i1 = two.rows.reshape(-1)
-
-    # ---- stage three: (whole stage-two state by index, psi3 by walk) ----
-    three = _run_chains(
-        _stage_target(chain, factor, 2),
-        (np.ascontiguousarray(rows[:, d12:d]),), (_one_unit(d23),), tuple(spec3.psi_coords),
-        kernel3, n3, chains, ss3.entropy, warmup_frac,
-    )
-    j = three.rows[..., 0]
-    moves = ("s2_phi1", "s2_move", "s3_index", "s3_psi3")
+    M = chain.n_submodels
+    n_iter = (n_iter,) * M if isinstance(n_iter, int) else tuple(n_iter)
+    kernels = tuple(kernels)
+    if len(n_iter) != M or len(kernels) != M:
+        raise UnsupportedConfigError(f"a chain of {M} submodels needs {M} kernels and "
+                                     f"iteration counts, got {len(kernels)} and {len(n_iter)}")
+    seeds = [ss.entropy for ss in np.random.SeedSequence(seed).spawn(M)]
+    store = run_stage_one(chain, 0, factor, kernels[0], n_iter[0], chains, seeds[0],
+                          warmup_frac)
+    draws, links = [store.draws], [None]  # per stage: kept draws and their source rows
+    accept_counts, proposal_counts = {}, {}
+    source = store.phi
+    for s in range(1, M):
+        spec, left = chain.submodels[s], chain.phi_blocks[s - 1]
+        walk = () if s == M - 1 else tuple(chain.phi_blocks[s].coords)
+        run = _run_chains(
+            _stage_target(chain, factor, s), (source,), (_one_unit(left.dim),),
+            walk + tuple(spec.psi_coords), kernels[s], n_iter[s], chains, seeds[s],
+            warmup_frac, init=_stage_two_init,
+        )
+        k = s + 1
+        moves = (f"s{k}_phi1" if s == 1 else f"s{k}_index",
+                 f"s{k}_psi{k}" if not walk else f"s{k}_move")
+        accept_counts.update(zip(moves, run.accepted))
+        proposal_counts.update(zip(moves, run.proposed))
+        draws.append(run.z.reshape(-1, run.z.shape[2]))
+        links.append(run.rows.reshape(-1))
+        source = np.ascontiguousarray(draws[s][:, left.dim : left.dim + len(walk)])
+    # Trace every kept draw of the last stage back through the earlier stages.
+    at = [None] * M
+    at[-1] = np.arange(draws[-1].shape[0]).reshape(chains, -1)
+    for s in range(M - 1, 0, -1):
+        at[s - 1] = links[s][at[s]]
     return MeldedChainOutput(
-        phi12=rows[j, :d12],
-        phi23=rows[j, d12:d],
-        psi1=store1.psi[rows_i1[j]],
-        psi2=rows[j, d:],
-        psi3=three.z[..., d23:],
-        indices=np.stack([j, rows_i1[j]], axis=-1),
-        accept_counts=dict(zip(moves, two.accepted + three.accepted)),
-        proposal_counts=dict(zip(moves, two.proposed + three.proposed)),
+        phi=tuple(draws[b + 1][at[b + 1], : block.dim]
+                  for b, block in enumerate(chain.phi_blocks)),
+        psi=tuple(draws[m][at[m], draws[m].shape[1] - spec.psi_dim :]
+                  for m, spec in enumerate(chain.submodels)),
+        indices=np.stack(at[-2::-1], axis=-1),
+        accept_counts=accept_counts,
+        proposal_counts=proposal_counts,
     )

@@ -24,7 +24,10 @@ def random_table(rng, shape, spread=0.5):
 
 def make_discrete_chain(seed=7, factorized_ends=True, with_units=True):
     """Seeded 3-submodel discrete chain: 2+2 binary shared coords, binary
-    2-D psi2, middle-submodel likelihood folded in.  64 joint states."""
+    2-D psi2, middle-submodel likelihood folded in.  64 joint states.
+
+    The ends declare one unit per shared coordinate only when their tables
+    factorize across those units (``factorized_ends``)."""
     rng = np.random.default_rng(seed)
     if factorized_ends:
         def end_table():
@@ -38,7 +41,7 @@ def make_discrete_chain(seed=7, factorized_ends=True, with_units=True):
     p2 = random_table(rng, (2, 2, 2, 2, 2, 2))
     lik2 = np.exp(0.3 * rng.standard_normal((2, 2, 2, 2, 2, 2)))
     units = (None, None, None)
-    if with_units:
+    if with_units and factorized_ends:
         uf = UnitFactorization(((0,), (1,)), ((), ()))
         units = (uf, None, uf)
     return builtin_discrete_chain(
@@ -48,6 +51,22 @@ def make_discrete_chain(seed=7, factorized_ends=True, with_units=True):
         likelihoods=(None, lik2, None),
         units=units,
     )
+
+
+def make_long_chain(M, seed=0):
+    """Seeded M-submodel discrete chain: one binary coordinate per shared
+    block, a binary psi on submodel 1, random tables and a likelihood on
+    every even submodel.  2^M joint states."""
+    rng = np.random.default_rng(seed)
+    psi_cards = [()] * M
+    psi_cards[1] = (2,)
+    priors, likelihoods = [], []
+    for m in range(M):
+        shape = (2,) * ((m > 0) + (m < M - 1)) + psi_cards[m]
+        priors.append(random_table(rng, shape, spread=1.0))
+        likelihoods.append(np.exp(0.5 * rng.standard_normal(shape)) if m % 2 == 0 else None)
+    return builtin_discrete_chain(*priors, phi_cards=((2,),) * (M - 1), psi_cards=psi_cards,
+                                  likelihoods=likelihoods)
 
 
 @pytest.fixture

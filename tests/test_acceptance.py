@@ -124,7 +124,7 @@ def test_acceptance_3_enumeration_oracle_equivalence():
 
     start = time.perf_counter()
     out = run_sequential(
-        built.model, factor, KERNEL, KERNEL, KERNEL, (50_000, n_iter, n_iter), seed=14
+        built.model, factor, (KERNEL,) * 3, (50_000, n_iter, n_iter), seed=14
     )
     results["sequential"] = (
         tv_distance(empirical_table(out.state_matrix(), oracle), oracle),
@@ -132,7 +132,7 @@ def test_acceptance_3_enumeration_oracle_equivalence():
     )
 
     ok = all(tv < 0.02 and elapsed < 120.0 for tv, elapsed in results.values())
-    assert out.phi12.shape[1] == 200_000  # warmup arithmetic sanity
+    assert out.phi[0].shape[1] == 200_000  # warmup arithmetic sanity
     _report(3, "enumeration-oracle equivalence (TV < 0.02)", ok)
 
 
@@ -147,7 +147,7 @@ def _split_joint_discrete(seed=3):
     lik3 = np.exp(0.4 * rng.standard_normal((2, 2)))
     built = builtin_discrete_chain(
         q12, p2, q23,
-        ((2, 2), (2, 2)),
+        phi_cards=((2, 2), (2, 2)),
         likelihoods=(lik1, None, lik3),
     )
     # the joint model's posterior, computed by direct table arithmetic
@@ -239,7 +239,7 @@ def test_acceptance_5_conjugate_gaussian_chain():
 
     draws = out.state_matrix()  # columns: phi12, phi23, psi2
     ok = True
-    for j, traces in enumerate((out.phi12[:, :, 0], out.phi23[:, :, 0], out.psi2[:, :, 0])):
+    for j, traces in enumerate((out.phi[0][:, :, 0], out.phi[1][:, :, 0], out.psi[1][:, :, 0])):
         e = ess_bulk(traces).value
         r = split_rhat(traces).value
         se_mean = math.sqrt(cov[j, j] / e)
@@ -272,7 +272,7 @@ def test_acceptance_6_stage_locality():
     stage_one_calls = built.model.submodels[0].joint_calls.count
     built.model.reset_counters()
     run_sequential(
-        built.model, factor, KERNEL, KERNEL, KERNEL, (n1, 3_000, 3_000), seed=seed
+        built.model, factor, (KERNEL,) * 3, (n1, 3_000, 3_000), seed=seed
     )
     sequential_ok = built.model.submodels[0].joint_calls.count == stage_one_calls
     _report(6, "stage-locality call counters", parallel_ok and sequential_ok)
@@ -338,8 +338,8 @@ def test_acceptance_8_marginal_replacement():
         built.meta["prior_tables"][0],
         built.meta["prior_tables"][1],
         built.meta["prior_tables"][2],
-        built.meta["phi_cards"],
-        built.meta["psi_cards"],
+        phi_cards=built.meta["phi_cards"],
+        psi_cards=built.meta["psi_cards"],
     )
     pool = log_pooling(no_data.model, [0.4, 0.7, 0.3])
     melded = enumerate_melded_posterior(no_data, pool)

@@ -6,21 +6,24 @@ from chainmeld import (
     ConfigError,
     ModelInconsistencyError,
     SubmodelSpec,
+    UnitFactorization,
     UnsupportedConfigError,
     builtin_discrete_chain,
     builtin_gaussian_chain,
     empirical_table,
     enumerate_melded_posterior,
     enumerate_pooled_prior,
+    linear_pooling,
     log_pooling,
     poe_pooling,
+    submodel_log_ratio,
     tv_distance,
     validate_chain,
 )
 from chainmeld.builtins import BuiltChain
 from chainmeld.chain import ChainModel
 
-from conftest import make_discrete_chain, random_table
+from conftest import make_discrete_chain, make_long_chain, random_table
 
 
 class TestGaussianChain:
@@ -90,7 +93,7 @@ class TestDiscreteChain:
         good = random_table(np.random.default_rng(0), (2, 2, 2, 2))
         with pytest.raises(ConfigError):
             builtin_discrete_chain(
-                bad, good, bad, ((2,), (2,)), ((2,), (2,), (2,))
+                bad, good, bad, phi_cards=((2,), (2,)), psi_cards=((2,), (2,), (2,))
             )
 
     def test_shape_mismatch_rejected(self):
@@ -100,7 +103,7 @@ class TestDiscreteChain:
                 random_table(rng, (2, 2)),
                 random_table(rng, (2, 2)),
                 random_table(rng, (2, 2)),
-                ((2, 2), (2, 2)),
+                phi_cards=((2, 2), (2, 2)),
             )
 
     def test_negative_entries_rejected(self):
@@ -109,7 +112,29 @@ class TestDiscreteChain:
         with pytest.raises(ConfigError):
             builtin_discrete_chain(
                 t, random_table(rng, (2, 2)), random_table(rng, (2,) * 2),
-                ((2,), (2,)), ((2,), (), ()),
+                phi_cards=((2,), (2,)), psi_cards=((2,), (), ()),
+            )
+
+    def test_units_must_factorize_the_tables(self):
+        # the end tables are random over both shared coordinates
+        meta = make_discrete_chain(seed=7, factorized_ends=False).meta
+        uf = UnitFactorization(((0,), (1,)), ((), ()))
+        with pytest.raises(ConfigError, match="units"):
+            builtin_discrete_chain(
+                *meta["prior_tables"], phi_cards=meta["phi_cards"],
+                psi_cards=meta["psi_cards"], likelihoods=meta["likelihood_tables"],
+                units=(uf, None, uf),
+            )
+
+    def test_units_must_factorize_the_likelihood_too(self, discrete_chain):
+        meta = discrete_chain.meta
+        lik1 = np.exp(np.random.default_rng(1).standard_normal((2, 2)))
+        with pytest.raises(ConfigError, match="units"):
+            builtin_discrete_chain(
+                *meta["prior_tables"], phi_cards=meta["phi_cards"],
+                psi_cards=meta["psi_cards"],
+                likelihoods=(lik1,) + meta["likelihood_tables"][1:],
+                units=[spec.unit_factorization for spec in discrete_chain.model.submodels],
             )
 
     def test_marginals_sum_correctly(self, discrete_chain):
@@ -133,7 +158,7 @@ class TestEnumeration:
         u = lambda shape: np.full(shape, 1.0 / np.prod(shape))
         built = builtin_discrete_chain(
             u((2, 2)), u((2, 2)), u((2, 2)),
-            ((2,), (2,)), ((2,), (), (2,)),
+            phi_cards=((2,), (2,)), psi_cards=((2,), (), (2,)),
         )
         oracle = enumerate_melded_posterior(built, poe_pooling(built.model))
         np.testing.assert_allclose(oracle.probs, 1.0 / len(oracle.probs), atol=1e-12)
@@ -151,11 +176,39 @@ class TestEnumeration:
         expected /= expected.sum()
         np.testing.assert_allclose(oracle.probs, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_batched_enumeration_equals_state_by_state(self, M, linear):
+        built = make_long_chain(M, seed=M)
+        model = built.model
+        if linear:
+            pool = linear_pooling(model, [[0.3, 0.7]] * (M - 1), built.boundary_marginals)
+        else:
+            pool = log_pooling(model, np.linspace(0.2, 0.9, M))
+        oracle = enumerate_melded_posterior(built, pool)
+        names = [name for name, _ in model.state_groups()]
+        assert list(oracle.column_groups) == names
+        assert names[: M - 1] == [f"phi{b + 1}{b + 2}" for b in range(M - 1)]
+
+        def log_state(row):  # one state at a time, from the public functions
+            parts = [row[slice(*oracle.column_groups[n])] for n in names]
+            phi, psi = parts[: M - 1], parts[M - 1 :]
+            total = float(pool.log_density(phi))
+            for m, spec in enumerate(model.submodels):
+                total += submodel_log_ratio(spec, model.phi_m(m, phi), psi[m])
+            return total
+
+        logw = np.array([log_state(row) for row in oracle.states])
+        w = np.exp(logw - logw.max())
+        np.testing.assert_allclose(oracle.probs, w / w.sum(), rtol=0, atol=1e-15)
+        prior = enumerate_pooled_prior(built, pool)
+        assert list(prior.column_groups) == names[: M - 1]
+
     def test_state_space_limit(self):
         u = lambda shape: np.full(shape, 1.0 / np.prod(shape))
         built = builtin_discrete_chain(
             u((5, 5)), u((5,) * 7), u((5, 5)),
-            ((5,), (5,)), ((5,), (5,) * 5, (5,)),
+            phi_cards=((5,), (5,)), psi_cards=((5,), (5,) * 5, (5,)),
         )
         with pytest.raises(UnsupportedConfigError):
             enumerate_melded_posterior(built, poe_pooling(built.model))

@@ -159,6 +159,68 @@ class TestSamplerKeys:
         assert main(["validate", "--config", _write_config(tmp_path, cfg)]) == 0
 
 
+class TestModelParams:
+    """A misspelt, mistyped or unfactorized ``model.params`` key exits 1 and names it."""
+
+    def _rejects(self, tmp_path, capsys, cfg, path_name):
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "sample", "oracle"):
+            assert main([command, "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert path_name in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+        return err
+
+    @pytest.mark.parametrize("key, value", [("prior_1", "prior1"), ("mu_1", None)])
+    def test_unknown_key_lists_accepted_keys(self, tmp_path, capsys, key, value):
+        cfg = _gaussian_config(tmp_path) if value is None else _discrete_config(tmp_path)
+        params = cfg["model"]["params"]
+        params[key] = 0.0 if value is None else params.pop(value)
+        err = self._rejects(tmp_path, capsys, cfg, f"model.params.{key}")
+        assert ("prior1" if value else "mu1") in err
+
+    @pytest.mark.parametrize("key, value, discrete", [
+        ("sigma1", "x", False),
+        ("mu2", 3.0, False),
+        ("y1", ["a"], False),
+        ("phi_cards", 3, True),
+        ("psi_cards", [[2.5], [], []], True),
+        ("prior2", [[0.5, "a"], [0.2, 0.3]], True),
+        ("units", [{"phi_indices": [[0]]}, None, None], True),
+        ("normalized", "yes", True),
+    ])
+    def test_mistyped_value(self, tmp_path, capsys, key, value, discrete):
+        cfg = _discrete_config(tmp_path) if discrete else _gaussian_config(tmp_path)
+        cfg["model"]["params"][key] = value
+        self._rejects(tmp_path, capsys, cfg, f"model.params.{key}")
+
+    def test_missing_table(self, tmp_path, capsys):
+        cfg = _discrete_config(tmp_path)
+        del cfg["model"]["params"]["prior3"]
+        self._rejects(tmp_path, capsys, cfg, "model.params.prior3")
+
+    def test_params_must_be_an_object(self, tmp_path, capsys):
+        cfg = _gaussian_config(tmp_path)
+        cfg["model"]["params"] = [1, 2]
+        self._rejects(tmp_path, capsys, cfg, "model.params")
+
+    def test_units_must_factorize_the_tables(self, tmp_path, capsys):
+        # random end tables over two shared coordinates, one unit per coordinate
+        cfg = _discrete_config(tmp_path)
+        rng = np.random.default_rng(7)
+        params = cfg["model"]["params"]
+        params.update({
+            "prior1": random_table(rng, (2, 2)).tolist(),
+            "prior2": random_table(rng, (2, 2, 2)).tolist(),
+            "prior3": random_table(rng, (2,)).tolist(),
+            "phi_cards": [[2, 2], [2]],
+            "units": [{"phi_indices": [[0], [1]], "psi_indices": [[], []]}, None, None],
+        })
+        self._rejects(tmp_path, capsys, cfg, "model.params.units")
+        params["prior1"] = np.multiply.outer(random_table(rng, 2), random_table(rng, 2)).tolist()
+        assert main(["validate", "--config", _write_config(tmp_path, cfg)]) == 0
+
+
 class TestPoolingKeys:
     @pytest.mark.parametrize(
         "pooling, key",

@@ -23,6 +23,7 @@ from chainmeld import (
     poe_pooling,
     real_coords,
 )
+from chainmeld.pooling import PoolTerm
 
 
 @pytest.fixture
@@ -234,19 +235,26 @@ class TestFactorization:
         with pytest.raises(UnsupportedConfigError):
             factorize_for_sampler(pool, "mystery-ends")
 
-    def test_requires_three_submodels(self):
+    def test_two_submodels_pool_in_the_last_factor(self):
         def marg(x):
             return 0.0
 
         model = ChainModel(
             submodels=(
                 SubmodelSpec(0, None, "a", lambda p, s: 0.0, marg),
-                SubmodelSpec(1, "a", None, lambda p, s: 0.0, marg),
+                SubmodelSpec(1, "a", None, lambda p, s: 0.0, lambda x: 1.0),
             ),
             phi_blocks=(PhiBlock("a", real_coords(1)),),
         )
-        with pytest.raises(UnsupportedConfigError):
-            factorize_for_sampler(poe_pooling(model), "flat-ends")
+        pool = poe_pooling(model)
+        p0, p1 = (spec.eval_log_prior for spec in model.submodels)
+        flat = factorize_for_sampler(pool, "flat-ends")
+        assert flat.terms == ((), pool.terms)
+        # p0 moves to the first factor; the last end's own prior stays pooled.
+        sub = factorize_for_sampler(pool, "subprior-ends")
+        assert sub.terms == ((PoolTerm(1.0, p0, (0,)),), (PoolTerm(1.0, p1, (0,)),))
+        x = np.array([0.3])
+        assert sub.log_density([x]) == flat.log_density([x]) == pool.log_density([x])
 
     def test_subprior_ends_inconsistent_end_marginal(self, discrete_chain):
         # an end marginal with a zero where the pooled prior keeps mass

@@ -1,5 +1,6 @@
-"""Property tests: pooled-prior term lists, the stage targets, the cached
-Gaussian factor, the batched log-joint contract and the CSV artifact format."""
+"""Property tests: pooled-prior term lists, the stage targets, the stage plan
+for chains of any length, the cached Gaussian factor, the batched log-joint
+contract and the CSV artifact format."""
 
 import csv
 import io
@@ -28,14 +29,17 @@ from chainmeld import (
     dictatorial_partial,
     factorize_for_sampler,
     linear_pooling,
+    log_melded_density,
     log_pooling,
+    poe_pooling,
     real_coords,
     submodel_log_ratio,
 )
 from chainmeld.diagnostics import _average_ranks
+from chainmeld.pooling import merge_term, sum_terms
 from chainmeld.samplers import _stage_target
 
-from conftest import make_discrete_chain
+from conftest import make_discrete_chain, make_long_chain
 
 BUILT = builtin_gaussian_chain(rho=0.6)
 
@@ -83,7 +87,8 @@ def test_factors_sum_to_pool(pool, x, mode):
 @given(pool=pools())
 def test_no_term_has_zero_coefficient(pool):
     for mode in ("flat-ends", "subprior-ends"):
-        assert all(t.coef != 0 for t in factorize_for_sampler(pool, mode).terms2)
+        factor = factorize_for_sampler(pool, mode)
+        assert all(t.coef != 0 for terms in factor.terms for t in terms)
     assert all(t.coef != 0 for t in pool.terms)
 
 
@@ -160,6 +165,18 @@ def test_neg_inf_term_with_positive_weight_dominates(lam1, lam, x0, x1):
     batch = [np.array([[x0], [1.0]]), np.array([[x1], [x1]])]
     out = pool.log_density(batch)
     assert out[0] == -math.inf and np.isfinite(out[1])
+
+
+@given(lam1=st.floats(0.01, 3.0), lam=st.lists(weight, min_size=2, max_size=2),
+       x0=coord, x1=coord)
+def test_melded_density_is_neg_inf_where_the_pool_is(lam1, lam, x0, x1):
+    # End 0's joint is finite where its prior is -inf (x0 < 0), but the pool
+    # is -inf there too, so the state has zero density instead of raising.
+    pool = log_pooling(HALF_LINE_CHAIN, [lam1, lam[0], lam[1]])
+    phi = [np.array([[x0], [abs(x0)]]), np.array([[x1], [x1]])]
+    out = log_melded_density(HALF_LINE_CHAIN, pool, phi, [np.empty((2, 0))] * 3)
+    assert out[0] == -math.inf if x0 < 0 or x1 < -3 else np.isfinite(out[0])
+    assert np.isfinite(out[1]) == (x1 >= -3)
 
 
 @given(lam=st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
@@ -240,6 +257,59 @@ def test_stage_two_stray_end_raises_unless_middle_joint_is_neg_inf():
     with pytest.raises(NumericalFailureError):
         _stage_value(target, np.array([[-1.0, 0.0]]))
     assert _stage_value(target, np.array([[-1.0, -3.5]]))[0] == -math.inf
+
+
+# -- stage plan for chains of any length ----------------------------------------
+
+LONG_CHAINS = {M: make_long_chain(M, seed=M) for M in range(2, 6)}
+
+
+@st.composite
+def long_pools(draw):
+    """Any pooling method over a discrete chain of 2 to 5 submodels."""
+    M = draw(st.integers(2, 5))
+    built = LONG_CHAINS[M]
+    model, marginals = built.model, built.boundary_marginals
+    method = draw(st.sampled_from(["logarithmic", "poe", "linear", "partial", "complete"]))
+    if method == "logarithmic":
+        lam = draw(st.lists(weight, min_size=M, max_size=M))
+        assume(max(lam) > 0)
+        return log_pooling(model, lam)
+    if method == "poe":
+        return poe_pooling(model)
+    if method == "linear":
+        lam = draw(st.lists(st.lists(weight, min_size=2, max_size=2),
+                            min_size=M - 1, max_size=M - 1))
+        assume(all(sum(row) > 0 for row in lam))
+        return linear_pooling(model, lam, marginals)
+    if method == "partial":
+        return dictatorial_partial(
+            model, draw(st.integers(0, M - 1)),
+            side_weights=draw(st.lists(weight, min_size=M, max_size=M)),
+            boundary_marginals=marginals,
+        )
+    choices = [draw(st.sampled_from([b, b + 1])) for b in range(M - 1)]
+    return dictatorial_complete(model, choices, marginals)
+
+
+@given(pool=long_pools(), mode=st.sampled_from(["flat-ends", "subprior-ends"]))
+def test_stage_plan_sums_to_pool_and_stays_local(pool, mode):
+    chain = pool.chain
+    M = chain.n_submodels
+    factor = factorize_for_sampler(pool, mode)
+    assert len(factor.terms) == M
+    for m, terms in enumerate(factor.terms):
+        assert all(set(t.blocks) <= set(chain.blocks_of(m)) for t in terms)
+    # every state of the binary blocks, batched
+    states = np.indices((2,) * (M - 1)).reshape(M - 1, -1).T.astype(float)
+    phi = [states[:, b : b + 1] for b in range(M - 1)]
+    total = sum(sum_terms(terms, phi) for terms in factor.terms)
+    np.testing.assert_allclose(total, pool.log_density(phi), rtol=1e-12, atol=1e-12)
+    if M == 3:
+        p0, p2 = (chain.submodels[e].eval_log_prior for e in (0, 2))
+        middle = pool.terms if mode == "flat-ends" else merge_term(
+            merge_term(pool.terms, -1.0, p0, (0,)), -1.0, p2, (1,))
+        assert factor.terms[1] == middle
 
 
 # -- batched log_joint contract ------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from chainmeld import (
     SubmodelSpec,
     UnsupportedConfigError,
     builtin_gaussian_chain,
+    empirical_table,
+    enumerate_melded_posterior,
     factorize_for_sampler,
     log_pooling,
     run_parallel_stage_two,
@@ -20,13 +23,16 @@ from chainmeld import (
     run_sequential,
     run_stage_one,
     run_stage_one_pair,
+    tv_distance,
 )
 from chainmeld.chain import real_coords
+from chainmeld.pooling import PoolTerm
 
-from conftest import make_discrete_chain
+from conftest import make_discrete_chain, make_long_chain
 
 
 KERNEL = MHKernelConfig(scales=0.8)
+KERNELS = (KERNEL,) * 3
 
 
 def _gaussian_setup(seed=0, **params):
@@ -97,8 +103,8 @@ class TestStageOne:
     def test_initialization_failure(self):
         built, pool, _ = _gaussian_setup()
         factor = factorize_for_sampler(pool, "flat-ends")
-        doomed = factorize_for_sampler(pool, "flat-ends")
-        object.__setattr__(doomed, "pool1", lambda x: -math.inf)
+        nowhere = (PoolTerm(1.0, lambda x: np.full(len(x), -math.inf), (0,)),)
+        doomed = dataclasses.replace(factor, terms=(nowhere,) + factor.terms[1:])
         with pytest.raises(InitializationError):
             run_stage_one(built.model, 0, doomed, KERNEL, 1000, seed=0)
 
@@ -127,8 +133,8 @@ class TestParallelStageTwo:
 
     def test_output_shapes_and_indices(self):
         built, out = self._run()
-        assert out.phi12.shape == (1, 3600, 2)
-        assert out.psi2.shape == (1, 3600, 2)
+        assert out.phi[0].shape == (1, 3600, 2)
+        assert out.psi[1].shape == (1, 3600, 2)
         assert out.indices.shape == (1, 3600, 2)
         assert out.indices.min() >= 0
         assert set(out.acceptance_rates()) == {"phi1", "phi3", "psi2"}
@@ -139,7 +145,7 @@ class TestParallelStageTwo:
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
         s1, _ = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 4000, seed=21)
-        np.testing.assert_array_equal(out.psi1[0], s1.psi[out.indices[0, :, 0]])
+        np.testing.assert_array_equal(out.psi[0][0], s1.psi[out.indices[0, :, 0]])
 
     def test_stage_locality(self):
         built = make_discrete_chain()
@@ -175,7 +181,8 @@ class TestParallelStageTwo:
         p2 = random_table(rng, (2, 2, 2, 2, 2, 2))
         uf = UnitFactorization(((0, 1),), ((),))
         built = builtin_discrete_chain(
-            p1, p2, p3, ((2, 2), (2, 2)), ((), (2, 2), ()), units=(uf, None, uf)
+            p1, p2, p3, phi_cards=((2, 2), (2, 2)), psi_cards=((), (2, 2), ()),
+            units=(uf, None, uf),
         )
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
@@ -193,8 +200,8 @@ class TestSequential:
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        a = run_sequential(built.model, factor, KERNEL, KERNEL, KERNEL, (2000, 2000, 2000), seed=8)
-        b = run_sequential(built.model, factor, KERNEL, KERNEL, KERNEL, (2000, 2000, 2000), seed=8)
+        a = run_sequential(built.model, factor, KERNELS, (2000, 2000, 2000), seed=8)
+        b = run_sequential(built.model, factor, KERNELS, (2000, 2000, 2000), seed=8)
         np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
 
     def test_stage_locality(self):
@@ -202,7 +209,7 @@ class TestSequential:
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
         built.model.reset_counters()
-        run_sequential(built.model, factor, KERNEL, KERNEL, KERNEL, (1000, 2000, 2000), seed=9)
+        run_sequential(built.model, factor, KERNELS, (1000, 2000, 2000), seed=9)
         spec1 = built.model.submodels[0]
         # submodel-1 joints are evaluated only in its own stage-one chain
         # (1000 MH steps + initialization retries); any stage-two or
@@ -213,10 +220,25 @@ class TestSequential:
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        out = run_sequential(built.model, factor, KERNEL, KERNEL, KERNEL, 1000, seed=10)
-        assert out.phi12.shape[1] == 900
+        out = run_sequential(built.model, factor, KERNELS, 1000, seed=10)
+        assert out.phi[0].shape[1] == 900
 
-    def test_requires_three_submodels(self):
+    @pytest.mark.parametrize("M, mode", [(2, "flat-ends"), (4, "subprior-ends"),
+                                         (5, "subprior-ends")])
+    def test_matches_enumeration_for_any_length(self, M, mode):
+        built = make_long_chain(M, seed=M)
+        pool = log_pooling(built.model, np.linspace(0.3, 0.8, M))
+        oracle = enumerate_melded_posterior(built, pool)
+        factor = factorize_for_sampler(pool, mode)
+        out = run_sequential(built.model, factor, (KERNEL,) * M, 20_000, chains=8, seed=M + 100)
+        assert (len(out.phi), len(out.psi)) == (M - 1, M)
+        assert tv_distance(empirical_table(out.state_matrix(), oracle), oracle) < 0.02
+        moves = {"s2_phi1", f"s{M}_psi{M}"}
+        moves.update(f"s{k}_index" for k in range(3, M + 1))
+        moves.update(f"s{k}_move" for k in range(2, M))
+        assert set(out.proposal_counts) == moves
+
+    def test_factorization_must_match_chain_length(self):
         from chainmeld import ChainModel, PhiBlock, SubmodelSpec
 
         _, _, factor = _gaussian_setup()
@@ -228,7 +250,12 @@ class TestSequential:
             phi_blocks=(PhiBlock("a", real_coords(1)),),
         )
         with pytest.raises(UnsupportedConfigError):
-            run_sequential(model, factor, KERNEL, KERNEL, KERNEL, 1000, seed=0)
+            run_sequential(model, factor, KERNELS[:2], 1000, seed=0)
+
+    def test_needs_one_kernel_per_stage(self):
+        built, _, factor = _gaussian_setup()
+        with pytest.raises(UnsupportedConfigError, match="3 kernels"):
+            run_sequential(built.model, factor, KERNELS[:2], 1000, seed=0)
 
 
 class TestWarmupFrac:
@@ -247,7 +274,7 @@ class TestWarmupFrac:
                                            warmup_frac=warmup),
             lambda: run_parallel_stage_two_unitwise(model, factor, s1, s3, KERNEL, 200,
                                                     warmup_frac=warmup),
-            lambda: run_sequential(model, factor, KERNEL, KERNEL, KERNEL, 200,
+            lambda: run_sequential(model, factor, KERNELS, 200,
                                    warmup_frac=warmup),
         ]
         for run in runs:
@@ -320,8 +347,8 @@ class TestLockstep:
         s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 1000, chains=2, seed=6)
         one = runner(built.model, factor, s1, s3, KERNEL, 600, chains=1, seed=7)
         four = runner(built.model, factor, s1, s3, KERNEL, 600, chains=4, seed=7)
-        for group in ("phi12", "phi23", "psi1", "psi2", "psi3", "indices"):
-            np.testing.assert_array_equal(getattr(four, group)[:1], getattr(one, group))
+        for a, b in zip((*four.phi, *four.psi, four.indices), (*one.phi, *one.psi, one.indices)):
+            np.testing.assert_array_equal(a[:1], b)
         assert not np.array_equal(four.indices[0], four.indices[1])
 
     def test_scalar_only_joint_fails_loudly(self):
