@@ -90,6 +90,15 @@ def _quadratic(*factors: tuple[float, float, float]):
     return log_factor
 
 
+def _of_scalar(q):
+    """Batched evaluator ``x -> q(x[..., 0])`` of a scalar block.
+
+    Further arguments are ignored, so it also serves as an end submodel's
+    joint, whose psi is empty.
+    """
+    return lambda x, *_: q(np.asarray(x, dtype=float)[..., 0])
+
+
 def builtin_gaussian_chain(
     mu1: float = -2.5,
     sigma1: float = 1.0,
@@ -148,17 +157,7 @@ def builtin_gaussian_chain(
     psi_prior = None if tau is None else _quadratic(_normal(0.0, tau))
     data2 = None if y2 is None else _quadratic(*_data(y2, s2))
 
-    def lm1(x):
-        return prior1(np.asarray(x, dtype=float)[..., 0])
-
-    def lj1(phi_m, psi_m):
-        return post1(np.asarray(phi_m, dtype=float)[..., 0])
-
-    def lm3(x):
-        return prior3(np.asarray(x, dtype=float)[..., 0])
-
-    def lj3(phi_m, psi_m):
-        return post3(np.asarray(phi_m, dtype=float)[..., 0])
+    lm1, lj1, lm3, lj3 = map(_of_scalar, (prior1, post1, prior3, post3))
 
     def lm2(x):
         return prior2.logpdf(np.asarray(x, dtype=float))
@@ -187,11 +186,7 @@ def builtin_gaussian_chain(
             PhiBlock("phi23", real_coords(1)),
         ),
     )
-    one_block = [_quadratic(_normal(mu2[b], sigma2[b])) for b in (0, 1)]
-    boundary = {
-        (1, b): lambda x, _f=one_block[b]: _f(np.asarray(x, dtype=float)[..., 0])
-        for b in (0, 1)
-    }
+    boundary = {(1, b): _of_scalar(_quadratic(_normal(mu2[b], sigma2[b]))) for b in (0, 1)}
     meta = {
         "prior1": GaussianDensity([mu1], [[sigma1**2]]),
         "prior2": prior2,
@@ -450,11 +445,20 @@ def empirical_table(draws: np.ndarray, reference: DiscreteTable) -> DiscreteTabl
     """Empirical distribution of sampler draws on the reference state space.
 
     ``draws`` has one row per retained iteration, columns in the reference
-    column order.
+    column order.  The reference states must be a full product space of
+    categories 0..c-1 in C order, as the enumeration produces; a draw
+    outside it raises ``UnsupportedConfigError``.
     """
-    draws = np.asarray(draws, dtype=float).reshape(-1, reference.states.shape[1])
-    keys = {tuple(row): k for k, row in enumerate(reference.states)}
-    probs = np.zeros(reference.probs.shape[0])
-    for row in np.round(draws):
-        probs[keys[tuple(row)]] += 1.0
-    return DiscreteTable(reference.states, probs / probs.sum(), reference.column_groups)
+    states = reference.states
+    draws = np.round(np.asarray(draws, dtype=float).reshape(-1, states.shape[1]))
+    dims = tuple(states.max(axis=0).astype(np.intp) + 1)
+    if not np.array_equal(np.indices(dims).reshape(len(dims), -1).T, states):
+        raise UnsupportedConfigError("reference states are not a full product space in C order")
+    off = ~((draws >= 0) & (draws < dims)).all(axis=1)
+    if off.any():
+        raise UnsupportedConfigError(
+            f"draw {draws[off][0].tolist()} is not a state of the reference table"
+        )
+    flat = np.ravel_multi_index(tuple(draws.T.astype(np.intp)), dims)
+    probs = np.bincount(flat, minlength=states.shape[0]).astype(float)
+    return DiscreteTable(states, probs / probs.sum(), reference.column_groups)

@@ -54,6 +54,12 @@ __all__ = [
 LogDensity = Callable[[np.ndarray], float]
 
 
+def block_values(phi: Sequence[np.ndarray], blocks: Sequence[int]) -> np.ndarray:
+    """Concatenated values of ``phi[b]`` for b in ``blocks``; batched ``(..., dim_b)`` allowed."""
+    parts = [np.asarray(phi[b], dtype=float) for b in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
 @dataclass(frozen=True)
 class Coord:
     """Support descriptor for a single coordinate."""
@@ -244,12 +250,8 @@ class ChainModel:
         ]
 
     def phi_m(self, m: int, phi: Sequence[np.ndarray]) -> np.ndarray:
-        """Concatenated shared-block values seen by submodel m.
-
-        Supports batched block values of shape ``(..., dim_b)``.
-        """
-        parts = [np.asarray(phi[b], dtype=float) for b in self.blocks_of(m)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        """Concatenated shared-block values seen by submodel m (``block_values``)."""
+        return block_values(phi, self.blocks_of(m))
 
     def check_dims(self, phi: Sequence[np.ndarray], psi: Sequence[np.ndarray]) -> None:
         if len(phi) != len(self.phi_blocks):

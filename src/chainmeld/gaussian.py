@@ -53,6 +53,20 @@ def _precision(cov: np.ndarray, what: str) -> np.ndarray:
     return scipy.linalg.cho_solve(cho, np.eye(cov.shape[0]))
 
 
+def _improper(prec: np.ndarray) -> bool:
+    """The smallest eigenvalue is at most ``_PD_TOL`` relative to the largest magnitude."""
+    eigs = np.linalg.eigvalsh(prec)
+    return eigs[0] <= _PD_TOL * max(1.0, float(np.abs(eigs).max()))
+
+
+def _from_precision(prec: np.ndarray, shift: np.ndarray) -> GaussianDensity:
+    """N(prec^-1 shift, prec^-1) for a positive definite ``prec``, covariance symmetrized."""
+    cho = scipy.linalg.cho_factor(prec, lower=True)
+    cov = scipy.linalg.cho_solve(cho, np.eye(prec.shape[0]))
+    mean = scipy.linalg.cho_solve(cho, shift)
+    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+
+
 @dataclass(frozen=True)
 class GaussianDensity:
     """Mean/covariance pair with a vectorized log density."""
@@ -125,11 +139,7 @@ def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> GaussianDensity:
         raise StructureError(f"dim mismatch: {a.dim} vs {b.dim}")
     pa = _precision(a.cov, "gaussian_product lhs")
     pb = _precision(b.cov, "gaussian_product rhs")
-    prec = pa + pb
-    cho = scipy.linalg.cho_factor(prec, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(a.dim))
-    mean = scipy.linalg.cho_solve(cho, pa @ a.mean + pb @ b.mean)
-    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+    return _from_precision(pa + pb, pa @ a.mean + pb @ b.mean)
 
 
 def gaussian_ratio_product(
@@ -148,14 +158,9 @@ def gaussian_ratio_product(
     prec = pn - pd
     prec = 0.5 * (prec + prec.T)
     shift = pn @ nu.mean - pd @ de.mean
-    eigs = np.linalg.eigvalsh(prec)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if eigs[0] <= _PD_TOL * scale:
+    if _improper(prec):
         return ImproperGaussianRatio(prec, shift)
-    cho = scipy.linalg.cho_factor(prec, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(nu.dim))
-    mean = scipy.linalg.cho_solve(cho, shift)
-    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+    return _from_precision(prec, shift)
 
 
 def block_diag_stack(parts: Sequence[GaussianDensity]) -> GaussianDensity:
@@ -201,10 +206,6 @@ def log_pool_gaussian_chain(
         p = lam[1] * _precision(g2.cov, "log_pool middle")
         prec += p
         shift += p @ g2.mean
-    eigs = np.linalg.eigvalsh(prec)
-    if eigs[0] <= _PD_TOL * max(1.0, float(np.abs(eigs).max())):
+    if _improper(prec):
         raise NumericalFailureError("pooled precision is not positive definite")
-    cho = scipy.linalg.cho_factor(prec, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(d))
-    mean = scipy.linalg.cho_solve(cho, shift)
-    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+    return _from_precision(prec, shift)

@@ -14,12 +14,12 @@ cancel in MCMC, and the grid oracle normalizes explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainModel, LogDensity
+from .chain import ChainModel, LogDensity, block_values
 from .errors import NumericalFailureError, PoolingConfigError, UnsupportedConfigError
 
 __all__ = [
@@ -37,13 +37,6 @@ __all__ = [
     "grid_normalize",
 ]
 
-METHODS = (
-    "logarithmic",
-    "poe",
-    "linear",
-    "dictatorial-partial",
-    "dictatorial-complete",
-)
 FACTORIZATIONS = ("flat-ends", "subprior-ends")
 
 
@@ -71,11 +64,6 @@ _STRAY_END = (
 )
 
 
-def _block_values(phi: Sequence[np.ndarray], blocks: tuple[int, ...]) -> np.ndarray:
-    parts = [np.asarray(phi[b], dtype=float) for b in blocks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
 def neg_inf_policy(terms: Sequence[PoolTerm], values, total, zero=np.False_) -> np.ndarray:
     """``total`` where the pooled density is positive, -inf where it is zero.
 
@@ -101,7 +89,7 @@ def sum_terms(terms: Sequence[PoolTerm], phi: Sequence[np.ndarray]):
 
     A float for unbatched blocks.
     """
-    values = [np.asarray(t.fn(_block_values(phi, t.blocks)), dtype=float) for t in terms]
+    values = [np.asarray(t.fn(block_values(phi, t.blocks)), dtype=float) for t in terms]
     total = 0.0
     with np.errstate(invalid="ignore"):
         for t, value in zip(terms, values):
@@ -135,148 +123,44 @@ def split_term(terms: Sequence[PoolTerm], fn: LogDensity,
     return coef, tuple(t for t in terms if not t.evaluates(fn, blocks))
 
 
-def _nonnegative(w: np.ndarray) -> bool:
-    """Every weight finite and >= 0 (NaN fails)."""
-    return bool(((w >= 0) & np.isfinite(w)).all())
-
-
 @dataclass(frozen=True)
 class PooledPrior:
-    """Pooling method, weights, and the evaluators harvested from a chain.
+    """A pooling method's name and its term list over a chain.
 
-    Every method is stored as ``terms``, a list of weighted log-marginal
-    terms whose sum is the unnormalized log pooled density.
+    ``terms`` is a list of weighted log-marginal terms whose sum is the
+    unnormalized log pooled density; the factories below build it.
     """
 
     method: str
     chain: ChainModel
-    weights: Optional[np.ndarray] = None
-    boundary_marginals: Mapping[tuple[int, int], LogDensity] = field(default_factory=dict)
-    authoritative: Optional[int] = None
-    choices: Optional[tuple[int, ...]] = None
-    terms: tuple[PoolTerm, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise PoolingConfigError(f"unknown pooling method {self.method!r}")
-        M = self.chain.n_submodels
-        if self.method in ("logarithmic", "poe"):
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (M,) or not _nonnegative(w):
-                raise PoolingConfigError(f"logarithmic pooling needs {M} nonnegative weights")
-            if not (w > 0).any():
-                raise PoolingConfigError("all-zero pooling weights")
-            object.__setattr__(self, "weights", w)
-            terms = self._logarithmic_terms()
-        elif self.method == "linear":
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (M - 1, 2) or not _nonnegative(w):
-                raise PoolingConfigError(
-                    f"linear pooling needs ({M - 1}, 2) nonnegative weights"
-                )
-            if (w.sum(axis=1) == 0).any():
-                raise PoolingConfigError("a boundary has all-zero linear weights")
-            object.__setattr__(self, "weights", w)
-            terms = self._linear_terms()
-        elif self.method == "dictatorial-partial":
-            if self.authoritative is None or not 0 <= self.authoritative < M:
-                raise PoolingConfigError("partial dictatorial pooling needs a submodel index")
-            w = np.ones(M) if self.weights is None else np.asarray(self.weights, dtype=float)
-            if w.shape != (M,) or not _nonnegative(w):
-                raise PoolingConfigError(
-                    f"partial dictatorial pooling needs {M} nonnegative side weights"
-                )
-            object.__setattr__(self, "weights", w)
-            terms = self._partial_terms()
-        else:
-            if self.choices is None or len(self.choices) != M - 1:
-                raise PoolingConfigError(
-                    f"complete dictatorial pooling needs {M - 1} per-boundary choices"
-                )
-            for b, c in enumerate(self.choices):
-                if c not in (b, b + 1):
-                    raise PoolingConfigError(
-                        f"boundary {b} must be assigned to submodel {b} or {b + 1}, got {c}"
-                    )
-            terms = self._complete_terms()
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def _one_block(self, m: int, b: int) -> LogDensity:
-        """One-block marginal p_m(phi_b); native for end submodels."""
-        touched = self.chain.blocks_of(m)
-        if touched == (b,):
-            spec = self.chain.submodels[m]
-            return spec.eval_log_prior
-        try:
-            return self.boundary_marginals[(m, b)]
-        except KeyError:
-            raise PoolingConfigError(
-                f"missing one-block marginal for submodel {m} over boundary {b}"
-            ) from None
-
-    def _prior_term(self, coef: float, m: int) -> PoolTerm:
-        """``coef * log p_m`` over all the blocks submodel m touches."""
-        return PoolTerm(float(coef), self.chain.submodels[m].eval_log_prior,
-                        self.chain.blocks_of(m))
-
-    def _logarithmic_terms(self):
-        return [self._prior_term(w, m) for m, w in enumerate(self.weights) if w != 0]
-
-    def _linear_terms(self):
-        """One term per boundary: the log of its two-component mixture."""
-        terms = []
-        for b in range(len(self.chain.phi_blocks)):
-            parts = tuple(
-                (math.log(w), self._one_block(m, b))
-                for w, m in zip(self.weights[b], (b, b + 1))
-                if w > 0
-            )
-            terms.append(PoolTerm(1.0, _log_mixture(parts), (b,)))
-        return terms
-
-    def _partial_terms(self):
-        m0 = self.authoritative
-        chain = self.chain
-        terms = [self._prior_term(1.0, m0)]
-        covered = set(chain.blocks_of(m0))
-        for m in range(chain.n_submodels):
-            free = [b for b in chain.blocks_of(m) if b not in covered]
-            w = self.weights[m]
-            if m == m0 or not free or w == 0:
-                continue
-            if free == list(chain.blocks_of(m)):
-                terms.append(self._prior_term(w, m))
-            else:
-                # Adjacent to the authoritative submodel: only the outer
-                # block is free, so its one-block marginal is pooled.
-                terms.append(PoolTerm(float(w), self._one_block(m, free[0]), (free[0],)))
-        return terms
-
-    def _complete_terms(self):
-        """Expand complete-dictatorial choices into terms.
-
-        A consecutive pair of boundaries owned by the same middle submodel
-        uses its two-block marginal (the dependence preservation rule);
-        every other boundary uses its owner's one-block marginal.
-        """
-        terms = []
-        b = 0
-        n_b = len(self.choices)
-        while b < n_b:
-            m = self.choices[b]
-            if m == b + 1 and b + 1 < n_b and self.choices[b + 1] == m:
-                terms.append(self._prior_term(1.0, m))
-                b += 2
-            else:
-                terms.append(PoolTerm(1.0, self._one_block(m, b), (b,)))
-                b += 1
-        return terms
-
-    # -- evaluation -----------------------------------------------------
+    terms: tuple[PoolTerm, ...]
 
     def log_density(self, phi: Sequence[np.ndarray]):
         """Unnormalized log pooled density; block values may be batched."""
         return sum_terms(self.terms, phi)
+
+
+def _weights(lam, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """``lam`` as floats of ``shape``, each finite and >= 0 (NaN fails)."""
+    w = np.asarray(lam, dtype=float)
+    if w.shape != shape or not ((w >= 0) & np.isfinite(w)).all():
+        raise PoolingConfigError(message)
+    return w
+
+
+def _one_block(chain: ChainModel, marginals, m: int, b: int) -> LogDensity:
+    """One-block marginal p_m(phi_b); native for end submodels."""
+    if chain.blocks_of(m) == (b,):
+        return chain.submodels[m].eval_log_prior
+    fn = (marginals or {}).get((m, b))
+    if fn is None:
+        raise PoolingConfigError(f"missing one-block marginal for submodel {m} over boundary {b}")
+    return fn
+
+
+def _prior_term(chain: ChainModel, coef: float, m: int) -> PoolTerm:
+    """``coef * log p_m`` over all the blocks submodel m touches."""
+    return PoolTerm(float(coef), chain.submodels[m].eval_log_prior, chain.blocks_of(m))
 
 
 def _log_mixture(parts: tuple[tuple[float, LogDensity], ...]) -> LogDensity:
@@ -290,11 +174,18 @@ def _log_mixture(parts: tuple[tuple[float, LogDensity], ...]) -> LogDensity:
 
 
 def log_pooling(chain: ChainModel, lam: Sequence[float]) -> PooledPrior:
-    return PooledPrior("logarithmic", chain, weights=np.asarray(lam, dtype=float))
+    """Weighted geometric pool: ``sum_m lam[m] * log p_m``."""
+    M = chain.n_submodels
+    w = _weights(lam, (M,), f"logarithmic pooling needs {M} nonnegative weights")
+    if not (w > 0).any():
+        raise PoolingConfigError("all-zero pooling weights")
+    terms = tuple(_prior_term(chain, c, m) for m, c in enumerate(w) if c != 0)
+    return PooledPrior("logarithmic", chain, terms)
 
 
 def poe_pooling(chain: ChainModel) -> PooledPrior:
-    return PooledPrior("poe", chain, weights=np.ones(chain.n_submodels))
+    """Product of experts: logarithmic pooling with every weight 1."""
+    return PooledPrior("poe", chain, log_pooling(chain, np.ones(chain.n_submodels)).terms)
 
 
 def linear_pooling(
@@ -302,12 +193,20 @@ def linear_pooling(
     lam: Sequence[Sequence[float]],
     boundary_marginals: Optional[Mapping[tuple[int, int], LogDensity]] = None,
 ) -> PooledPrior:
-    return PooledPrior(
-        "linear",
-        chain,
-        weights=np.asarray(lam, dtype=float),
-        boundary_marginals=dict(boundary_marginals or {}),
-    )
+    """One term per boundary b: the log of the mixture of p_b and p_{b+1} by ``lam[b]``."""
+    M = chain.n_submodels
+    w = _weights(lam, (M - 1, 2), f"linear pooling needs ({M - 1}, 2) nonnegative weights")
+    if (w.sum(axis=1) == 0).any():
+        raise PoolingConfigError("a boundary has all-zero linear weights")
+    terms = []
+    for b in range(M - 1):
+        parts = tuple(
+            (math.log(c), _one_block(chain, boundary_marginals, m, b))
+            for c, m in zip(w[b], (b, b + 1))
+            if c > 0
+        )
+        terms.append(PoolTerm(1.0, _log_mixture(parts), (b,)))
+    return PooledPrior("linear", chain, tuple(terms))
 
 
 def dictatorial_partial(
@@ -316,14 +215,26 @@ def dictatorial_partial(
     side_weights: Optional[Sequence[float]] = None,
     boundary_marginals: Optional[Mapping[tuple[int, int], LogDensity]] = None,
 ) -> PooledPrior:
-    w = None if side_weights is None else np.asarray(side_weights, dtype=float)
-    return PooledPrior(
-        "dictatorial-partial",
-        chain,
-        weights=w,
-        boundary_marginals=dict(boundary_marginals or {}),
-        authoritative=authoritative,
-    )
+    """Submodel ``authoritative``'s prior on its blocks, times weighted marginals elsewhere."""
+    M = chain.n_submodels
+    w = np.ones(M) if side_weights is None else np.asarray(side_weights, dtype=float)
+    if authoritative is None or not 0 <= authoritative < M:
+        raise PoolingConfigError("partial dictatorial pooling needs a submodel index")
+    w = _weights(w, (M,), f"partial dictatorial pooling needs {M} nonnegative side weights")
+    terms = [_prior_term(chain, 1.0, authoritative)]
+    covered = set(chain.blocks_of(authoritative))
+    for m in range(M):
+        free = [b for b in chain.blocks_of(m) if b not in covered]
+        if not free or w[m] == 0:
+            continue
+        if free == list(chain.blocks_of(m)):
+            terms.append(_prior_term(chain, w[m], m))
+        else:
+            # Adjacent to the authoritative submodel: only the outer
+            # block is free, so its one-block marginal is pooled.
+            fn = _one_block(chain, boundary_marginals, m, free[0])
+            terms.append(PoolTerm(float(w[m]), fn, (free[0],)))
+    return PooledPrior("dictatorial-partial", chain, tuple(terms))
 
 
 def dictatorial_complete(
@@ -331,12 +242,31 @@ def dictatorial_complete(
     choices: Sequence[int],
     boundary_marginals: Optional[Mapping[tuple[int, int], LogDensity]] = None,
 ) -> PooledPrior:
-    return PooledPrior(
-        "dictatorial-complete",
-        chain,
-        boundary_marginals=dict(boundary_marginals or {}),
-        choices=tuple(int(c) for c in choices),
-    )
+    """Boundary b's marginal from submodel ``choices[b]``.
+
+    A consecutive pair of boundaries owned by the same middle submodel
+    uses its two-block marginal (the dependence preservation rule);
+    every other boundary uses its owner's one-block marginal.
+    """
+    choices = tuple(int(c) for c in choices)
+    n_b = chain.n_submodels - 1
+    if len(choices) != n_b:
+        raise PoolingConfigError(f"complete dictatorial pooling needs {n_b} per-boundary choices")
+    for b, c in enumerate(choices):
+        if c not in (b, b + 1):
+            raise PoolingConfigError(
+                f"boundary {b} must be assigned to submodel {b} or {b + 1}, got {c}"
+            )
+    terms, b = [], 0
+    while b < n_b:
+        m = choices[b]
+        if m == b + 1 and b + 1 < n_b and choices[b + 1] == m:
+            terms.append(_prior_term(chain, 1.0, m))
+            b += 2
+        else:
+            terms.append(PoolTerm(1.0, _one_block(chain, boundary_marginals, m, b), (b,)))
+            b += 1
+    return PooledPrior("dictatorial-complete", chain, tuple(terms))
 
 
 @dataclass(frozen=True)

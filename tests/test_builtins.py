@@ -267,6 +267,26 @@ class TestTables:
         assert emp.probs[3] == pytest.approx(0.75)
         assert emp.probs[10] == pytest.approx(0.25)
 
+    def test_empirical_table_equals_row_by_row_count(self, discrete_chain):
+        oracle = enumerate_melded_posterior(discrete_chain, poe_pooling(discrete_chain.model))
+        rng = np.random.default_rng(5)
+        draws = oracle.states[rng.integers(0, 64, 5000)] + rng.uniform(-0.4, 0.4, (5000, 6))
+        keys = {tuple(row): k for k, row in enumerate(oracle.states)}
+        counts = np.zeros(64)
+        for row in np.round(draws):
+            counts[keys[tuple(row)]] += 1.0
+        emp = empirical_table(draws, oracle)
+        np.testing.assert_array_equal(emp.probs, counts / counts.sum())
+        assert emp.states is oracle.states
+
+    @pytest.mark.parametrize("value", [2.0, -1.0, np.nan, np.inf])
+    def test_empirical_table_rejects_draws_off_the_reference(self, discrete_chain, value):
+        oracle = enumerate_melded_posterior(discrete_chain, poe_pooling(discrete_chain.model))
+        draws = np.vstack([oracle.states[3], oracle.states[3]])
+        draws[1, 4] = value
+        with pytest.raises(UnsupportedConfigError, match="not a state of the reference"):
+            empirical_table(draws, oracle)
+
     def test_marginal_sums(self, discrete_chain):
         pool = poe_pooling(discrete_chain.model)
         oracle = enumerate_melded_posterior(discrete_chain, pool)

@@ -24,6 +24,7 @@ from chainmeld import (
     real_coords,
 )
 from chainmeld.pooling import PoolTerm
+from conftest import make_discrete_chain, make_long_chain
 
 
 @pytest.fixture
@@ -202,6 +203,117 @@ class TestDictatorialPooling:
         # boundary 0 assigned to the middle submodel needs its one-block marginal
         with pytest.raises(PoolingConfigError):
             dictatorial_complete(gaussian_chain.model, [1, 2], boundary_marginals={})
+
+
+# Expected term lists: (coef, evaluator, blocks), every term pooled.  An
+# evaluator is ("prior", m), submodel m's prior marginal, ("one", m, b), the
+# supplied one-block marginal of submodel m over block b, or ("mix", parts),
+# the log of a mixture of (weight, evaluator) parts.
+M3_TERM_CASES = {
+    "log": (lambda c, bm: log_pooling(c, [0.5, 0.5, 0.5]),
+            [(0.5, ("prior", 0), (0,)), (0.5, ("prior", 1), (0, 1)), (0.5, ("prior", 2), (1,))]),
+    "log-middle-only": (lambda c, bm: log_pooling(c, [0, 1, 0]), [(1.0, ("prior", 1), (0, 1))]),
+    "log-zero-middle": (lambda c, bm: log_pooling(c, [0.2, 0, 0.3]),
+                        [(0.2, ("prior", 0), (0,)), (0.3, ("prior", 2), (1,))]),
+    "poe": (lambda c, bm: poe_pooling(c),
+            [(1.0, ("prior", 0), (0,)), (1.0, ("prior", 1), (0, 1)), (1.0, ("prior", 2), (1,))]),
+    "linear": (lambda c, bm: linear_pooling(c, [[0.3, 0.7], [0.6, 0.4]], bm),
+               [(1.0, ("mix", ((0.3, ("prior", 0)), (0.7, ("one", 1, 0)))), (0,)),
+                (1.0, ("mix", ((0.6, ("one", 1, 1)), (0.4, ("prior", 2)))), (1,))]),
+    "linear-ends-only": (lambda c, bm: linear_pooling(c, [[1, 0], [0, 1]]),
+                         [(1.0, ("mix", ((1.0, ("prior", 0)),)), (0,)),
+                          (1.0, ("mix", ((1.0, ("prior", 2)),)), (1,))]),
+    "linear-middle-only": (lambda c, bm: linear_pooling(c, [[0, 2], [3, 0]], bm),
+                           [(1.0, ("mix", ((2.0, ("one", 1, 0)),)), (0,)),
+                            (1.0, ("mix", ((3.0, ("one", 1, 1)),)), (1,))]),
+    "partial-middle": (lambda c, bm: dictatorial_partial(c, 1, boundary_marginals=bm),
+                       [(1.0, ("prior", 1), (0, 1))]),
+    "partial-first": (lambda c, bm: dictatorial_partial(c, 0, boundary_marginals=bm),
+                      [(1.0, ("prior", 0), (0,)), (1.0, ("one", 1, 1), (1,)),
+                       (1.0, ("prior", 2), (1,))]),
+    "partial-first-weighted": (
+        lambda c, bm: dictatorial_partial(c, 0, [1, 0.5, 2], boundary_marginals=bm),
+        [(1.0, ("prior", 0), (0,)), (0.5, ("one", 1, 1), (1,)), (2.0, ("prior", 2), (1,))]),
+    "partial-last-zero-middle": (lambda c, bm: dictatorial_partial(c, 2, [1, 0, 3]),
+                                 [(1.0, ("prior", 2), (1,)), (1.0, ("prior", 0), (0,))]),
+    "complete-11": (lambda c, bm: dictatorial_complete(c, [1, 1], bm), [(1.0, ("prior", 1), (0, 1))]),
+    "complete-02": (lambda c, bm: dictatorial_complete(c, [0, 2]),
+                    [(1.0, ("prior", 0), (0,)), (1.0, ("prior", 2), (1,))]),
+    "complete-12": (lambda c, bm: dictatorial_complete(c, [1, 2], bm),
+                    [(1.0, ("one", 1, 0), (0,)), (1.0, ("prior", 2), (1,))]),
+    "complete-01": (lambda c, bm: dictatorial_complete(c, [0, 1], bm),
+                    [(1.0, ("prior", 0), (0,)), (1.0, ("one", 1, 1), (1,))]),
+}
+M4_TERM_CASES = {
+    "log": (lambda c, bm: log_pooling(c, [1, 0.5, 0, 2]),
+            [(1.0, ("prior", 0), (0,)), (0.5, ("prior", 1), (0, 1)), (2.0, ("prior", 3), (2,))]),
+    "poe": (lambda c, bm: poe_pooling(c),
+            [(1.0, ("prior", 0), (0,)), (1.0, ("prior", 1), (0, 1)),
+             (1.0, ("prior", 2), (1, 2)), (1.0, ("prior", 3), (2,))]),
+    "linear": (lambda c, bm: linear_pooling(c, [[0.5, 0.5], [0, 1], [1, 0]], bm),
+               [(1.0, ("mix", ((0.5, ("prior", 0)), (0.5, ("one", 1, 0)))), (0,)),
+                (1.0, ("mix", ((1.0, ("one", 2, 1)),)), (1,)),
+                (1.0, ("mix", ((1.0, ("one", 2, 2)),)), (2,))]),
+    "partial-second": (lambda c, bm: dictatorial_partial(c, 1, boundary_marginals=bm),
+                       [(1.0, ("prior", 1), (0, 1)), (1.0, ("one", 2, 2), (2,)),
+                        (1.0, ("prior", 3), (2,))]),
+    "partial-last": (lambda c, bm: dictatorial_partial(c, 3, [0, 1, 1, 1], bm),
+                     [(1.0, ("prior", 3), (2,)), (1.0, ("prior", 1), (0, 1)),
+                      (1.0, ("one", 2, 1), (1,))]),
+    "complete-112": (lambda c, bm: dictatorial_complete(c, [1, 1, 2], bm),
+                     [(1.0, ("prior", 1), (0, 1)), (1.0, ("one", 2, 2), (2,))]),
+    "complete-122": (lambda c, bm: dictatorial_complete(c, [1, 2, 2], bm),
+                     [(1.0, ("one", 1, 0), (0,)), (1.0, ("prior", 2), (1, 2))]),
+    "complete-013": (lambda c, bm: dictatorial_complete(c, [0, 1, 3], bm),
+                     [(1.0, ("prior", 0), (0,)), (1.0, ("one", 1, 1), (1,)),
+                      (1.0, ("prior", 3), (2,))]),
+}
+TERM_CASES = (
+    [("gaussian", name) for name in M3_TERM_CASES]
+    + [("discrete", name) for name in M3_TERM_CASES]
+    + [("long4", name) for name in M4_TERM_CASES]
+)
+
+
+def _term_chain(which):
+    if which == "gaussian":
+        return builtin_gaussian_chain()
+    return make_discrete_chain() if which == "discrete" else make_long_chain(4, seed=4)
+
+
+def _block_points(chain, b):
+    """Every state of a discrete block, or a few draws of a continuous one."""
+    coords = chain.phi_blocks[b].coords
+    if all(c.kind == "discrete" for c in coords):
+        return np.indices([c.cardinality for c in coords]).reshape(len(coords), -1).T.astype(float)
+    return np.random.default_rng(b).standard_normal((5, len(coords)))
+
+
+class TestTermLists:
+    """Each factory's term list, pinned term by term."""
+
+    @pytest.mark.parametrize("which,name", TERM_CASES)
+    def test_factory_terms(self, which, name):
+        built = _term_chain(which)
+        chain, marginals = built.model, built.boundary_marginals
+        factory, expected = (M4_TERM_CASES if which == "long4" else M3_TERM_CASES)[name]
+        pool = factory(chain, marginals)
+
+        def evaluator(source):
+            if source[0] == "prior":
+                return chain.submodels[source[1]].eval_log_prior
+            return marginals[source[1:]]
+
+        assert len(pool.terms) == len(expected)
+        for term, (coef, source, blocks) in zip(pool.terms, expected):
+            assert (term.coef, term.blocks, term.pooled) == (coef, blocks, True)
+            if source[0] != "mix":
+                assert term.fn == evaluator(source)
+                continue
+            x = _block_points(chain, blocks[0])
+            parts = [math.log(w) + np.asarray(evaluator(src)(x)) for w, src in source[1]]
+            mixture = parts[0] if len(parts) == 1 else np.logaddexp(*parts)
+            np.testing.assert_array_equal(term.fn(x), mixture)
 
 
 class TestFactorization:
