@@ -584,12 +584,12 @@ def run_stage_one_pair(
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> tuple[SampleStore, SampleStore]:
-    """Run the stage-one samplers of both ends, each from its own spawned seed."""
-    ss1, ss3 = np.random.SeedSequence(seed).spawn(2)
+    """Run the stage-one samplers of both ends, each from its own seed derived from ``seed``."""
+    seed1, seed3 = np.random.SeedSequence(seed).generate_state(2).tolist()
     last = chain.n_submodels - 1
     return (
-        run_stage_one(chain, 0, factor, kernel1, n_iter, chains, ss1.entropy, warmup_frac),
-        run_stage_one(chain, last, factor, kernel3, n_iter, chains, ss3.entropy, warmup_frac),
+        run_stage_one(chain, 0, factor, kernel1, n_iter, chains, seed1, warmup_frac),
+        run_stage_one(chain, last, factor, kernel3, n_iter, chains, seed3, warmup_frac),
     )
 
 
@@ -725,7 +725,7 @@ def run_sequential(
     if len(n_iter) != M or len(kernels) != M:
         raise UnsupportedConfigError(f"a chain of {M} submodels needs {M} kernels and "
                                      f"iteration counts, got {len(kernels)} and {len(n_iter)}")
-    seeds = [ss.entropy for ss in np.random.SeedSequence(seed).spawn(M)]
+    seeds = np.random.SeedSequence(seed).generate_state(M).tolist()
     store = run_stage_one(chain, 0, factor, kernels[0], n_iter[0], chains, seeds[0],
                           warmup_frac)
     draws, links = [store.draws], [None]  # per stage: kept draws and their source rows

@@ -12,6 +12,7 @@ from chainmeld import (
     StructureError,
     SubmodelSpec,
     UnsupportedConfigError,
+    builtin_discrete_chain,
     builtin_gaussian_chain,
     empirical_table,
     enumerate_melded_posterior,
@@ -28,7 +29,7 @@ from chainmeld import (
 from chainmeld.chain import real_coords
 from chainmeld.pooling import PoolTerm
 
-from conftest import make_discrete_chain, make_long_chain
+from conftest import make_discrete_chain, make_long_chain, random_table
 
 
 KERNEL = MHKernelConfig(scales=0.8)
@@ -119,6 +120,16 @@ class TestStageOne:
         # ends sit near their prior means -2.5 and 2.5
         assert s1.phi.mean() == pytest.approx(-2.5, abs=0.2)
         assert s3.phi.mean() == pytest.approx(2.5, abs=0.2)
+
+    def test_pair_ends_draw_independent_streams(self):
+        # Identical end tables: only the random streams can set the two runs apart.
+        rng = np.random.default_rng(8)
+        end = random_table(rng, 2)
+        built = builtin_discrete_chain(end, random_table(rng, (2, 2)), end,
+                                       phi_cards=((2,), (2,)))
+        factor = factorize_for_sampler(log_pooling(built.model, [1, 1, 1]), "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 200, chains=2, seed=14)
+        assert not np.array_equal(s1.draws, s3.draws)
 
 
 class TestParallelStageTwo:
@@ -286,9 +297,9 @@ class TestEvaluationCounts:
     def test_pair_matches_two_single_runs(self):
         built, _, factor = _gaussian_setup()
         s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, chains=2, seed=3)
-        ss1, ss3 = np.random.SeedSequence(3).spawn(2)
-        a = run_stage_one(built.model, 0, factor, KERNEL, 500, chains=2, seed=ss1.entropy)
-        b = run_stage_one(built.model, 2, factor, KERNEL, 500, chains=2, seed=ss3.entropy)
+        seed1, seed3 = np.random.SeedSequence(3).generate_state(2).tolist()
+        a = run_stage_one(built.model, 0, factor, KERNEL, 500, chains=2, seed=seed1)
+        b = run_stage_one(built.model, 2, factor, KERNEL, 500, chains=2, seed=seed3)
         np.testing.assert_array_equal(s1.draws, a.draws)
         np.testing.assert_array_equal(s3.draws, b.draws)
 
