@@ -410,8 +410,26 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
     )
 
 
-def _require_middle_pool(pool: PooledPrior) -> None:
-    """The normal-approx target is exact only when the pool is p2 itself."""
+def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
+    """Reject a normal-approx run whose target would not be the melded posterior.
+
+    The target fits Gaussians to continuous stage-one subposteriors, divides
+    them by the subpriors, and is exact only when the pool is p2 itself.
+    """
+    model = built.model
+    coords = [*(c for block in model.phi_blocks for c in block.coords),
+              *model.submodels[1].psi_coords]
+    if any(c.kind == "discrete" for c in coords):
+        raise ConfigError(
+            f"sampler.kind: normal-approx needs continuous coordinates; "
+            f"{cfg['model']['name']} has discrete ones"
+        )
+    if cfg["sampler"].get("factorization", "subprior-ends") != "subprior-ends":
+        raise ConfigError(
+            "sampler.factorization: normal-approx needs subprior-ends; under flat-ends "
+            "stage one samples the end likelihoods, not the subposteriors its ratio "
+            "divides by the subpriors"
+        )
     terms = pool.terms
     middle = pool.chain.submodels[1].eval_log_prior
     if not (len(terms) == 1 and terms[0].coef == 1.0 and terms[0].evaluates(middle, (0, 1))):
@@ -423,7 +441,7 @@ def _require_middle_pool(pool: PooledPrior) -> None:
 
 
 def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, seed, warmup):
-    _require_middle_pool(pool)
+    _require_normal_approx(cfg, built, pool)
     model = built.model
     iters = cfg["sampler"]["iterations"]
     store1, store3 = run_stage_one_pair(
@@ -466,7 +484,7 @@ def _cmd_validate(cfg: dict) -> int:
     built = build_model(cfg)
     pool = build_pool(cfg, built)
     if cfg.get("sampler", {}).get("kind") == "normal-approx":
-        _require_middle_pool(pool)
+        _require_normal_approx(cfg, built, pool)
     report = validate_chain(built.model)
     for line in report:
         print(f"invalid: {line}")

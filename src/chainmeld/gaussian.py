@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailureError, StructureError
 
@@ -49,8 +48,13 @@ def _precision(cov: np.ndarray, what: str) -> np.ndarray:
         raise NumericalFailureError(
             f"{what}: covariance condition number {eigs[-1] / eigs[0]:.2e} exceeds limit"
         )
-    cho = scipy.linalg.cho_factor(cov, lower=True)
-    return scipy.linalg.cho_solve(cho, np.eye(cov.shape[0]))
+    inv_chol = _inverse_factor(cov)
+    return inv_chol.T @ inv_chol
+
+
+def _inverse_factor(a: np.ndarray) -> np.ndarray:
+    """L^-1 for the lower Cholesky factor L of a positive definite ``a``: a^-1 = L^-T L^-1."""
+    return np.linalg.inv(np.linalg.cholesky(a))
 
 
 def _improper(prec: np.ndarray) -> bool:
@@ -61,10 +65,9 @@ def _improper(prec: np.ndarray) -> bool:
 
 def _from_precision(prec: np.ndarray, shift: np.ndarray) -> GaussianDensity:
     """N(prec^-1 shift, prec^-1) for a positive definite ``prec``, covariance symmetrized."""
-    cho = scipy.linalg.cho_factor(prec, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(prec.shape[0]))
-    mean = scipy.linalg.cho_solve(cho, shift)
-    return GaussianDensity(mean, 0.5 * (cov + cov.T))
+    inv_chol = _inverse_factor(prec)
+    cov = inv_chol.T @ inv_chol
+    return GaussianDensity(inv_chol.T @ (inv_chol @ shift), 0.5 * (cov + cov.T))
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class GaussianDensity:
         """Inverse Cholesky factor and log-normalizer, computed on first use."""
         cached = self.__dict__.get("_cached_whitener")
         if cached is None:
-            chol = scipy.linalg.cholesky(self.cov, lower=True)
-            inv_chol = scipy.linalg.solve_triangular(chol, np.eye(self.dim), lower=True)
+            chol = np.linalg.cholesky(self.cov)
+            inv_chol = np.linalg.inv(chol)
             log_norm = -0.5 * (
                 self.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol)))
             )
@@ -168,7 +171,11 @@ def block_diag_stack(parts: Sequence[GaussianDensity]) -> GaussianDensity:
     if len(parts) < 1:
         raise StructureError("need at least one part to stack")
     mean = np.concatenate([p.mean for p in parts])
-    cov = scipy.linalg.block_diag(*[p.cov for p in parts])
+    cov = np.zeros((mean.size, mean.size))
+    start = 0
+    for p in parts:
+        cov[start : start + p.dim, start : start + p.dim] = p.cov
+        start += p.dim
     return GaussianDensity(mean, cov)
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
 from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent
 from .errors import (

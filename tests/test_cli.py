@@ -320,6 +320,24 @@ class TestSample:
         assert "pooling" in capsys.readouterr().err
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
+    @pytest.mark.parametrize("model, key", [("gaussian", "sampler.factorization"),
+                                            ("discrete", "sampler.kind")])
+    def test_normal_approx_rejects_flat_ends_and_discrete_chains(self, tmp_path, capsys,
+                                                                  model, key):
+        if model == "gaussian":
+            cfg = _gaussian_config(tmp_path)
+            cfg["sampler"]["factorization"] = "flat-ends"
+        else:
+            cfg = _discrete_config(tmp_path)
+        cfg["pooling"] = {"method": "dictatorial-complete", "choices": [1, 1]}
+        cfg["sampler"]["kind"] = "normal-approx"
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {key}:") == 2
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
     @pytest.mark.parametrize("warmup", [-0.5, 1.0, 1.5, "0.1", True])
     def test_warmup_frac_out_of_range(self, tmp_path, capsys, warmup):
         cfg = _gaussian_config(tmp_path)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from chainmeld import StructureError, ess, ess_bulk, ess_tail, split_rhat
+from chainmeld.diagnostics import _ndtri
 
 
 class TestSplitRhat:
@@ -117,11 +120,58 @@ class TestRankNormalize:
         assert np.isnan(_rank_normalize(np.array([[1.0, np.nan, 2.0]]))).all()
 
 
-def test_cli_import_skips_scipy_stats():
+def _ndtri_probes() -> np.ndarray:
+    rng = np.random.default_rng(2021)
+    edges = [0.0, 1.0, -0.1, 1.1, np.nan, 5e-324]
+    for branch in (math.exp(-2.0), 1.0 - math.exp(-2.0)):
+        edges += [branch, np.nextafter(branch, 0.0), np.nextafter(branch, 1.0)]
+    rank_grids = [(np.arange(2 * n + 1) / 2 - 0.375) / (n + 0.25)
+                  for n in (1, 2, 7, 400, 1_200, 50_000)]
+    return np.concatenate([
+        rng.random(400_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 300_000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 300_000),
+        *rank_grids,
+        edges,
+    ])
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri
+
+    probes = _ndtri_probes()
+    assert probes.size >= 1_000_000
+    got, want = _ndtri(probes), ndtri(probes)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_cli_import_skips_scipy_stats(tmp_path):
+    """Neither the import nor a normal-approx sample and a diag load scipy's submodules."""
+    import json
     import subprocess
     import sys
 
-    code = "import sys, chainmeld.cli; print('scipy.stats' in sys.modules)"
+    config = {
+        "model": {"name": "gaussian-chain",
+                  "params": {"rho": 0.2, "y1": [-2.0], "y3": [2.0], "y2": [0.5], "tau": 1.0}},
+        "pooling": {"method": "dictatorial-complete", "choices": [1, 1]},
+        "sampler": {"kind": "normal-approx", "seed": 3, "chains": 2,
+                    "iterations": {"stage_one": 200, "stage_two": 200}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "import sys, chainmeld.cli as cli\n"
+        "banned = ('scipy.stats', 'scipy.linalg', 'scipy.special', 'scipy._lib._array_api')\n"
+        "print([m for m in banned if m in sys.modules])\n"
+        f"assert cli.main(['sample', '--config', {str(path)!r}]) == 0\n"
+        f"assert cli.main(['diag', '--config', {str(path)!r}]) == 0\n"
+        "print([m for m in banned if m in sys.modules])\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert [lines[0], lines[-1]] == ["[]", "[]"]

@@ -35,7 +35,7 @@ from chainmeld import (
     real_coords,
     submodel_log_ratio,
 )
-from chainmeld.diagnostics import _average_ranks
+from chainmeld.diagnostics import _doubled_ranks, _rank_normalize, ess, ess_tail
 from chainmeld.pooling import merge_term, sum_terms
 from chainmeld.samplers import _stage_target
 
@@ -464,4 +464,39 @@ def _mergesort_average_ranks(flat):
 @given(arrays(np.float64, st.integers(1, 400),
               elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, math.inf])))
 def test_average_ranks_match_stable_sort_on_ties(flat):
-    np.testing.assert_array_equal(_average_ranks(flat), _mergesort_average_ranks(flat))
+    np.testing.assert_array_equal(0.5 * _doubled_ranks(flat), _mergesort_average_ranks(flat))
+
+
+@st.composite
+def rank_inputs(draw):
+    """Traces that are continuous, tied, 0/1 indicators or rounded to one decimal."""
+    elements = draw(st.sampled_from([
+        st.floats(-1e6, 1e6),
+        st.sampled_from([-1.0, 0.0, 2.5, 7.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    ]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(8, 80)))
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@given(rank_inputs())
+def test_rank_normalize_matches_scipy(arr):
+    import scipy.stats
+
+    ranks = scipy.stats.rankdata(arr.reshape(-1), method="average")
+    expected = scipy.stats.norm.ppf((ranks - 0.375) / (arr.size + 0.25))
+    assert np.array_equal(_rank_normalize(arr), expected.reshape(arr.shape))
+
+
+@given(rank_inputs())
+def test_ess_tail_matches_ranking_the_indicators(arr):
+    """Counting the zeros of each tail indicator ranks it as a full sort does."""
+    expected = []
+    for q in (0.05, 0.95):
+        indicator = (arr <= np.quantile(arr, q)).astype(float)
+        if np.all(indicator == indicator.reshape(-1)[0]):
+            expected.append(float(arr.size))
+        else:
+            expected.append(ess(_rank_normalize(indicator)).value)
+    assert ess_tail(arr).value == min(expected)
