@@ -413,22 +413,25 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
 def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
     """Reject a normal-approx run whose target would not be the melded posterior.
 
-    The target fits Gaussians to continuous stage-one subposteriors, divides
-    them by the subpriors, and is exact only when the pool is p2 itself.
+    The target fits Gaussians to continuous stage-one draws; ``ratio`` mode
+    divides them by the subpriors, so they must be subposteriors.  It is
+    exact only when the pool is p2 itself.
     """
     model = built.model
     coords = [*(c for block in model.phi_blocks for c in block.coords),
               *model.submodels[1].psi_coords]
     if any(c.kind == "discrete" for c in coords):
         raise ConfigError(
-            f"sampler.kind: normal-approx needs continuous coordinates; "
+            "sampler.kind: normal-approx needs continuous coordinates; "
             f"{cfg['model']['name']} has discrete ones"
         )
-    if cfg["sampler"].get("factorization", "subprior-ends") != "subprior-ends":
+    sampler = cfg["sampler"]
+    if (sampler.get("normal_approx_mode", "ratio") == "ratio"
+            and sampler.get("factorization", "subprior-ends") != "subprior-ends"):
         raise ConfigError(
-            "sampler.factorization: normal-approx needs subprior-ends; under flat-ends "
-            "stage one samples the end likelihoods, not the subposteriors its ratio "
-            "divides by the subpriors"
+            "sampler.factorization: normal-approx ratio mode needs subprior-ends; under "
+            "flat-ends stage one samples the end likelihoods, not the subposteriors "
+            "the ratio divides by the subpriors"
         )
     terms = pool.terms
     middle = pool.chain.submodels[1].eval_log_prior

@@ -338,6 +338,17 @@ class TestSample:
         assert err.count(f"config error: {key}:") == 2
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
+    def test_normal_approx_poe_flat_prior_accepts_flat_ends(self, tmp_path):
+        """Without the ratio, flat-ends stage one's end likelihoods are what the target needs."""
+        cfg = _gaussian_config(
+            tmp_path, pooling={"method": "dictatorial-complete", "choices": [1, 1]}
+        )
+        cfg["sampler"].update(kind="normal-approx", normal_approx_mode="poe-flat-prior",
+                              factorization="flat-ends")
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["sample", "--config", path]) == 0
+
     @pytest.mark.parametrize("warmup", [-0.5, 1.0, 1.5, "0.1", True])
     def test_warmup_frac_out_of_range(self, tmp_path, capsys, warmup):
         cfg = _gaussian_config(tmp_path)
