@@ -366,6 +366,7 @@ def _kernels(cfg: dict) -> dict[str, MHKernelConfig]:
 
 
 def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
+    _require_sampler(cfg, built, pool)
     sampler = cfg["sampler"]
     kind = sampler["kind"]
     seed = sampler["seed"]
@@ -410,6 +411,22 @@ def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChain
     )
 
 
+def _require_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
+    """Reject, before any sampling, a sampler kind the chain or pool cannot run."""
+    kind = cfg["sampler"]["kind"]
+    if kind == "normal-approx":
+        _require_normal_approx(cfg, built, pool)
+    elif kind == "parallel-unitwise":
+        ends = (0, built.model.n_submodels - 1)
+        bare = [m for m in ends if built.model.submodels[m].unit_factorization is None]
+        if bare:
+            raise ConfigError(
+                f"sampler.kind: parallel-unitwise needs unit factorizations on submodels "
+                f"{ends[0]} and {ends[1]} (model.params.units); this {cfg['model']['name']} "
+                f"has none on submodel {' and '.join(map(str, bare))}"
+            )
+
+
 def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
     """Reject a normal-approx run whose target would not be the melded posterior.
 
@@ -444,7 +461,6 @@ def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> N
 
 
 def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, seed, warmup):
-    _require_normal_approx(cfg, built, pool)
     model = built.model
     iters = cfg["sampler"]["iterations"]
     store1, store3 = run_stage_one_pair(
@@ -486,8 +502,8 @@ def _cmd_validate(cfg: dict) -> int:
     validate_config(cfg)
     built = build_model(cfg)
     pool = build_pool(cfg, built)
-    if cfg.get("sampler", {}).get("kind") == "normal-approx":
-        _require_normal_approx(cfg, built, pool)
+    if "sampler" in cfg:
+        _require_sampler(cfg, built, pool)
     report = validate_chain(built.model)
     for line in report:
         print(f"invalid: {line}")

@@ -19,6 +19,16 @@ move consumes one uniform.  A chain's draws therefore depend on its own
 generator only: with evaluators that give each row of a batch the value
 they give that row alone, chain c of a run is the same whatever the
 number of chains beside it.
+
+Every move evaluates the submodel's joint once for all chains.  A move
+that changes phi also evaluates the prior marginal log p_m and each other
+pool term that reads a block it changes; a move of psi alone evaluates
+nothing else.  A subposterior target (under ``subprior-ends``, stage one
+and the last sequential stage) reads no log p_m: there log p_m only checks
+that a finite joint never meets a -inf prior marginal, and that check runs
+in one batched call per ``_CHECK_BATCH`` (1024) moves and once at the end
+of the stage.  An inconsistent submodel therefore fails at most one batch
+later, with the error a check of every move would raise first.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 _INIT_RETRIES = 100
+_CHECK_BATCH = 1024  # moves whose prior marginal one deferred check evaluates
 _NEG_INF = -math.inf
 
 
@@ -241,7 +252,9 @@ class _StageTarget:
     joint + (c - 1) log p_m + the other terms, and with c = 1 and no other
     term it is exactly the subposterior.  Terms: log target, log joint,
     (c - 1) log p_m + the other terms, log p_m, then each other term.  A move
-    re-evaluates only the terms that read a block it changes.
+    re-evaluates only the terms that read a block it changes.  A
+    subposterior's moves defer log p_m to ``check_pending`` and leave its
+    term as it was.
     """
 
     def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int]):
@@ -256,6 +269,8 @@ class _StageTarget:
             slice(self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1])
             for t in self.rest
         )
+        self._phi = self._lj = None  # deferred checks' states and joints
+        self._pending = 0
 
     def plan(self, lo: int, hi: int):
         """(does phi move, indices of the other terms to re-evaluate)."""
@@ -270,7 +285,10 @@ class _StageTarget:
         new = np.zeros((4 + len(self.rest), len(z))) if cur is None else cur.copy()
         phi = z[:, :d]
         new[1] = spec.eval_log_joint(phi, z[:, d:])
-        if phi_moved:
+        if phi_moved and self.subposterior and cur is not None:
+            # Only the consistency check reads log p_m here; it runs in batches.
+            self._defer_check(phi, new[1])
+        elif phi_moved:
             new[3] = spec.eval_log_prior(phi)
             values = new[4:]
             for k in which:
@@ -290,6 +308,35 @@ class _StageTarget:
                 return new
         new[0] = new[1] + new[2]
         return new
+
+    def _defer_check(self, phi, lj):
+        if self._phi is None:
+            self._phi = np.empty((_CHECK_BATCH, *phi.shape))
+            self._lj = np.empty((_CHECK_BATCH, len(lj)))
+        self._phi[self._pending] = phi
+        self._lj[self._pending] = lj
+        self._pending += 1
+        if self._pending == _CHECK_BATCH:
+            self.check_pending()
+
+    def check_pending(self):
+        """Run the deferred consistency checks: one batched prior marginal call.
+
+        If the batch raises, the moves are checked again one by one, so the
+        error raised is the first one that checking every move as it was
+        proposed would raise.
+        """
+        n, self._pending = self._pending, 0
+        if not n:
+            return
+        spec, phi, lj = self.spec, self._phi[:n], self._lj[:n]
+        try:
+            flat = phi.reshape(-1, phi.shape[-1])
+            check_consistent(spec, lj.reshape(-1), spec.eval_log_prior(flat), flat)
+        except Exception:
+            for p, j in zip(phi, lj):
+                check_consistent(spec, j, spec.eval_log_prior(p), p)
+            raise
 
 
 def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _StageTarget:
@@ -314,6 +361,9 @@ class _FunctionTarget:
         new = np.empty((1, len(z)))
         new[0] = self.fn(z)
         return new
+
+    def check_pending(self):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +392,12 @@ class _Lockstep:
         if log_q is not None:
             log_alpha += log_q
         acc = log_u < log_alpha
-        np.copyto(self.z, prop, where=acc[:, None])
-        np.copyto(self.terms, new, where=acc)
+        n_acc = np.count_nonzero(acc)
+        if n_acc == len(acc):
+            self.z, self.terms = prop, new
+        elif n_acc:
+            np.copyto(self.z, prop, where=acc[:, None])
+            np.copyto(self.terms, new, where=acc)
         return acc
 
 
@@ -504,12 +558,16 @@ def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_i
                                    log_u[:, edges[-2] :]))
         z = np.empty((chains, kept, state.z.shape[1]))
         lp = np.empty((chains, kept))
-        for t in range(n_iter):
-            for move in moves:
-                move(t)
-            if t >= warmup:
-                z[:, t - warmup] = state.z
-                lp[:, t - warmup] = state.lp
+        try:
+            for t in range(n_iter):
+                for move in moves:
+                    move(t)
+                if t >= warmup:
+                    z[:, t - warmup] = state.z
+                    lp[:, t - warmup] = state.lp
+        finally:
+            # Also when a move raises: an earlier inconsistency is the first error.
+            target.check_pending()
     index_moves = moves[: len(sources)]
     rows = [m.rows(start_rows[:, i])[warmup:] for i, m in enumerate(index_moves)]
     rows = np.concatenate(rows, axis=-1) if rows else np.empty((kept, chains, 0), dtype=int)

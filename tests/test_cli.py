@@ -338,6 +338,18 @@ class TestSample:
         assert err.count(f"config error: {key}:") == 2
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
+    @pytest.mark.parametrize("model", ["gaussian", "discrete"])
+    def test_unitwise_needs_unit_factorizations(self, tmp_path, capsys, model):
+        cfg = _gaussian_config(tmp_path) if model == "gaussian" else _discrete_config(tmp_path)
+        cfg["sampler"]["kind"] = "parallel-unitwise"
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["sample", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: sampler.kind:") == 2
+        assert err.count("model.params.units") == 2
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
     def test_normal_approx_poe_flat_prior_accepts_flat_ends(self, tmp_path):
         """Without the ratio, flat-ends stage one's end likelihoods are what the target needs."""
         cfg = _gaussian_config(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from chainmeld import (
     Coord,
     InitializationError,
     MHKernelConfig,
+    ModelInconsistencyError,
     StructureError,
     SubmodelSpec,
     UnsupportedConfigError,
@@ -303,14 +305,15 @@ class TestEvaluationCounts:
         np.testing.assert_array_equal(s1.draws, a.draws)
         np.testing.assert_array_equal(s3.draws, b.draws)
 
-    def test_stage_one_evaluates_end_marginal_once_per_step(self):
+    def test_stage_one_checks_end_marginal_in_batches(self):
         built, _, factor = _gaussian_setup()
         spec1 = built.model.submodels[0]
         built.model.reset_counters()
         run_stage_one(built.model, 0, factor, KERNEL, 300, seed=2)
         # one initial evaluation (the default state is finite) plus one per step
-        assert spec1.marginal_calls.count == 301
         assert spec1.joint_calls.count == 301
+        # the initial state, then one batched consistency check per 1024 steps
+        assert spec1.marginal_calls.count == 1 + math.ceil(300 / 1024)
 
     def test_phi_proposal_makes_two_marginal_calls(self):
         # log pool with lambda = 0.5: pool2 - log p2 is
@@ -332,6 +335,62 @@ class TestEvaluationCounts:
         total = sum(spec.marginal_calls.count for spec in built.model.submodels)
         assert total == 2 * phi_proposals + 3
         assert spec2.joint_calls.count == phi_proposals + 1
+
+
+class TestDeferredConsistencyCheck:
+    """Stage one checks subposterior consistency in batches, raising what a
+    check of every move as it is proposed would raise first."""
+
+    README = dict(rho=0.2, s2=2.0, tau=1.0, y1=[-2.0], y2=[0.5], y3=[2.0])
+    MESSAGE = "submodel 0: joint is finite but prior marginal is -inf at phi_m=[1.8070849]"
+
+    def _run(self, cut=1.5, prior_off=-math.inf, nan_above=math.inf, nan_joint_from=None,
+             n_iter=5000):
+        # Submodel 0's prior marginal is prior_off where phi12 > cut and NaN
+        # where phi12 > nan_above; its joint is NaN from call nan_joint_from on.
+        model = builtin_gaussian_chain(**self.README).model
+        spec = model.submodels[0]
+        calls = itertools.count()
+
+        def joint(phi, psi):
+            if nan_joint_from is not None and next(calls) >= nan_joint_from:
+                return np.full(np.shape(phi)[:-1], math.nan)
+            return spec.log_joint(phi, psi)
+
+        def marginal(phi):
+            phi = np.asarray(phi, dtype=float)
+            value = np.where(phi[..., 0] > cut, prior_off, spec.log_prior_marginal(phi))
+            return np.where(phi[..., 0] > nan_above, math.nan, value)
+
+        patched = dataclasses.replace(spec, log_joint=joint, log_prior_marginal=marginal)
+        model = ChainModel((patched,) + model.submodels[1:], model.phi_blocks)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        run_stage_one(model, 0, factor, MHKernelConfig(0.5), n_iter, chains=3, seed=1)
+
+    @pytest.mark.parametrize("nan_above", [math.inf, 1.9])
+    def test_inconsistency_past_the_first_batch(self, nan_above):
+        # Checked move by move, the first state with phi12 > 1.5 is proposed at move
+        # 3257, in the fourth batch of 1024; states above 1.9 follow in the same batch.
+        with pytest.raises(ModelInconsistencyError) as err:
+            self._run(nan_above=nan_above)
+        assert str(err.value) == self.MESSAGE
+
+    def test_inconsistency_in_the_last_partial_batch(self):
+        # 300 moves never fill a batch: only the check at the end of the stage sees move 3.
+        with pytest.raises(ModelInconsistencyError) as err:
+            self._run(cut=0.5, n_iter=300)
+        assert str(err.value) == self.MESSAGE.replace("1.8070849", "1.01149952")
+
+    def test_nan_marginal_mid_stage(self):
+        with pytest.raises(ModelInconsistencyError, match="log_prior_marginal returned NaN"):
+            self._run(prior_off=math.nan)
+
+    def test_pending_inconsistency_precedes_a_later_nan_joint(self):
+        with pytest.raises(ModelInconsistencyError) as err:
+            self._run(nan_joint_from=3500)
+        assert str(err.value) == self.MESSAGE
+        with pytest.raises(ModelInconsistencyError, match="log_joint returned NaN"):
+            self._run(prior_off=0.0, nan_joint_from=3500)
 
 
 class TestLockstep:
