@@ -140,9 +140,9 @@ def builtin_gaussian_chain(
         raise ConfigError(f"tau: must be positive, got {tau}")
     if y2 is not None and tau is None:
         raise ConfigError("y2: middle-submodel data requires tau (the psi2 scale)")
-    y1 = None if y1 is None else np.asarray(y1, dtype=float)
-    y3 = None if y3 is None else np.asarray(y3, dtype=float)
-    y2 = None if y2 is None else np.asarray(y2, dtype=float)
+    # No observations, as None or as an empty list, leave a submodel without data.
+    y1, y2, y3 = (None if y is None or np.size(y) == 0 else np.asarray(y, dtype=float)
+                  for y in (y1, y2, y3))
 
     cov2 = np.array(
         [

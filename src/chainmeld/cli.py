@@ -64,8 +64,6 @@ __all__ = ["main", "run_from_config", "load_config", "build_model", "build_pool"
 
 _SAMPLER_KINDS = ("parallel", "parallel-unitwise", "sequential", "normal-approx")
 _STAGES = ("stage_one", "stage_two", "stage_three")
-_SAMPLER_KEYS = ("kind", "seed", "chains", "iterations", "scales", "warmup_frac",
-                 "factorization", "normal_approx_mode")
 
 
 def _require(cfg: dict, path: str, types=None):
@@ -96,10 +94,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_choice(path: str, value, choices, what: str) -> None:
     if value not in choices:
         raise ConfigError(
@@ -107,45 +101,18 @@ def _check_choice(path: str, value, choices, what: str) -> None:
         )
 
 
-def validate_config(cfg: dict) -> None:
-    _check_choice("model.name", _require(cfg, "model.name", str), _PARAMS, "builtin")
-    _require(cfg, "pooling.method", str)
-    if "sampler" in cfg:
-        _check_choice("sampler.kind", _require(cfg, "sampler.kind", str), _SAMPLER_KINDS,
-                      "sampler")
-        for key in cfg["sampler"]:
-            _check_choice(f"sampler.{key}", key, _SAMPLER_KEYS, "key")
-        _check_choice("sampler.factorization",
-                      cfg["sampler"].get("factorization", "subprior-ends"),
-                      FACTORIZATIONS, "factorization")
-        _check_choice("sampler.normal_approx_mode",
-                      cfg["sampler"].get("normal_approx_mode", "ratio"), MODES, "mode")
-        seed = _require(cfg, "sampler.seed")
-        if not isinstance(seed, int):
-            raise ConfigError("sampler.seed: must be an integer (no default)")
-        iters = _require(cfg, "sampler.iterations", dict)
-        for stage, n in iters.items():
-            _check_choice(f"sampler.iterations.{stage}", stage, _STAGES, "stage")
-            if not isinstance(n, int) or n < 100:
-                raise ConfigError(f"sampler.iterations.{stage}: must be an int >= 100")
-        scales = cfg["sampler"].get("scales", {})
-        if not isinstance(scales, dict):
-            raise ConfigError("sampler.scales: expected an object of per-stage scales")
-        for stage, scale in scales.items():
-            _check_choice(f"sampler.scales.{stage}", stage, _STAGES, "stage")
-            if not _is_number(scale) or not 0 <= scale < float("inf"):
-                raise ConfigError(
-                    f"sampler.scales.{stage}: must be a finite number >= 0, got {scale!r}"
-                )
-        chains = cfg["sampler"].get("chains", 1)
-        if isinstance(chains, bool) or not isinstance(chains, int) or chains < 1:
-            raise ConfigError(f"sampler.chains: must be an integer >= 1, got {chains!r}")
-        warmup = cfg["sampler"].get("warmup_frac", 0.1)
-        if not _is_number(warmup) or not 0 <= warmup < 1:
-            raise ConfigError(
-                f"sampler.warmup_frac: must be a number in [0, 1), got {warmup!r}"
-            )
-    _require(cfg, "outputs.directory", str)
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number that is not a boolean, NaN, infinite or too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _typed(ok, what: str):
@@ -159,8 +126,16 @@ def _typed(ok, what: str):
     return check
 
 
-_number = _typed(_is_number, "a number")
-_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+def _checked(path: str, check, value):
+    """``check(value)``; a value it rejects is a ConfigError naming ``path``."""
+    try:
+        return check(value)
+    except (TypeError, ValueError, StructureError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_number = _typed(_is_finite, "a finite number")
+_integer = _typed(_is_integer, "an integer")
 _list = _typed(lambda v: isinstance(v, list), "a list")
 _unit_keys = _typed(lambda v: isinstance(v, dict) and sorted(v) == ["phi_indices", "psi_indices"],
                     "an object with phi_indices and psi_indices")
@@ -174,8 +149,17 @@ def _optional(check):
     return lambda value: None if value is None else check(value)
 
 
+def _one_of(choices):
+    return _typed(lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
 def _table(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """A number or nested lists of numbers as a float array; every entry finite."""
+    cells = np.asarray(value, dtype=object)
+    bad = [cell for cell in cells.flat if not _is_finite(cell)]
+    if bad:
+        raise TypeError(f"expected finite numbers, got {bad[0]!r}")
+    return cells.astype(float)
 
 
 def _unit(value) -> UnitFactorization:
@@ -184,55 +168,100 @@ def _unit(value) -> UnitFactorization:
 
 
 _CARDS = _list_of(_list_of(_integer))
-# The check that reads each builtin's parameters from the config.
+_NEEDED = object()  # the default of a required key
+# Each builtin's parameters: the check that reads one from the config, and its
+# default (None: left to the builtin).
 _PARAMS = {
     "gaussian-chain": {
-        **dict.fromkeys(("mu1", "sigma1", "mu3", "sigma3", "rho", "s1", "s3", "s2"), _number),
-        **dict.fromkeys(("mu2", "sigma2"), _table),
-        **dict.fromkeys(("y1", "y2", "y3"), _optional(_table)),
-        "tau": _optional(_number),
+        **dict.fromkeys(("mu1", "sigma1", "mu3", "sigma3", "rho", "s1", "s3", "s2"),
+                        (_number, None)),
+        **dict.fromkeys(("mu2", "sigma2"), (_table, None)),
+        **dict.fromkeys(("y1", "y2", "y3"), (_optional(_table), None)),
+        "tau": (_optional(_number), None),
     },
     "discrete-chain": {
-        **dict.fromkeys(("prior1", "prior2", "prior3"), _table),
-        "phi_cards": _CARDS,
-        "psi_cards": _CARDS,
-        "likelihoods": _list_of(_optional(_table)),
-        "units": _list_of(_optional(_unit)),
-        "normalized": _typed(lambda v: isinstance(v, bool), "true or false"),
+        **dict.fromkeys(("prior1", "prior2", "prior3"), (_table, _NEEDED)),
+        "phi_cards": (_CARDS, _NEEDED),
+        "psi_cards": (_CARDS, None),
+        "likelihoods": (_list_of(_optional(_table)), None),
+        "units": (_list_of(_optional(_unit)), None),
+        "normalized": (_typed(lambda v: isinstance(v, bool), "true or false"), None),
     },
 }
-_REQUIRED = {"gaussian-chain": (), "discrete-chain": ("prior1", "prior2", "prior3", "phi_cards")}
+
+
+def _read(path: str, value, table: dict) -> dict:
+    """The object ``value`` at ``path`` read through ``table`` (key -> (check, default)).
+
+    Every key given is checked, and so is the default of every key left out;
+    a default of None leaves the key out, and ``_NEEDED`` makes it required.
+    An unknown, missing or rejected key is a ConfigError naming ``path.key``.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    for key in value:
+        _check_choice(f"{path}.{key}", key, table, "key")
+    out = {}
+    for key, (check, default) in table.items():
+        if key not in value and default is _NEEDED:
+            raise ConfigError(f"{path}.{key}: missing required key")
+        if key in value or default is not None:
+            out[key] = _checked(f"{path}.{key}", check, value.get(key, default))
+    return out
+
+
+def _per_stage(path: str, check, default):
+    """A check reading an object of per-stage values, each stage's default filled in."""
+    return lambda value: _read(path, value, dict.fromkeys(_STAGES, (check, default)))
+
+
+# Each sampler key's check and default.
+_SAMPLER = {
+    "kind": (_one_of(_SAMPLER_KINDS), _NEEDED),
+    "seed": (_typed(lambda v: _is_integer(v) and v >= 0, "an integer >= 0"), _NEEDED),
+    "chains": (_typed(lambda v: _is_integer(v) and v >= 1, "an integer >= 1"), 1),
+    "iterations": (_per_stage("sampler.iterations", _typed(
+        lambda v: _is_integer(v) and v >= 100, "an integer >= 100"), 1000), _NEEDED),
+    "scales": (_per_stage("sampler.scales", _typed(
+        lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"), 0.5), {}),
+    "warmup_frac": (_typed(lambda v: _is_finite(v) and 0 <= v < 1, "a number in [0, 1)"), 0.1),
+    "factorization": (_one_of(FACTORIZATIONS), "subprior-ends"),
+    "normal_approx_mode": (_one_of(MODES), "ratio"),
+}
+
+
+def _read_sampler(cfg: dict) -> dict:
+    """The ``sampler`` section, checked, with every default and per-stage value filled in."""
+    return _read("sampler", _require(cfg, "sampler"), _SAMPLER)
+
+
+# grid.axes: one [lo, hi, n] per coordinate of the pooled blocks
+_AXES = _list_of(_typed(
+    lambda a: isinstance(a, list) and len(a) == 3 and _is_finite(a[0]) and _is_finite(a[1])
+    and a[0] < a[1] and _is_integer(a[2]) and a[2] >= 1,
+    "axes [lo, hi, n] with finite lo < hi and an integer n >= 1",
+))
 
 
 def build_model(cfg: dict) -> BuiltChain:
     """The configured builtin chain; a bad ``model.params`` value names its key."""
     name = _require(cfg, "model.name", str)
     _check_choice("model.name", name, _PARAMS, "builtin")
-    params = cfg["model"].get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"model.params: expected an object, got {type(params).__name__}")
-    args = {}
-    for key, value in params.items():
-        _check_choice(f"model.params.{key}", key, _PARAMS[name], "key")
-        try:
-            args[key] = _PARAMS[name][key](value)
-        except (TypeError, ValueError, StructureError) as exc:
-            raise ConfigError(f"model.params.{key}: {exc}") from None
-    for key in _REQUIRED[name]:
-        if key not in args:
-            raise ConfigError(f"model.params.{key}: missing required key")
+    args = _read("model.params", cfg["model"].get("params", {}), _PARAMS[name])
     try:
         if name == "gaussian-chain":
             return builtin_gaussian_chain(**args)
-        priors = [args.pop(key) for key in _REQUIRED[name][:3]]
+        priors = [args.pop(key) for key in ("prior1", "prior2", "prior3")]
         return builtin_discrete_chain(*priors, **args)
     except ConfigError as exc:
         raise ConfigError(f"model.params.{exc}") from None
+    except OverflowError:
+        raise ConfigError("model.params: values too large for the builtin's arithmetic") from None
 
 
 def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
     method = _require(cfg, "pooling.method", str)
-    lam = cfg["pooling"].get("lambda")
+    lam = _checked("pooling.lambda", _optional(_table), cfg["pooling"].get("lambda"))
     marginals = built.boundary_marginals
     key = "pooling.lambda"  # the key a rejected pool names
     try:
@@ -247,21 +276,15 @@ def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
                 raise ConfigError("pooling.lambda: required for linear pooling")
             return linear_pooling(built.model, lam, marginals)
         if method == "dictatorial-partial":
-            authoritative = _require(cfg, "pooling.authoritative")
-            if isinstance(authoritative, bool) or not isinstance(authoritative, int):
-                raise ConfigError(
-                    f"pooling.authoritative: must be a submodel index, got {authoritative!r}"
-                )
+            authoritative = _checked("pooling.authoritative", _integer,
+                                     _require(cfg, "pooling.authoritative"))
             return dictatorial_partial(
                 built.model, authoritative, side_weights=lam, boundary_marginals=marginals
             )
         if method == "dictatorial-complete":
             key = "pooling.choices"
-            return dictatorial_complete(
-                built.model,
-                _require(cfg, "pooling.choices", list),
-                boundary_marginals=marginals,
-            )
+            choices = _checked(key, _list_of(_integer), _require(cfg, key))
+            return dictatorial_complete(built.model, choices, boundary_marginals=marginals)
     except (PoolingConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"pooling.method: unknown method {method!r}")
@@ -309,8 +332,9 @@ def _vector_columns(name: str, dim: int) -> list[str]:
 
 
 def _write_manifest(out_dir: Path, cfg: dict, extra: dict) -> None:
+    sampler = cfg.get("sampler")  # pool-grid records a seed it does not check
     lines = [
-        f"seed: {cfg.get('sampler', {}).get('seed', 'n/a')}",
+        f"seed: {sampler.get('seed', 'n/a') if isinstance(sampler, dict) else 'n/a'}",
         f"config_sha256: {cfg.get('_sha256', 'n/a')}",
         f"chainmeld_version: {__version__}",
         f"numpy_version: {np.__version__}",
@@ -360,74 +384,41 @@ def _write_diagnostics(path: Path, names: list[str], traces, rate: float) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _kernels(cfg: dict) -> dict[str, MHKernelConfig]:
-    scales = cfg.get("sampler", {}).get("scales", {})
-    return {stage: MHKernelConfig(scales=float(scales.get(stage, 0.5))) for stage in _STAGES}
-
-
-def _run_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
-    _require_sampler(cfg, built, pool)
-    sampler = cfg["sampler"]
-    kind = sampler["kind"]
-    seed = sampler["seed"]
-    chains = sampler.get("chains", 1)
-    iters = sampler["iterations"]
-    warmup = float(sampler.get("warmup_frac", 0.1))
-    factor = factorize_for_sampler(pool, sampler.get("factorization", "subprior-ends"))
-    kernels = _kernels(cfg)
+def _run_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
+    """Run the sampler that ``_read_sampler`` read and ``_require_sampler`` accepted."""
+    kernels = [MHKernelConfig(scales=sampler["scales"][stage]) for stage in _STAGES]
+    iters = [sampler["iterations"][stage] for stage in _STAGES]
+    factor = factorize_for_sampler(pool, sampler["factorization"])
+    kind, seed, chains, warmup = (sampler[key] for key in ("kind", "seed", "chains", "warmup_frac"))
     if kind == "sequential":
-        return run_sequential(
-            built.model,
-            factor,
-            [kernels[stage] for stage in _STAGES],
-            tuple(iters.get(stage, 1000) for stage in _STAGES),
-            chains=chains,
-            seed=seed,
-            warmup_frac=warmup,
-        )
+        return run_sequential(built.model, factor, kernels, tuple(iters), chains=chains, seed=seed,
+                              warmup_frac=warmup)
+    stores = run_stage_one_pair(built.model, factor, kernels[0], kernels[0], iters[0],
+                                chains=chains, seed=seed, warmup_frac=warmup)
     if kind == "normal-approx":
-        return _run_normal_approx(cfg, built, pool, factor, kernels, chains, seed, warmup)
-    store1, store3 = run_stage_one_pair(
-        built.model,
-        factor,
-        kernels["stage_one"],
-        kernels["stage_one"],
-        iters.get("stage_one", 1000),
-        chains=chains,
-        seed=seed,
-        warmup_frac=warmup,
-    )
+        return _run_normal_approx(sampler, built, stores, kernels[1])
     runner = run_parallel_stage_two if kind == "parallel" else run_parallel_stage_two_unitwise
-    return runner(
-        built.model,
-        factor,
-        store1,
-        store3,
-        kernels["stage_two"],
-        iters.get("stage_two", 1000),
-        chains=chains,
-        seed=seed + 1,
-        warmup_frac=warmup,
-    )
+    return runner(built.model, factor, *stores, kernels[1], iters[1], chains=chains, seed=seed + 1,
+                  warmup_frac=warmup)
 
 
-def _require_sampler(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
+def _require_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> None:
     """Reject, before any sampling, a sampler kind the chain or pool cannot run."""
-    kind = cfg["sampler"]["kind"]
+    kind = sampler["kind"]
     if kind == "normal-approx":
-        _require_normal_approx(cfg, built, pool)
+        _require_normal_approx(sampler, built, pool)
     elif kind == "parallel-unitwise":
         ends = (0, built.model.n_submodels - 1)
         bare = [m for m in ends if built.model.submodels[m].unit_factorization is None]
         if bare:
             raise ConfigError(
                 f"sampler.kind: parallel-unitwise needs unit factorizations on submodels "
-                f"{ends[0]} and {ends[1]} (model.params.units); this {cfg['model']['name']} "
-                f"has none on submodel {' and '.join(map(str, bare))}"
+                f"{ends[0]} and {ends[1]} (model.params.units); this chain has none on "
+                f"submodel {' and '.join(map(str, bare))}"
             )
 
 
-def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> None:
+def _require_normal_approx(sampler: dict, built: BuiltChain, pool: PooledPrior) -> None:
     """Reject a normal-approx run whose target would not be the melded posterior.
 
     The target fits Gaussians to continuous stage-one draws; ``ratio`` mode
@@ -439,12 +430,10 @@ def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> N
               *model.submodels[1].psi_coords]
     if any(c.kind == "discrete" for c in coords):
         raise ConfigError(
-            "sampler.kind: normal-approx needs continuous coordinates; "
-            f"{cfg['model']['name']} has discrete ones"
+            "sampler.kind: normal-approx needs continuous coordinates; this chain has "
+            "discrete ones"
         )
-    sampler = cfg["sampler"]
-    if (sampler.get("normal_approx_mode", "ratio") == "ratio"
-            and sampler.get("factorization", "subprior-ends") != "subprior-ends"):
+    if sampler["normal_approx_mode"] == "ratio" and sampler["factorization"] == "flat-ends":
         raise ConfigError(
             "sampler.factorization: normal-approx ratio mode needs subprior-ends; under "
             "flat-ends stage one samples the end likelihoods, not the subposteriors "
@@ -460,19 +449,14 @@ def _require_normal_approx(cfg: dict, built: BuiltChain, pool: PooledPrior) -> N
         )
 
 
-def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, seed, warmup):
+def _run_normal_approx(sampler: dict, built: BuiltChain, stores, kernel) -> MeldedChainOutput:
+    """Stage two of ``normal-approx``: a random walk on the target fitted to the stage-one
+    ``stores`` of both ends."""
     model = built.model
-    iters = cfg["sampler"]["iterations"]
-    store1, store3 = run_stage_one_pair(
-        model, factor, kernels["stage_one"], kernels["stage_one"],
-        iters.get("stage_one", 1000), chains=chains, seed=seed, warmup_frac=warmup,
-    )
-    g1_post = fit_gaussian_moments(store1, "phi")
-    g3_post = fit_gaussian_moments(store3, "phi")
-    g1_prior = built.meta["prior1"]
-    g3_prior = built.meta["prior3"]
-    mode = cfg["sampler"].get("normal_approx_mode", "ratio")
-    target = build_normal_approx_target(model, g1_post, g1_prior, g3_post, g3_prior, mode)
+    g1_post = fit_gaussian_moments(stores[0], "phi")
+    g3_post = fit_gaussian_moments(stores[1], "phi")
+    target = build_normal_approx_target(model, g1_post, built.meta["prior1"], g3_post,
+                                        built.meta["prior3"], sampler["normal_approx_mode"])
     d12 = model.phi_blocks[0].dim
     d = d12 + model.phi_blocks[1].dim
     spec2 = model.submodels[1]
@@ -481,13 +465,14 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
         + tuple(model.phi_blocks[1].coords)
         + tuple(spec2.psi_coords)
     )
-    n2 = iters.get("stage_two", 1000)
+    chains, n2 = sampler["chains"], sampler["iterations"]["stage_two"]
     draws, accepted = run_random_walk(
         lambda z: target(z[:, :d12], z[:, d12:d], z[:, d:]),
-        coords, kernels["stage_two"], n2, chains=chains, seed=seed + 1, warmup_frac=warmup,
+        coords, kernel, n2, chains=chains, seed=sampler["seed"] + 1,
+        warmup_frac=sampler["warmup_frac"],
         init=np.concatenate([g1_post.mean, g3_post.mean, np.zeros(spec2.psi_dim)]),
     )
-    chains, keep = draws.shape[:2]
+    keep = draws.shape[1]
     empty = np.zeros((chains, keep, 0))
     return MeldedChainOutput(
         phi=(draws[..., :d12], draws[..., d12:d]),
@@ -498,12 +483,18 @@ def _run_normal_approx(cfg, built: BuiltChain, pool, factor, kernels, chains, se
     )
 
 
-def _cmd_validate(cfg: dict) -> int:
-    validate_config(cfg)
+def _make_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"outputs.directory: cannot make {str(out_dir)!r}: {exc}") from None
+
+
+def _cmd_validate(cfg: dict, sampler: dict | None) -> int:
     built = build_model(cfg)
     pool = build_pool(cfg, built)
-    if "sampler" in cfg:
-        _require_sampler(cfg, built, pool)
+    if sampler is not None:
+        _require_sampler(sampler, built, pool)
     report = validate_chain(built.model)
     for line in report:
         print(f"invalid: {line}")
@@ -512,13 +503,17 @@ def _cmd_validate(cfg: dict) -> int:
 
 
 def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
+    axes = _checked("grid.axes", _AXES, _require(cfg, "grid.axes"))
+    spec = GridSpec(tuple((float(lo), float(hi), n) for lo, hi, n in axes))
     built = build_model(cfg)
+    if built.supports is not None:
+        raise ConfigError("model.name: pool-grid needs a continuous chain (gaussian-chain)")
     pool = build_pool(cfg, built)
-    axes = cfg.get("grid", {}).get("axes")
-    if axes is None:
-        raise ConfigError("grid.axes: required for pool-grid")
-    spec = GridSpec(tuple((float(a[0]), float(a[1]), int(a[2])) for a in axes))
-    table = grid_normalize(pool, spec)
+    try:
+        table = grid_normalize(pool, spec)
+    except PoolingConfigError as exc:  # too many or too few axes for the pool
+        raise ConfigError(f"grid.axes: {exc}") from None
+    _make_dir(out_dir)
     dim = len(spec.axes)
     header = [f"x{i}" for i in range(dim)] + ["density"]
     _write_csv(out_dir / "pooled_grid.csv", header, _csv_rows(table.columns()))
@@ -529,13 +524,12 @@ def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_sample(cfg: dict, out_dir: Path) -> int:
-    validate_config(cfg)
-    if "sampler" not in cfg:
-        raise ConfigError("sampler: required for the sample command")
+def _cmd_sample(cfg: dict, sampler: dict, out_dir: Path) -> int:
     built = build_model(cfg)
     pool = build_pool(cfg, built)
-    output = _run_sampler(cfg, built, pool)
+    _require_sampler(sampler, built, pool)
+    _make_dir(out_dir)
+    output = _run_sampler(sampler, built, pool)
     _write_samples(out_dir, output, built.model)
     rates = output.acceptance_rates()
     mean_rate = sum(rates.values()) / max(1, len(rates))
@@ -550,19 +544,21 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_oracle(cfg: dict, out_dir: Path) -> int:
+def _cmd_oracle(cfg: dict, sampler: dict | None, out_dir: Path) -> int:
     built = build_model(cfg)
     if built.supports is None:
         raise ConfigError("model.name: oracle enumeration requires discrete-chain")
     pool = build_pool(cfg, built)
+    if sampler is not None:
+        _require_sampler(sampler, built, pool)
+    _make_dir(out_dir)
     oracle = enumerate_melded_posterior(built, pool)
     header = [f"x{i}" for i in range(oracle.states.shape[1])] + ["probability"]
     columns = [*oracle.states.T, oracle.probs]
     _write_csv(out_dir / "oracle_posterior.csv", header, _csv_rows(columns))
     extra = {"artifact": "oracle_posterior.csv"}
-    if "sampler" in cfg:
-        validate_config(cfg)
-        output = _run_sampler(cfg, built, pool)
+    if sampler is not None:
+        output = _run_sampler(sampler, built, pool)
         tv = tv_distance(empirical_table(output.state_matrix(), oracle), oracle)
         print(f"sampler TV {tv!r}")
         extra["sampler_tv"] = repr(tv)
@@ -615,16 +611,18 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
 
 
 def run_from_config(cfg: dict, command: str = "sample") -> int:
+    """Run ``command``; it checks every config key it reads before it writes anything."""
     out_dir = Path(_require(cfg, "outputs.directory", str))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    reads_sampler = command == "sample" or command in ("validate", "oracle") and "sampler" in cfg
+    sampler = _read_sampler(cfg) if reads_sampler else None
     if command == "validate":
-        return _cmd_validate(cfg)
+        return _cmd_validate(cfg, sampler)
     if command == "pool-grid":
         return _cmd_pool_grid(cfg, out_dir)
     if command == "sample":
-        return _cmd_sample(cfg, out_dir)
+        return _cmd_sample(cfg, sampler, out_dir)
     if command == "oracle":
-        return _cmd_oracle(cfg, out_dir)
+        return _cmd_oracle(cfg, sampler, out_dir)
     if command == "diag":
         return _cmd_diag(cfg, out_dir)
     raise ConfigError(f"unknown command {command!r}")
@@ -642,12 +640,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.setdefault("sampler", {})["seed"] = args.seed
-        if args.out_dir is not None:
-            cfg.setdefault("outputs", {})["directory"] = args.out_dir
-        if args.command in ("validate", "sample"):
-            validate_config(cfg)
+        for section, key, value in (("sampler", "seed", args.seed),
+                                    ("outputs", "directory", args.out_dir)):
+            if value is not None:
+                node = cfg.setdefault(section, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"{section}: expected an object, got {node!r}")
+                node[key] = value
         return run_from_config(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -72,22 +72,14 @@ class MHKernelConfig:
     Continuous coordinates take Gaussian random-walk steps (on the log
     scale for positive coordinates, with the Jacobian folded into the
     proposal ratio); discrete coordinates are redrawn uniformly over their
-    categories.  ``scales`` broadcasts per coordinate.
+    categories.  ``scales`` is the step scale of every continuous coordinate.
     """
 
-    scales: Union[float, np.ndarray] = 0.1
+    scales: float = 0.1
 
     def __post_init__(self):
-        if np.any(np.asarray(self.scales, dtype=float) < 0):
-            raise UnsupportedConfigError("proposal scales must be >= 0")
-
-    def per_coord(self, n: int) -> tuple[float, ...]:
-        """``scales`` broadcast to ``n`` coordinates, cached per ``n``."""
-        cache = self.__dict__.setdefault("_per_coord", {})
-        if n not in cache:
-            scales = np.broadcast_to(np.asarray(self.scales, dtype=float), (n,))
-            cache[n] = tuple(scales.tolist())
-        return cache[n]
+        if not self.scales >= 0:
+            raise UnsupportedConfigError(f"proposal scales must be >= 0, got {self.scales!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ def _per_chain(rngs, draw, axis: int = 1) -> np.ndarray:
     return np.stack([draw(rng) for rng in rngs], axis=axis)
 
 
-def _walk_draw(rng, n: int, coords, scales):
+def _walk_draw(rng, n: int, coords, scale: float):
     """``n`` random-walk proposals for one chain: (mult, step, log q).
 
     A proposal is ``x * mult + step``.  Real coordinates step by
@@ -176,7 +168,6 @@ def _walk_draw(rng, n: int, coords, scales):
     cont = [i for i, k in enumerate(kinds) if k != "discrete"]
     disc = [i for i, k in enumerate(kinds) if k == "discrete"]
     pos = [i for i, k in enumerate(kinds) if k == "positive"]
-    scale = np.asarray(scales, dtype=float)[cont]
     step = np.empty((n, len(coords)))
     step[:, cont] = scale * rng.standard_normal((n, len(cont)))
     if disc:
@@ -194,8 +185,8 @@ def _walk_draw(rng, n: int, coords, scales):
 class _Walk:
     """``_walk_draw`` for ``n`` iterations of every chain, (iteration, chain, ...)."""
 
-    def __init__(self, coords: Sequence[Coord], scales, rngs, n: int):
-        draws = [_walk_draw(rng, n, coords, scales) for rng in rngs]
+    def __init__(self, coords: Sequence[Coord], scale: float, rngs, n: int):
+        draws = [_walk_draw(rng, n, coords, scale) for rng in rngs]
         self.mult, self.step, self.log_q = (
             None if part[0] is None else np.stack(part, axis=1) for part in zip(*draws)
         )
@@ -500,9 +491,9 @@ class _WalkMove:
 
     n_units = 1
 
-    def __init__(self, state: _Lockstep, lo, coords, scales, rngs, n_iter, log_u):
+    def __init__(self, state: _Lockstep, lo, coords, scale, rngs, n_iter, log_u):
         self.state, self.lo, self.log_u = state, lo, log_u
-        self.walk = _Walk(coords, scales, rngs, n_iter)
+        self.walk = _Walk(coords, scale, rngs, n_iter)
         self.plan = state.target.plan(lo, state.z.shape[1])
         self.accepted = np.empty((n_iter, 1, len(rngs)), dtype=bool)
 
@@ -542,7 +533,6 @@ def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_i
         raise UnsupportedConfigError(f"chains must be a positive integer, got {chains!r}")
     warmup, kept = split_warmup(n_iter, warmup_frac)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
-    scales = kernel.per_coord(len(walk_coords))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         state, start_rows = init(target, sources, walk_coords, rngs, start)
         # One uniform per move and chain-iteration, drawn in one block per chain.
@@ -554,7 +544,7 @@ def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_i
                                     log_u[:, edges[i] : edges[i + 1]]))
             lo += source.shape[1]
         if walk_coords:
-            moves.append(_WalkMove(state, lo, walk_coords, scales, rngs, n_iter,
+            moves.append(_WalkMove(state, lo, walk_coords, kernel.scales, rngs, n_iter,
                                    log_u[:, edges[-2] :]))
         z = np.empty((chains, kept, state.z.shape[1]))
         lp = np.empty((chains, kept))

@@ -73,6 +73,12 @@ class TestGaussianChain:
         expected = scipy.stats.norm(1.0, 2.0).logpdf(0.0)
         assert with_data - no_data == pytest.approx(expected, abs=1e-10)
 
+    def test_empty_observations_are_no_data(self):
+        phi = np.array([1.0])
+        joints = [builtin_gaussian_chain(**data).model.submodels[0].eval_log_joint(phi, np.empty(0))
+                  for data in ({}, {"y1": []})]
+        assert joints[0] == joints[1]
+
     def test_rho_zero_prior_factorizes(self, rng):
         built = builtin_gaussian_chain(rho=0.0)
         spec2 = built.model.submodels[1]

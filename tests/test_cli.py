@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -72,6 +73,7 @@ class TestValidate:
         path = _write_config(tmp_path, _gaussian_config(tmp_path))
         assert main(["validate", "--config", path]) == 0
         assert "config ok" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_missing_seed(self, tmp_path, capsys):
         cfg = _gaussian_config(tmp_path)
@@ -92,6 +94,12 @@ class TestValidate:
         cfg["model"]["name"] = "quantum-chain"
         path = _write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 1
+
+    @pytest.mark.parametrize("section, flag", [("sampler", "--seed"), ("outputs", "--out-dir")])
+    def test_override_needs_an_object(self, tmp_path, capsys, section, flag):
+        path = _write_config(tmp_path, _gaussian_config(tmp_path, **{section: 5}))
+        assert main(["validate", "--config", path, flag, "7"]) == 1
+        assert f"config error: {section}:" in capsys.readouterr().err
 
     def test_unreadable_config(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
@@ -117,7 +125,7 @@ class TestSamplerKeys:
         cfg["sampler"]["iterations"]["stage_1"] = 500
         self._rejects(tmp_path, capsys, cfg, "sampler.iterations.stage_1")
 
-    @pytest.mark.parametrize("scale", ["big", None, [0.5], -0.1, True])
+    @pytest.mark.parametrize("scale", ["big", None, [0.5], -0.1, True, math.nan, math.inf])
     def test_bad_scale(self, tmp_path, capsys, scale):
         cfg = _gaussian_config(tmp_path)
         cfg["sampler"]["scales"]["stage_one"] = scale
@@ -127,6 +135,12 @@ class TestSamplerKeys:
         cfg = _gaussian_config(tmp_path)
         cfg["sampler"]["scales"]["stage_2"] = 0.5
         self._rejects(tmp_path, capsys, cfg, "sampler.scales.stage_2")
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "7", math.nan])
+    def test_bad_seed(self, tmp_path, capsys, seed):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["seed"] = seed
+        self._rejects(tmp_path, capsys, cfg, "sampler.seed")
 
     @pytest.mark.parametrize("chains", [0, -1, 2.5, "2", True])
     def test_chains_must_be_positive_int(self, tmp_path, capsys, chains):
@@ -188,11 +202,25 @@ class TestModelParams:
         ("prior2", [[0.5, "a"], [0.2, 0.3]], True),
         ("units", [{"phi_indices": [[0]]}, None, None], True),
         ("normalized", "yes", True),
+        ("tau", math.nan, False),
+        ("sigma1", math.nan, False),
+        ("mu1", math.inf, False),
+        ("mu2", [math.nan, 0], False),
+        ("sigma2", [1, True], False),
+        ("prior2", [[0.5, -math.inf], [0.2, 0.3]], True),
     ])
     def test_mistyped_value(self, tmp_path, capsys, key, value, discrete):
         cfg = _discrete_config(tmp_path) if discrete else _gaussian_config(tmp_path)
         cfg["model"]["params"][key] = value
         self._rejects(tmp_path, capsys, cfg, f"model.params.{key}")
+
+    @pytest.mark.parametrize("key, value", [("s2", 1e200), ("y1", [1e200])])
+    def test_overflowing_value(self, tmp_path, capsys, key, value):
+        cfg = _gaussian_config(tmp_path)
+        cfg["model"]["params"][key] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self._rejects(tmp_path, capsys, cfg, "model.params")
 
     def test_missing_table(self, tmp_path, capsys):
         cfg = _discrete_config(tmp_path)
@@ -234,6 +262,8 @@ class TestPoolingKeys:
             ({"method": "dictatorial-partial", "authoritative": "1"},
              "pooling.authoritative"),
             ({"method": "dictatorial-complete", "choices": [2, 1]}, "pooling.choices"),
+            ({"method": "logarithmic", "lambda": [True, 1, 1]}, "pooling.lambda"),
+            ({"method": "dictatorial-complete", "choices": [1.5, 1]}, "pooling.choices"),
         ],
     )
     def test_invalid_pool_is_config_error(self, tmp_path, capsys, pooling, key):
@@ -371,6 +401,17 @@ class TestSample:
         assert "sampler.warmup_frac" in capsys.readouterr().err
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sample", "pool-grid"])
+    @pytest.mark.parametrize("where", ["under a file", "nul byte"])
+    def test_unusable_directory(self, tmp_path, capsys, command, where):
+        (tmp_path / "file").write_text("")
+        directory = tmp_path / "file" / "out" if where == "under a file" else f"{tmp_path}/o\0ut"
+        cfg = _gaussian_config(tmp_path, outputs={"directory": str(directory)})
+        assert main([command, "--config", _write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: outputs.directory:" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
     def test_warmup_frac_zero_keeps_every_draw(self, tmp_path):
         cfg = _gaussian_config(tmp_path)
         cfg["sampler"]["warmup_frac"] = 0
@@ -396,6 +437,30 @@ class TestPoolGrid:
         path = _write_config(tmp_path, cfg)
         assert main(["pool-grid", "--config", path]) == 1
 
+    @pytest.mark.parametrize("grid, key", [
+        ({"axes": [[0, 1]]}, "grid.axes"),
+        ({"axes": [["a", 1, 3], [-6, 6, 4]]}, "grid.axes"),
+        ({"axes": [[0, 1, 0], [-6, 6, 4]]}, "grid.axes"),
+        ({"axes": [[1, 0, 3], [-6, 6, 4]]}, "grid.axes"),
+        ({"axes": [[0, math.nan, 3], [-6, 6, 4]]}, "grid.axes"),
+        ({"axes": [[0, 1, 2.5], [-6, 6, 4]]}, "grid.axes"),
+        ({"axes": [[0, 1, 3]]}, "grid.axes"),
+        ({"axes": [[0, 1, 5000], [0, 1, 5000]]}, "grid.axes"),
+        ({"axes": 5}, "grid.axes"),
+        (5, "grid.axes"),
+        ("discrete", "model.name"),
+    ])
+    def test_bad_input_names_its_key(self, tmp_path, capsys, grid, key):
+        if grid == "discrete":
+            cfg = _discrete_config(tmp_path)
+            cfg["grid"] = {"axes": [[0, 1, 2], [0, 1, 2]]}
+        else:
+            cfg = _gaussian_config(tmp_path, grid=grid)
+        assert main(["pool-grid", "--config", _write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOracle:
     def test_oracle_with_sampler_tv(self, tmp_path, capsys):
@@ -412,6 +477,14 @@ class TestOracle:
     def test_oracle_rejects_continuous(self, tmp_path):
         path = _write_config(tmp_path, _gaussian_config(tmp_path))
         assert main(["oracle", "--config", path]) == 1
+
+    @pytest.mark.parametrize("key, value", [("kind", "bogus"), ("warmup_frac", 2)])
+    def test_bad_sampler_is_rejected_before_enumeration(self, tmp_path, capsys, key, value):
+        cfg = _discrete_config(tmp_path)
+        cfg["sampler"][key] = value
+        assert main(["oracle", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert f"config error: sampler.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDiag:

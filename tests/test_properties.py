@@ -1,17 +1,22 @@
 """Property tests: pooled-prior term lists, the stage targets, the stage plan
 for chains of any length, the cached Gaussian factor, the batched log-joint
-contract and the CSV artifact format."""
+contract, the CSV artifact format and the CLI's handling of any config."""
 
+import contextlib
+import copy
 import csv
 import io
+import json
 import math
+import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -500,3 +505,92 @@ def test_ess_tail_matches_ranking_the_indicators(arr):
         else:
             expected.append(ess(_rank_normalize(indicator)).value)
     assert ess_tail(arr).value == min(expected)
+
+
+# The README's example config on a 10 x 10 grid, and a small discrete chain
+# that sets every sampler key.
+README_CONFIG = {
+    "model": {
+        "name": "gaussian-chain",
+        "params": {"rho": 0.2, "y1": [-2.0], "y3": [2.0], "y2": [0.5], "s2": 2.0, "tau": 1.0},
+    },
+    "pooling": {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
+    "sampler": {"kind": "parallel", "seed": 42, "chains": 2,
+                "iterations": {"stage_one": 5000, "stage_two": 5000}},
+    "outputs": {"directory": "out"},
+    "grid": {"axes": [[-6, 6, 10], [-6, 6, 10]]},
+}
+UNIT = {"phi_indices": [[0]], "psi_indices": [[]]}
+DISCRETE_CONFIG = {
+    "model": {
+        "name": "discrete-chain",
+        "params": {
+            "prior1": [0.3, 0.7], "prior2": [[0.1, 0.2], [0.3, 0.4]], "prior3": [0.6, 0.4],
+            "phi_cards": [[2], [2]], "psi_cards": [[], [], []],
+            "likelihoods": [None, [[1.0, 0.5], [0.5, 1.0]], None],
+            "units": [UNIT, None, UNIT], "normalized": True,
+        },
+    },
+    "pooling": {"method": "dictatorial-complete", "choices": [1, 1]},
+    "sampler": {"kind": "parallel-unitwise", "seed": 3, "chains": 2,
+                "iterations": {"stage_one": 200, "stage_two": 200, "stage_three": 200},
+                "scales": {"stage_one": 0.5, "stage_two": 1.0}, "warmup_frac": 0.2,
+                "factorization": "flat-ends", "normal_approx_mode": "ratio"},
+    "outputs": {"directory": "out"},
+    "grid": {"axes": [[0, 1, 2], [0, 1, 2]]},
+}
+
+
+def _node_paths(node, path=()):
+    """The path of every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [path + (key,), *_node_paths(child, path + (key,))]]
+
+
+# Integers stay at most 10 (a grid axis of at most 10 cells) or are too large
+# for any array; strings hold no "/", so a directory stays below the working one.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10), st.just(2**70), st.floats(),
+    st.text(alphabet="a.-\0", max_size=3),
+    st.sampled_from(["linear", "poe", "normal-approx", "flat-ends", "gaussian-chain",
+                     "discrete-chain", "stage_one"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(base=st.sampled_from([README_CONFIG, DISCRETE_CONFIG]), data=st.data())
+def test_no_config_mutation_ends_in_a_traceback(base, data):
+    """``validate`` and ``pool-grid`` exit 0, 1 or 2 whatever one value of a config holds."""
+    path = data.draw(st.sampled_from(_node_paths(base)))
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(json_values)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        (work / "run.json").write_text(json.dumps(cfg))
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            # numpy's warnings on extreme values are no traceback: the run goes on.
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                codes = [cli.main([command, "--config", "run.json"])
+                         for command in ("validate", "pool-grid")]
+        finally:
+            os.chdir(cwd)
+    assert set(codes) <= {0, 1, 2}

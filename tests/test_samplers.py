@@ -71,8 +71,9 @@ class TestMHStep:
         np.testing.assert_allclose(freq, np.exp(log_w), atol=0.02)
 
     def test_kernel_validation(self):
-        with pytest.raises(UnsupportedConfigError):
-            MHKernelConfig(scales=-0.1)
+        for scale in (-0.1, math.nan):
+            with pytest.raises(UnsupportedConfigError):
+                MHKernelConfig(scales=scale)
 
 
 class TestStageOne:
