@@ -63,25 +63,45 @@ class BuiltChain:
 # as (a, k, c); products of factors are sums of quadratics.
 
 
+def _check_scale(name: str, sd: float) -> None:
+    """A scale must be positive, and its square and inverse square floats (not 0 or inf)."""
+    if sd <= 0:
+        raise ConfigError(f"{name}: must be positive, got {sd}")
+    try:
+        sd**2, sd**-2
+    except OverflowError:
+        raise ConfigError(f"{name}: scale {sd} is beyond the float range when squared") from None
+
+
 def _normal(mean: float, sd: float) -> tuple[float, float, float]:
     """log N(x; mean, sd^2)."""
     return mean, -0.5 / sd**2, -math.log(sd) - 0.5 * _LOG_2PI
 
 
-def _data(y: Optional[np.ndarray], s: float) -> tuple[tuple[float, float, float], ...]:
-    """Log likelihood of observations y ~ N(x, s^2) as a function of x."""
+def _data(name: str, y: Optional[np.ndarray], s: float) -> tuple[tuple[float, float, float], ...]:
+    """Log likelihood of the observations ``name``, y ~ N(x, s^2), as a function of x."""
     if y is None:
         return ()
-    ybar = float(y.mean())
-    spread = float(((y - ybar) ** 2).sum())
-    return ((ybar, -0.5 * y.size / s**2, y.size * _normal(0.0, s)[2] - 0.5 * spread / s**2),)
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite coefficient, rejected below
+        ybar = float(y.mean())
+        spread = float(((y - ybar) ** 2).sum())
+    factor = (ybar, -0.5 * y.size / s**2, y.size * _normal(0.0, s)[2] - 0.5 * spread / s**2)
+    if not all(map(math.isfinite, factor)):
+        raise ConfigError(f"{name}: values too large for the builtin's arithmetic")
+    return (factor,)
 
 
 def _quadratic(*factors: tuple[float, float, float]):
-    """Batched x -> sum of the factors' quadratics, as one quadratic."""
-    k = sum(f[1] for f in factors)
-    a = sum(f[1] * f[0] for f in factors) / k
-    c = sum(f[2] + f[1] * f[0] ** 2 for f in factors) - k * a * a
+    """Batched x -> sum of the factors' quadratics, as one quadratic.
+
+    Coefficients beyond the float range raise OverflowError.
+    """
+    with np.errstate(all="ignore"):  # numpy scalar factors (mu2) overflow without raising
+        k = sum(f[1] for f in factors)
+        a = sum(f[1] * f[0] for f in factors) / k
+        c = sum(f[2] + f[1] * f[0] ** 2 for f in factors) - k * a * a
+    if not all(map(math.isfinite, (k, a, c))):
+        raise OverflowError("quadratic coefficients beyond the float range")
 
     def log_factor(x):
         d = x - a
@@ -126,18 +146,19 @@ def builtin_gaussian_chain(
     """
     for name, value in (("sigma1", sigma1), ("sigma3", sigma3), ("s1", s1),
                         ("s3", s3), ("s2", s2)):
-        if value <= 0:
-            raise ConfigError(f"{name}: must be positive, got {value}")
+        _check_scale(name, value)
     sigma2, mu2 = np.asarray(sigma2, dtype=float), np.asarray(mu2, dtype=float)
     if sigma2.shape != (2,) or not (sigma2 > 0).all():
         raise ConfigError(f"sigma2: must be two positive scales, got {sigma2.tolist()}")
     sigma2 = tuple(sigma2.tolist())
+    for value in sigma2:
+        _check_scale("sigma2", value)
     if mu2.shape != (2,):
         raise ConfigError(f"mu2: must be two means, got {mu2.tolist()}")
     if not -1.0 < rho < 1.0:
         raise ConfigError(f"rho: correlation must satisfy |rho| < 1, got {rho}")
-    if tau is not None and tau <= 0:
-        raise ConfigError(f"tau: must be positive, got {tau}")
+    if tau is not None:
+        _check_scale("tau", tau)
     if y2 is not None and tau is None:
         raise ConfigError("y2: middle-submodel data requires tau (the psi2 scale)")
     # No observations, as None or as an empty list, leave a submodel without data.
@@ -152,10 +173,10 @@ def builtin_gaussian_chain(
     )
     prior2 = GaussianDensity(mu2, cov2)
     end1, end3 = _normal(mu1, sigma1), _normal(mu3, sigma3)
-    prior1, post1 = _quadratic(end1), _quadratic(end1, *_data(y1, s1))
-    prior3, post3 = _quadratic(end3), _quadratic(end3, *_data(y3, s3))
+    prior1, post1 = _quadratic(end1), _quadratic(end1, *_data("y1", y1, s1))
+    prior3, post3 = _quadratic(end3), _quadratic(end3, *_data("y3", y3, s3))
     psi_prior = None if tau is None else _quadratic(_normal(0.0, tau))
-    data2 = None if y2 is None else _quadratic(*_data(y2, s2))
+    data2 = None if y2 is None else _quadratic(*_data("y2", y2, s2))
 
     lm1, lj1, lm3, lj3 = map(_of_scalar, (prior1, post1, prior3, post3))
 

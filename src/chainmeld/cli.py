@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy
@@ -40,6 +42,7 @@ from .normal_approx import MODES, build_normal_approx_target, fit_gaussian_momen
 from .pooling import (
     FACTORIZATIONS,
     GridSpec,
+    GridTable,
     PooledPrior,
     dictatorial_complete,
     dictatorial_partial,
@@ -312,9 +315,17 @@ def _cells(column) -> map:
     return map(repr, column.astype(float, copy=False).tolist())
 
 
-def _csv_rows(columns):
-    """Join equal-length columns into CSV rows; the formatting runs as they are consumed."""
-    yield from map(",".join, zip(*map(_cells, columns)))
+def _csv_rows(columns, axes=()):
+    """Join equal-length columns into CSV rows; the formatting runs as they are consumed.
+
+    Each row is led by its cell of the product of ``axes`` in C order (the
+    last axis varies fastest, as ``meshgrid(indexing="ij")`` ravels), so
+    each axis value is formatted once rather than once per row.
+    """
+    cells = list(map(_cells, columns))
+    if axes:
+        cells.insert(0, map(",".join, itertools.product(*(list(_cells(a)) for a in axes))))
+    yield from map(",".join, zip(*cells))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -361,11 +372,16 @@ def _sample_columns(output: MeldedChainOutput, chain) -> tuple[list[str], list[n
 def _write_samples(out_dir: Path, output: MeldedChainOutput, chain) -> Path:
     names, traces = _sample_columns(output, chain)
     chains, kept = output.phi[0].shape[:2]
-    columns = [np.repeat(np.arange(chains), kept), np.tile(np.arange(kept), chains)]
-    columns.extend(t.ravel() for t in traces)
+    rows = _csv_rows([t.ravel() for t in traces], axes=(np.arange(chains), np.arange(kept)))
     path = out_dir / "melded_samples.csv"
-    _write_csv(path, ["chain", "iteration"] + names, _csv_rows(columns))
+    _write_csv(path, ["chain", "iteration"] + names, rows)
     return path
+
+
+def _write_grid(path: Path, table: GridTable) -> None:
+    """One row per grid cell in C order: its center's coordinates, then its density."""
+    header = [f"x{i}" for i in range(len(table.centers))] + ["density"]
+    _write_csv(path, header, _csv_rows([table.density.ravel()], axes=table.centers))
 
 
 def _write_diagnostics(path: Path, names: list[str], traces, rate: float) -> None:
@@ -511,15 +527,14 @@ def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
     pool = build_pool(cfg, built)
     try:
         table = grid_normalize(pool, spec)
-    except PoolingConfigError as exc:  # too many or too few axes for the pool
+        correlation = table.correlation(0, 1) if len(spec.axes) >= 2 else None
+    except PoolingConfigError as exc:  # the axes do not fit the pool or resolve its density
         raise ConfigError(f"grid.axes: {exc}") from None
     _make_dir(out_dir)
-    dim = len(spec.axes)
-    header = [f"x{i}" for i in range(dim)] + ["density"]
-    _write_csv(out_dir / "pooled_grid.csv", header, _csv_rows(table.columns()))
+    _write_grid(out_dir / "pooled_grid.csv", table)
     print(f"grid mass {table.total_mass()!r}")
-    if dim >= 2:
-        print(f"grid correlation {table.correlation(0, 1)!r}")
+    if correlation is not None:
+        print(f"grid correlation {correlation!r}")
     _write_manifest(out_dir, cfg, {"artifact": "pooled_grid.csv"})
     return 0
 
@@ -566,11 +581,13 @@ def _cmd_oracle(cfg: dict, sampler: dict | None, out_dir: Path) -> int:
     return 0
 
 
-def _read_samples(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and (columns, chains, draws) traces of a ``melded_samples.csv``.
+def _read_samples(path: Path) -> tuple[list[str], Iterator[np.ndarray]]:
+    """Header and the (chains, draws) trace of each parameter of a ``melded_samples.csv``.
 
-    Chain ids (column 0) must be the integers 0..C-1, each with the same
-    number of rows; rows keep their file order within a chain.
+    The parameters are the columns after ``chain`` and ``iteration``; their
+    traces are gathered one at a time as they are consumed.  Chain ids
+    (column 0) must be the integers 0..C-1, each with the same number of
+    rows; rows keep their file order within a chain.
     """
     header: list[str] = []
     try:
@@ -597,7 +614,7 @@ def _read_samples(path: Path) -> tuple[list[str], np.ndarray]:
             f"{path}: diagnostics need chains 0..C-1 of equal length; got {lengths}"
         )
     order = np.argsort(data[:, 0], kind="stable")
-    return header, np.take(data.T, order, axis=1).reshape(len(header), ids.size, -1)
+    return header, (data[order, j].reshape(ids.size, -1) for j in range(2, len(header)))
 
 
 def _cmd_diag(cfg: dict, out_dir: Path) -> int:
@@ -605,7 +622,7 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
     if not path.exists():
         raise ChainmeldError(f"no sample file at {path}; run the sample command first")
     header, traces = _read_samples(path)
-    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], traces[2:], math.nan)
+    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], traces, math.nan)
     print(f"wrote {out_dir / 'diagnostics.csv'}")
     return 0
 

@@ -384,8 +384,15 @@ class GridTable:
         return mean, cov
 
     def correlation(self, i: int = 0, j: int = 1) -> float:
+        """Correlation of coordinates i and j; an axis whose mass lies in one cell is an error."""
         _, cov = self.moments()
-        return float(cov[i, j] / math.sqrt(cov[i, i] * cov[j, j]))
+        for axis in (i, j):
+            if not cov[axis, axis] > 0:
+                raise PoolingConfigError(
+                    f"axis {axis} holds no spread: the grid puts all of the density's mass "
+                    f"in one cell along it, so the correlation is undefined"
+                )
+        return float(cov[i, j] / (math.sqrt(cov[i, i]) * math.sqrt(cov[j, j])))
 
 
 def grid_normalize(pool: PooledPrior, grid: GridSpec) -> GridTable:
@@ -404,6 +411,9 @@ def grid_normalize(pool: PooledPrior, grid: GridSpec) -> GridTable:
         )
     if grid.n_points > 10**7:
         raise PoolingConfigError(f"grid has {grid.n_points} points, limit is 1e7")
+    vol = grid.cell_volume
+    if not (0 < vol < math.inf and 1 / vol < math.inf):  # so every density is a finite float
+        raise PoolingConfigError(f"grid cell volume {vol!r} is beyond the float range")
     centers = grid.centers()
     mesh = np.meshgrid(*centers, indexing="ij")
     stacked = np.stack(mesh, axis=-1)  # (..., total_dim)
@@ -412,14 +422,15 @@ def grid_normalize(pool: PooledPrior, grid: GridSpec) -> GridTable:
     for d in dims:
         blocks.append(stacked[..., offset : offset + d])
         offset += d
-    logd = np.asarray(pool.log_density(blocks), dtype=float)
+    with np.errstate(over="ignore"):  # a log density beyond the float range is -inf
+        logd = np.asarray(pool.log_density(blocks), dtype=float)
     if np.isnan(logd).any() or np.isposinf(logd).any():
         raise NumericalFailureError("pooled log density is non-finite on the grid")
     peak = logd.max()
-    if not np.isfinite(peak):
-        raise NumericalFailureError("pooled density has no mass on the grid")
+    if not np.isfinite(peak):  # -inf: every cell lies too far out for a float log density
+        raise PoolingConfigError("the pooled density has no mass on the grid")
     w = np.exp(logd - peak)
-    total = w.sum() * grid.cell_volume
+    total = w.sum() * vol
     if not np.isfinite(total) or total <= 0:
         raise NumericalFailureError("pooled density mass on the grid is not finite")
     return GridTable(tuple(centers), w / total, grid.cell_volume)

@@ -218,9 +218,24 @@ class TestModelParams:
     def test_overflowing_value(self, tmp_path, capsys, key, value):
         cfg = _gaussian_config(tmp_path)
         cfg["model"]["params"][key] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            self._rejects(tmp_path, capsys, cfg, "model.params")
+        self._rejects(tmp_path, capsys, cfg, "model.params")
+
+    @pytest.mark.parametrize("key, value", [
+        ("y1", [0, 2.68e154]),  # the data's spread overflows
+        ("sigma1", 1e-200),  # the squares of these scales underflow
+        ("s2", 1e-200),
+        ("tau", 1e-200),
+        ("sigma2", [1e-200, 1.0]),
+    ])
+    def test_value_beyond_the_float_range_names_its_key(self, tmp_path, capsys, key, value):
+        cfg = _gaussian_config(tmp_path)
+        cfg["model"]["params"][key] = value
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "pool-grid", "sample"):
+            assert main([command, "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: model.params.{key}:") and "Warning" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_table(self, tmp_path, capsys):
         cfg = _discrete_config(tmp_path)
@@ -446,6 +461,10 @@ class TestPoolGrid:
         ({"axes": [[0, 1, 2.5], [-6, 6, 4]]}, "grid.axes"),
         ({"axes": [[0, 1, 3]]}, "grid.axes"),
         ({"axes": [[0, 1, 5000], [0, 1, 5000]]}, "grid.axes"),
+        ({"axes": [[-1e200, 1e200, 3], [-1e200, 1e200, 3]]}, "grid.axes"),  # cell volume inf
+        ({"axes": [[0, 1e-155, 1], [0, 1e-155, 1]]}, "grid.axes"),  # 1 / cell volume inf
+        ({"axes": [[-1e300, 1e300, 10], [-6, 6, 4]]}, "grid.axes"),  # no cell near the mass
+        ({"axes": [[-6, 6, 1], [-6, 6, 4]]}, "grid.axes"),  # one cell: no spread
         ({"axes": 5}, "grid.axes"),
         (5, "grid.axes"),
         ("discrete", "model.name"),
@@ -459,6 +478,20 @@ class TestPoolGrid:
         assert main(["pool-grid", "--config", _write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
         assert f"config error: {key}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("grid, lam", [
+        ([[-6, 7.6e76, 10], [-6, 6, 10]], [0.5, 0.5, 0.5]),  # the mass fills one cell of axis 0
+        ([[-6, 6, 200], [-6, 6, 200]], [2**70, 0.5, 0.5]),  # a pool too peaked for the cells
+    ])
+    def test_axis_without_spread_is_named(self, tmp_path, capsys, grid, lam):
+        cfg = _gaussian_config(tmp_path, grid={"axes": grid})
+        cfg["pooling"]["lambda"] = lam
+        assert main(["pool-grid", "--config", _write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.axes: axis 0 holds no spread")
+        assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
 
