@@ -38,7 +38,7 @@ from .builtins import (
 )
 from .chain import UnitFactorization, validate_chain
 from .errors import ChainmeldError, ConfigError, PoolingConfigError, StructureError
-from .normal_approx import MODES, build_normal_approx_target, fit_gaussian_moments
+from .normal_approx import build_normal_approx_target, check_proper_ratio, fit_gaussian_moments
 from .pooling import (
     FACTORIZATIONS,
     GridSpec,
@@ -229,13 +229,24 @@ _SAMPLER = {
         lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"), 0.5), {}),
     "warmup_frac": (_typed(lambda v: _is_finite(v) and 0 <= v < 1, "a number in [0, 1)"), 0.1),
     "factorization": (_one_of(FACTORIZATIONS), "subprior-ends"),
-    "normal_approx_mode": (_one_of(MODES), "ratio"),
 }
+
+
+# A stage keeps all of its draws in memory, so its chains x iterations must
+# stay far below numpy's array-size limit.
+_MAX_DRAWS = 2**31
 
 
 def _read_sampler(cfg: dict) -> dict:
     """The ``sampler`` section, checked, with every default and per-stage value filled in."""
-    return _read("sampler", _require(cfg, "sampler"), _SAMPLER)
+    sampler = _read("sampler", _require(cfg, "sampler"), _SAMPLER)
+    for stage, n in sampler["iterations"].items():
+        if sampler["chains"] * n > _MAX_DRAWS:
+            raise ConfigError(
+                f"sampler.chains x sampler.iterations.{stage}: {sampler['chains']} x {n} "
+                f"draws exceed the {_MAX_DRAWS} a stage may keep"
+            )
+    return sampler
 
 
 # grid.axes: one [lo, hi, n] per coordinate of the pooled blocks
@@ -412,17 +423,23 @@ def _run_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> MeldedC
     stores = run_stage_one_pair(built.model, factor, kernels[0], kernels[0], iters[0],
                                 chains=chains, seed=seed, warmup_frac=warmup)
     if kind == "normal-approx":
-        return _run_normal_approx(sampler, built, stores, kernels[1])
+        return _run_normal_approx(sampler, built, factor, stores, kernels[1])
     runner = run_parallel_stage_two if kind == "parallel" else run_parallel_stage_two_unitwise
     return runner(built.model, factor, *stores, kernels[1], iters[1], chains=chains, seed=seed + 1,
                   warmup_frac=warmup)
 
 
-def _require_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> None:
-    """Reject, before any sampling, a sampler kind the chain or pool cannot run."""
+def _require_sampler(sampler: dict, built: BuiltChain) -> None:
+    """Reject, before any sampling, a sampler kind the chain cannot run."""
     kind = sampler["kind"]
     if kind == "normal-approx":
-        _require_normal_approx(sampler, built, pool)
+        coords = [*(c for block in built.model.phi_blocks for c in block.coords),
+                  *built.model.submodels[1].psi_coords]
+        if any(c.kind == "discrete" for c in coords):
+            raise ConfigError(
+                "sampler.kind: normal-approx needs continuous coordinates; this chain has "
+                "discrete ones"
+            )
     elif kind == "parallel-unitwise":
         ends = (0, built.model.n_submodels - 1)
         bare = [m for m in ends if built.model.submodels[m].unit_factorization is None]
@@ -434,45 +451,18 @@ def _require_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> Non
             )
 
 
-def _require_normal_approx(sampler: dict, built: BuiltChain, pool: PooledPrior) -> None:
-    """Reject a normal-approx run whose target would not be the melded posterior.
-
-    The target fits Gaussians to continuous stage-one draws; ``ratio`` mode
-    divides them by the subpriors, so they must be subposteriors.  It is
-    exact only when the pool is p2 itself.
-    """
+def _run_normal_approx(sampler: dict, built: BuiltChain, factor, stores,
+                       kernel) -> MeldedChainOutput:
+    """Stage two of ``normal-approx``: a random walk on the stage-two target with
+    Gaussians fitted to the stage-one ``stores`` of both ends."""
     model = built.model
-    coords = [*(c for block in model.phi_blocks for c in block.coords),
-              *model.submodels[1].psi_coords]
-    if any(c.kind == "discrete" for c in coords):
-        raise ConfigError(
-            "sampler.kind: normal-approx needs continuous coordinates; this chain has "
-            "discrete ones"
-        )
-    if sampler["normal_approx_mode"] == "ratio" and sampler["factorization"] == "flat-ends":
-        raise ConfigError(
-            "sampler.factorization: normal-approx ratio mode needs subprior-ends; under "
-            "flat-ends stage one samples the end likelihoods, not the subposteriors "
-            "the ratio divides by the subpriors"
-        )
-    terms = pool.terms
-    middle = pool.chain.submodels[1].eval_log_prior
-    if not (len(terms) == 1 and terms[0].coef == 1.0 and terms[0].evaluates(middle, (0, 1))):
-        raise ConfigError(
-            f"pooling: normal-approx needs the pool to equal the middle submodel's "
-            f"prior (dictatorial-complete [1, 1], dictatorial-partial with "
-            f"authoritative 1, or logarithmic [0, 1, 0]); this {pool.method} pool differs"
-        )
-
-
-def _run_normal_approx(sampler: dict, built: BuiltChain, stores, kernel) -> MeldedChainOutput:
-    """Stage two of ``normal-approx``: a random walk on the target fitted to the stage-one
-    ``stores`` of both ends."""
-    model = built.model
-    g1_post = fit_gaussian_moments(stores[0], "phi")
-    g3_post = fit_gaussian_moments(stores[1], "phi")
-    target = build_normal_approx_target(model, g1_post, built.meta["prior1"], g3_post,
-                                        built.meta["prior3"], sampler["normal_approx_mode"])
+    g1 = fit_gaussian_moments(stores[0])
+    g3 = fit_gaussian_moments(stores[1])
+    if sampler["factorization"] == "subprior-ends":
+        for g, prior, block in zip((g1, g3), (built.meta["prior1"], built.meta["prior3"]),
+                                   model.phi_blocks):
+            check_proper_ratio(g, prior, block)
+    target = build_normal_approx_target(model, factor, g1, g3)
     d12 = model.phi_blocks[0].dim
     d = d12 + model.phi_blocks[1].dim
     spec2 = model.submodels[1]
@@ -483,10 +473,9 @@ def _run_normal_approx(sampler: dict, built: BuiltChain, stores, kernel) -> Meld
     )
     chains, n2 = sampler["chains"], sampler["iterations"]["stage_two"]
     draws, accepted = run_random_walk(
-        lambda z: target(z[:, :d12], z[:, d12:d], z[:, d:]),
-        coords, kernel, n2, chains=chains, seed=sampler["seed"] + 1,
+        target, coords, kernel, n2, chains=chains, seed=sampler["seed"] + 1,
         warmup_frac=sampler["warmup_frac"],
-        init=np.concatenate([g1_post.mean, g3_post.mean, np.zeros(spec2.psi_dim)]),
+        init=np.concatenate([g1.mean, g3.mean, np.zeros(spec2.psi_dim)]),
     )
     keep = draws.shape[1]
     empty = np.zeros((chains, keep, 0))
@@ -508,9 +497,9 @@ def _make_dir(out_dir: Path) -> None:
 
 def _cmd_validate(cfg: dict, sampler: dict | None) -> int:
     built = build_model(cfg)
-    pool = build_pool(cfg, built)
+    build_pool(cfg, built)
     if sampler is not None:
-        _require_sampler(sampler, built, pool)
+        _require_sampler(sampler, built)
     report = validate_chain(built.model)
     for line in report:
         print(f"invalid: {line}")
@@ -542,7 +531,7 @@ def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
 def _cmd_sample(cfg: dict, sampler: dict, out_dir: Path) -> int:
     built = build_model(cfg)
     pool = build_pool(cfg, built)
-    _require_sampler(sampler, built, pool)
+    _require_sampler(sampler, built)
     _make_dir(out_dir)
     output = _run_sampler(sampler, built, pool)
     _write_samples(out_dir, output, built.model)
@@ -565,7 +554,7 @@ def _cmd_oracle(cfg: dict, sampler: dict | None, out_dir: Path) -> int:
         raise ConfigError("model.name: oracle enumeration requires discrete-chain")
     pool = build_pool(cfg, built)
     if sampler is not None:
-        _require_sampler(sampler, built, pool)
+        _require_sampler(sampler, built)
     _make_dir(out_dir)
     oracle = enumerate_melded_posterior(built, pool)
     header = [f"x{i}" for i in range(oracle.states.shape[1])] + ["probability"]

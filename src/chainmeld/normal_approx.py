@@ -2,20 +2,21 @@
 
 Stage-one draws for the two end submodels are summarized as Gaussians over
 their shared blocks (the end nuisance parameters are integrated out simply
-by ignoring their columns).  The approximate target multiplies the Gaussian
-ratio (subposterior over subprior, stacked block-diagonally across the two
-ends) into the middle submodel's joint density, assuming the pooled prior
-defers to the middle submodel over the shared blocks.
+by ignoring their columns).  The approximate target is the ordinary
+stage-two target of the middle submodel, with each end's stage-one
+subposterior replaced by its fitted Gaussian, so it is the melded posterior
+of whatever pool and factorization the stage-one draws came from, up to the
+Gaussian fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
-from .chain import ChainModel
+from .chain import ChainModel, PhiBlock
 from .errors import NumericalFailureError, StructureError, UnsupportedConfigError
 from .gaussian import (
     GaussianDensity,
@@ -23,43 +24,28 @@ from .gaussian import (
     block_diag_stack,
     gaussian_ratio_product,
 )
-from .samplers import SampleStore
+from .pooling import PoolFactorization, merge_term, neg_inf_policy
+from .samplers import SampleStore, _has_inf
 
 __all__ = [
     "MomentDiagnostics",
     "fit_gaussian_moments",
     "moment_diagnostics",
     "build_normal_approx_target",
+    "check_proper_ratio",
 ]
 
 _JITTER = 1e-10
-MODES = ("ratio", "poe-flat-prior")
 
 
-def _select_columns(store: SampleStore, selector) -> tuple[np.ndarray, tuple]:
-    if isinstance(selector, str):
-        if selector == "phi":
-            return store.phi, store.phi_coords
-        if selector == "psi":
-            return store.psi, store.psi_coords
-        if selector == "all":
-            return store.draws, store.phi_coords + store.psi_coords
-        raise StructureError(f"unknown block selector {selector!r}")
-    idx = list(selector)
-    coords = store.phi_coords + store.psi_coords
-    return store.draws[:, idx], tuple(coords[i] for i in idx)
+def fit_gaussian_moments(store: SampleStore) -> GaussianDensity:
+    """Sample mean and unbiased covariance of the store's shared-block (phi) draws.
 
-
-def fit_gaussian_moments(store: SampleStore, selector: Union[str, Sequence[int]] = "phi") -> GaussianDensity:
-    """Sample mean and unbiased covariance of the selected columns.
-
-    ``selector`` is ``"phi"``, ``"psi"``, ``"all"``, or explicit column
-    indices into the concatenated (phi, psi) draw matrix.  Discrete
-    coordinates are rejected; the covariance must be positive definite
-    after a 1e-10 relative jitter.
+    Discrete coordinates are rejected; the covariance must be positive
+    definite after a 1e-10 relative jitter.
     """
-    data, coords = _select_columns(store, selector)
-    if any(c.kind == "discrete" for c in coords):
+    data = store.phi
+    if any(c.kind == "discrete" for c in store.phi_coords):
         raise UnsupportedConfigError(
             "Gaussian moment fitting requires continuous coordinates only"
         )
@@ -85,9 +71,9 @@ class MomentDiagnostics:
     excess_kurtosis: np.ndarray
 
 
-def moment_diagnostics(store: SampleStore, selector: Union[str, Sequence[int]] = "phi") -> MomentDiagnostics:
-    """Biased sample skewness and excess kurtosis of each selected column."""
-    data, _ = _select_columns(store, selector)
+def moment_diagnostics(store: SampleStore) -> MomentDiagnostics:
+    """Biased sample skewness and excess kurtosis of each phi column of the store."""
+    data = store.phi
     mean = data.mean(axis=0)
     centered = data - mean
     m2 = np.mean(centered**2, axis=0)
@@ -100,26 +86,36 @@ def moment_diagnostics(store: SampleStore, selector: Union[str, Sequence[int]] =
         )
 
 
+def check_proper_ratio(fit: GaussianDensity, subprior: GaussianDensity, block: PhiBlock) -> None:
+    """Raise unless the fitted subposterior over ``block`` is more precise than its subprior.
+
+    Under ``subprior-ends`` the target divides each end's fit by the end's
+    subprior (the factor's -log p_e term).  When the fit's precision does
+    not exceed the subprior's, that ratio is improper and the target may be
+    too; when it does, the target is proper under every logarithmic pool.
+    """
+    if isinstance(gaussian_ratio_product(fit, subprior), ImproperGaussianRatio):
+        raise NumericalFailureError(
+            f"subposterior/subprior ratio for shared block {block.label!r} "
+            "is improper (precision difference not positive definite)"
+        )
+
+
 def build_normal_approx_target(
     model: ChainModel,
-    g1_post: GaussianDensity,
-    g1_prior: GaussianDensity,
-    g3_post: GaussianDensity,
-    g3_prior: GaussianDensity,
-    mode: str = "ratio",
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Approximate melded log target over (phi12, phi23, psi2).
+    factor: PoolFactorization,
+    g1: GaussianDensity,
+    g3: GaussianDensity,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Stage-two log target over rows z = (phi12, phi23, psi2), batched as (n, d) -> (n,).
 
-    In ``"ratio"`` mode the Gaussian factor is the stacked subposterior
-    summaries divided by the stacked subprior summaries; the division must
-    leave a proper Gaussian, otherwise an error names the offending shared
-    block.  ``"poe-flat-prior"`` mode corresponds to uniform subpriors over
-    the shared blocks and uses the subposterior stack directly.
+    It is the middle submodel's stage-two target, log p2(phi, psi2, Y2) plus
+    its pool factor ``factor.terms[1]`` with log p2(phi) divided out, times
+    the fits ``g1`` and ``g3`` that stand in for the ends' stage-one
+    subposteriors over phi12 and phi23.
     """
     if model.n_submodels != 3:
         raise UnsupportedConfigError("normal approximation is defined for M = 3 chains")
-    if mode not in MODES:
-        raise UnsupportedConfigError(f"unknown mode {mode!r}")
     b12, b23 = model.phi_blocks
     for block in (b12, b23):
         if any(c.kind == "discrete" for c in block.coords):
@@ -127,36 +123,28 @@ def build_normal_approx_target(
                 f"shared block {block.label!r} has discrete coordinates; "
                 "the normal approximation requires continuous shared blocks"
             )
-    if g1_post.dim != b12.dim or g1_prior.dim != b12.dim:
-        raise StructureError(f"end-1 summaries must have dim {b12.dim}")
-    if g3_post.dim != b23.dim or g3_prior.dim != b23.dim:
-        raise StructureError(f"end-3 summaries must have dim {b23.dim}")
-
-    if mode == "ratio":
-        for g_post, g_prior, block in ((g1_post, g1_prior, b12), (g3_post, g3_prior, b23)):
-            if isinstance(gaussian_ratio_product(g_post, g_prior), ImproperGaussianRatio):
-                raise NumericalFailureError(
-                    f"subposterior/subprior ratio for shared block {block.label!r} "
-                    "is improper (precision difference not positive definite)"
-                )
-        gauss = gaussian_ratio_product(
-            block_diag_stack([g1_post, g3_post]),
-            block_diag_stack([g1_prior, g3_prior]),
-        )
-        if isinstance(gauss, ImproperGaussianRatio):
-            raise NumericalFailureError(
-                "stacked subposterior/subprior ratio is improper"
-            )
-    else:
-        gauss = block_diag_stack([g1_post, g3_post])
+    if g1.dim != b12.dim:
+        raise StructureError(f"end-1 summary must have dim {b12.dim}")
+    if g3.dim != b23.dim:
+        raise StructureError(f"end-3 summary must have dim {b23.dim}")
 
     spec2 = model.submodels[1]
+    terms = merge_term(factor.terms[1], -1.0, spec2.eval_log_prior, (0, 1))
+    gauss = block_diag_stack([g1, g3])
+    edges = (0, b12.dim, b12.dim + b23.dim)
+    cols = [slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1]) for t in terms]
+    d = edges[-1]
 
-    def log_target(phi12: np.ndarray, phi23: np.ndarray, psi2: np.ndarray):
-        """Batched over leading dimensions; a float for 1-D inputs."""
-        phi = np.concatenate([np.atleast_1d(phi12), np.atleast_1d(phi23)], axis=-1)
-        lj2 = spec2.eval_log_joint(phi, np.atleast_1d(np.asarray(psi2, dtype=float)))
-        return gauss.logpdf(phi) + lj2
+    def log_target(z: np.ndarray) -> np.ndarray:
+        phi = z[:, :d]
+        lj2 = spec2.eval_log_joint(phi, z[:, d:])
+        values = [t.fn(z[:, c]) for t, c in zip(terms, cols)]
+        total = lj2 + gauss.logpdf(phi)
+        with np.errstate(invalid="ignore"):
+            for t, value in zip(terms, values):
+                total = total + t.coef * value
+        if _has_inf(total):
+            total = neg_inf_policy(terms, values, total, zero=np.isneginf(lj2))
+        return total
 
-    log_target.gaussian_factor = gauss
     return log_target

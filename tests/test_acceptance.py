@@ -43,6 +43,7 @@ from chainmeld import (
 )
 from chainmeld.builtins import DiscreteTable
 from chainmeld.cli import main
+from chainmeld.normal_approx import check_proper_ratio
 
 from conftest import make_discrete_chain, random_table
 
@@ -285,18 +286,16 @@ def test_acceptance_7_normal_approximation_path():
     m1 = v1 * (-2.5 + sum(y1))
     v3 = 1.0 / (1.0 + len(y3))
     m3 = v3 * (2.5 + sum(y3))
-    target = build_normal_approx_target(
-        built.model,
-        GaussianDensity([m1], [[v1]]),
-        built.meta["prior1"],
-        GaussianDensity([m3], [[v3]]),
-        built.meta["prior3"],
-        mode="ratio",
-    )
     # exact melded target under middle-authoritative pooling:
     # p2 prior times both end likelihoods
     pool = dictatorial_complete(
         built.model, [1, 1], boundary_marginals=built.boundary_marginals
+    )
+    target = build_normal_approx_target(
+        built.model,
+        factorize_for_sampler(pool, "subprior-ends"),
+        GaussianDensity([m1], [[v1]]),
+        GaussianDensity([m3], [[v3]]),
     )
 
     def exact(a, b):
@@ -309,7 +308,7 @@ def test_acceptance_7_normal_approximation_path():
     grid = np.linspace(-4.0, 4.0, 17)
     diffs = np.array(
         [
-            target(np.array([a]), np.array([b]), np.empty(0)) - exact(a, b)
+            target(np.array([[a, b]]))[0] - exact(a, b)
             for a in grid
             for b in grid
         ]
@@ -318,13 +317,10 @@ def test_acceptance_7_normal_approximation_path():
 
     named_error = False
     try:
-        build_normal_approx_target(
-            built.model,
-            GaussianDensity([m1], [[v1]]),
-            built.meta["prior1"],
+        check_proper_ratio(
             GaussianDensity([0.0], [[4.0]]),  # wider than its prior
             built.meta["prior3"],
-            mode="ratio",
+            built.model.phi_blocks[1],
         )
     except NumericalFailureError as exc:
         named_error = "phi23" in str(exc)

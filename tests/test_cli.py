@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chainmeld import builtin_gaussian_chain, log_pool_gaussian_chain
 from chainmeld.cli import main
 
 from conftest import random_table
@@ -158,15 +159,28 @@ class TestSamplerKeys:
         cfg["sampler"]["factorization"] = "bogus"
         self._rejects(tmp_path, capsys, cfg, "sampler.factorization")
 
+    @pytest.mark.parametrize("key", ["chains", "iterations"])
+    def test_more_draws_than_a_stage_may_keep(self, tmp_path, capsys, key):
+        # each key passes its own check; their product is beyond any array
+        cfg = _gaussian_config(tmp_path)
+        if key == "chains":
+            cfg["sampler"]["chains"] = 2**70
+        else:
+            cfg["sampler"]["iterations"]["stage_two"] = 2**70
+        self._rejects(tmp_path, capsys, cfg, "sampler.chains x sampler.iterations.stage_")
+
     def test_unknown_normal_approx_mode(self, tmp_path, capsys):
+        # A retired key: poe-flat-prior under subprior-ends sampled the poe
+        # pool's melded posterior, not the configured pool's.
         cfg = _gaussian_config(tmp_path)
         cfg["pooling"] = {"method": "dictatorial-complete", "choices": [1, 1]}
         cfg["sampler"]["kind"] = "normal-approx"
-        cfg["sampler"]["normal_approx_mode"] = "bogus"
-        self._rejects(tmp_path, capsys, cfg, "sampler.normal_approx_mode")
+        cfg["sampler"]["normal_approx_mode"] = "poe-flat-prior"
+        self._rejects(tmp_path, capsys, cfg, "sampler.normal_approx_mode: unknown key")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("factorization", "flat-ends"),
-                                            ("normal_approx_mode", "poe-flat-prior")])
+                                            ("kind", "normal-approx")])
     def test_documented_keys_validate(self, tmp_path, capsys, key, value):
         cfg = _gaussian_config(tmp_path)
         cfg["sampler"][key] = value
@@ -347,40 +361,76 @@ class TestSample:
         cfg["sampler"]["kind"] = "normal-approx"
         assert main(["sample", "--config", _write_config(tmp_path, cfg)]) == 0
 
-    @pytest.mark.parametrize(
-        "pooling",
-        [
-            {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
-            {"method": "poe"},
-            {"method": "dictatorial-complete", "choices": [0, 2]},
-            {"method": "dictatorial-partial", "authoritative": 0},
-        ],
-    )
-    def test_normal_approx_rejects_other_pools(self, tmp_path, capsys, pooling):
+    @pytest.mark.parametrize("factorization", ["subprior-ends", "flat-ends"])
+    @pytest.mark.parametrize("pooling, lam", [
+        ({"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]}, [0.5, 0.5, 0.5]),
+        ({"method": "logarithmic", "lambda": [1, 1, 1]}, [1, 1, 1]),
+        ({"method": "dictatorial-complete", "choices": [1, 1]}, [0, 1, 0]),
+    ], ids=["log-half", "log-one", "dictatorial-middle"])
+    def test_normal_approx_matches_analytic_posterior(self, tmp_path, pooling, lam,
+                                                      factorization):
+        """Every pool's melded posterior, by acceptance 5's 3-SE rule on each moment."""
         cfg = _gaussian_config(tmp_path, pooling=pooling)
-        cfg["sampler"]["kind"] = "normal-approx"
+        cfg["sampler"].update(kind="normal-approx", seed=11, chains=4,
+                              factorization=factorization,
+                              iterations={"stage_one": 20_000, "stage_two": 10_000})
         path = _write_config(tmp_path, cfg)
-        assert main(["validate", "--config", path]) == 1
-        assert main(["sample", "--config", path]) == 1
-        assert "pooling" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+        assert main(["validate", "--config", path]) == 0
+        assert main(["sample", "--config", path]) == 0
 
-    @pytest.mark.parametrize("model, key", [("gaussian", "sampler.factorization"),
-                                            ("discrete", "sampler.kind")])
-    def test_normal_approx_rejects_flat_ends_and_discrete_chains(self, tmp_path, capsys,
-                                                                  model, key):
-        if model == "gaussian":
-            cfg = _gaussian_config(tmp_path)
-            cfg["sampler"]["factorization"] = "flat-ends"
-        else:
-            cfg = _discrete_config(tmp_path)
+        # closed form: the pooled prior times every conjugate data term
+        p = cfg["model"]["params"]
+        built = builtin_gaussian_chain(**p)
+        pooled = log_pool_gaussian_chain(built.meta["prior1"], built.meta["prior2"],
+                                         built.meta["prior3"], lam)
+        prec = np.zeros((3, 3))
+        prec[:2, :2] = np.linalg.inv(pooled.cov)
+        shift = np.zeros(3)
+        shift[:2] = prec[:2, :2] @ pooled.mean
+        prec[0, 0] += len(p["y1"])
+        shift[0] += sum(p["y1"])
+        prec[1, 1] += len(p["y3"])
+        shift[1] += sum(p["y3"])
+        prec[2, 2] += 1.0 / p["tau"] ** 2
+        a = np.ones(3)
+        for y in p["y2"]:
+            prec += np.outer(a, a) / p["s2"] ** 2
+            shift += y * a / p["s2"] ** 2
+        cov = np.linalg.inv(prec)
+        mean = cov @ shift
+
+        out = tmp_path / "out"
+        with (out / "diagnostics.csv").open() as handle:
+            diag = {row["parameter"]: row for row in csv.DictReader(handle)}
+        data = np.loadtxt(out / "melded_samples.csv", delimiter=",", skiprows=1)
+        for j, name in enumerate(("phi12", "phi23", "psi2")):
+            e, v, x = float(diag[name]["ess_bulk"]), cov[j, j], data[:, 2 + j]
+            assert float(diag[name]["rhat"]) < 1.01 and e > 1000
+            assert abs(x.mean() - mean[j]) < 3 * math.sqrt(v / e)
+            assert abs(x.var() - v) < 3 * v * math.sqrt(2.0 / e)
+
+    def test_normal_approx_rejects_discrete_chains(self, tmp_path, capsys):
+        cfg = _discrete_config(tmp_path)
         cfg["pooling"] = {"method": "dictatorial-complete", "choices": [1, 1]}
         cfg["sampler"]["kind"] = "normal-approx"
         path = _write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 1
         assert main(["sample", "--config", path]) == 1
         err = capsys.readouterr().err
-        assert err.count(f"config error: {key}:") == 2
+        assert err.count("config error: sampler.kind:") == 2
+        assert not (tmp_path / "out" / "melded_samples.csv").exists()
+
+    def test_normal_approx_improper_ratio_exits_2(self, tmp_path, capsys):
+        """A stage-one fit no more precise than its subprior stops the run before stage two."""
+        # Without data each end's subposterior is its prior, so each fit is
+        # wider than the prior about half the time; at this seed phi12's is.
+        cfg = _gaussian_config(tmp_path)
+        cfg["model"]["params"].update(y1=[], y3=[])
+        cfg["sampler"]["kind"] = "normal-approx"
+        path = _write_config(tmp_path, cfg)
+        assert main(["sample", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "subposterior/subprior ratio for shared block 'phi12' is improper" in err
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
     @pytest.mark.parametrize("model", ["gaussian", "discrete"])
@@ -396,12 +446,12 @@ class TestSample:
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
     def test_normal_approx_poe_flat_prior_accepts_flat_ends(self, tmp_path):
-        """Without the ratio, flat-ends stage one's end likelihoods are what the target needs."""
+        """The ends enter flat-ends stage two as fits to their likelihoods alone, the
+        product of experts under flat end priors."""
         cfg = _gaussian_config(
             tmp_path, pooling={"method": "dictatorial-complete", "choices": [1, 1]}
         )
-        cfg["sampler"].update(kind="normal-approx", normal_approx_mode="poe-flat-prior",
-                              factorization="flat-ends")
+        cfg["sampler"].update(kind="normal-approx", factorization="flat-ends")
         path = _write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 0
         assert main(["sample", "--config", path]) == 0

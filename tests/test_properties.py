@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from chainmeld import cli
 from chainmeld import (
     ChainModel,
+    ConfigError,
     GaussianDensity,
     GridTable,
     MeldedChainOutput,
@@ -30,6 +31,8 @@ from chainmeld import (
     PhiBlock,
     StructureError,
     SubmodelSpec,
+    UnitFactorization,
+    builtin_discrete_chain,
     builtin_gaussian_chain,
     dictatorial_complete,
     dictatorial_partial,
@@ -40,6 +43,7 @@ from chainmeld import (
     poe_pooling,
     real_coords,
     submodel_log_ratio,
+    unit_additivity_gap,
 )
 from chainmeld.diagnostics import _doubled_ranks, _rank_normalize, ess, ess_tail
 from chainmeld.pooling import merge_term, sum_terms
@@ -366,6 +370,76 @@ def test_gaussian_batched_joint_equals_rows(case):
     np.testing.assert_allclose(batched, _row_by_row(spec, phi, psi), rtol=1e-12, atol=1e-12)
 
 
+# -- unit factorizations of the discrete builtin --------------------------------
+
+
+@st.composite
+def unit_layouts(draw):
+    """One end's two or three units: per unit, the cardinalities of its phi and psi
+    coordinates, at most four phi coordinates in all.
+
+    The block's coordinates are dealt to the units in a random order."""
+    units = draw(st.lists(st.tuples(st.lists(st.integers(2, 3), min_size=1, max_size=2),
+                                    st.lists(st.integers(2, 3), max_size=1)),
+                          min_size=2, max_size=3)
+                 .filter(lambda units: sum(len(phi) for phi, _ in units) <= 4))
+    n_phi = sum(len(phi) for phi, _ in units)
+    order = draw(st.permutations(range(n_phi)))
+    return units, order
+
+
+def _end_tables(units, order, rng, product):
+    """(cards of the block, psi cards, unit factorization, table) of one end.
+
+    The table is the product of one random factor per unit, or with
+    ``product`` False a random table over the same axes."""
+    phi_idx, psi_idx, k, j = [], [], 0, 0
+    for phi, psi in units:
+        phi_idx.append(tuple(order[k:k + len(phi)]))
+        psi_idx.append(tuple(range(j, j + len(psi))))
+        k, j = k + len(phi), j + len(psi)
+    phi_cards = [0] * k
+    for idx, (phi, _) in zip(phi_idx, units):
+        for i, c in zip(idx, phi):
+            phi_cards[i] = c
+    psi_cards = [c for _, psi in units for c in psi]
+    shape = tuple(phi_cards + psi_cards)
+    table = np.ones(shape)
+    if product:
+        for pi, si in zip(phi_idx, psi_idx):
+            axes = [*pi, *(k + i for i in si)]
+            factor_shape = [shape[a] if a in axes else 1 for a in range(len(shape))]
+            table = table * (0.2 + rng.random(factor_shape))
+    else:
+        table = 0.2 + rng.random(shape)
+    uf = UnitFactorization(tuple(phi_idx), tuple(psi_idx))
+    return tuple(phi_cards), tuple(psi_cards), uf, table / table.sum()
+
+
+@settings(max_examples=60)
+@given(end1=unit_layouts(), end3=unit_layouts(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_unit_additivity_on_random_factorized_tables(end1, end3, seed, data):
+    """Product tables pass with their units, additive to 1e-12 at random states;
+    a random table over the same units names ``units``."""
+    rng = np.random.default_rng(seed)
+    (c1, s1, uf1, p1), (c3, s3, uf3, p3) = (_end_tables(*end, rng, True) for end in (end1, end3))
+    lik1 = _end_tables(*end1, rng, True)[3]
+    p2 = 0.2 + rng.random(c1 + c3)
+    kwargs = dict(phi_cards=(c1, c3), psi_cards=(s1, (), s3), units=(uf1, None, uf3))
+    built = builtin_discrete_chain(p1, p2 / p2.sum(), p3, likelihoods=(lik1, None, None),
+                                   **kwargs)
+    for m, cards, psi_cards in ((0, c1, s1), (2, c3, s3)):
+        spec = built.model.submodels[m]
+        a, b = ([np.array([data.draw(st.integers(0, c - 1)) for c in cs], dtype=float)
+                 for cs in (cards, psi_cards)] for _ in range(2))
+        assert unit_additivity_gap(spec, a[0], a[1], b[0], b[1]) <= 1e-12
+
+    mixed = _end_tables(*end1, rng, False)[3]
+    with pytest.raises(ConfigError, match="units"):
+        builtin_discrete_chain(mixed, p2 / p2.sum(), p3, **kwargs)
+
+
 def test_scalar_only_joint_is_rejected():
     spec = SubmodelSpec(4, None, "a", lambda p, s: 0.0, _quad)
     assert spec.eval_log_joint(np.zeros(1), np.empty(0)) == 0.0
@@ -558,7 +632,7 @@ def test_ess_tail_matches_ranking_the_indicators(arr):
 
 
 # The README's example config on a 10 x 10 grid, and a small discrete chain
-# that sets every sampler key.
+# that sets every sampler key, with the fewest iterations a stage may run.
 README_CONFIG = {
     "model": {
         "name": "gaussian-chain",
@@ -583,9 +657,9 @@ DISCRETE_CONFIG = {
     },
     "pooling": {"method": "dictatorial-complete", "choices": [1, 1]},
     "sampler": {"kind": "parallel-unitwise", "seed": 3, "chains": 2,
-                "iterations": {"stage_one": 200, "stage_two": 200, "stage_three": 200},
+                "iterations": {"stage_one": 100, "stage_two": 100, "stage_three": 100},
                 "scales": {"stage_one": 0.5, "stage_two": 1.0}, "warmup_frac": 0.2,
-                "factorization": "flat-ends", "normal_approx_mode": "ratio"},
+                "factorization": "flat-ends"},
     "outputs": {"directory": "out"},
     "grid": {"axes": [[0, 1, 2], [0, 1, 2]]},
 }
@@ -621,7 +695,8 @@ json_values = st.recursive(
 @settings(max_examples=300)
 @given(base=st.sampled_from([README_CONFIG, DISCRETE_CONFIG]), data=st.data())
 def test_no_config_mutation_ends_in_a_traceback(base, data):
-    """``validate`` and ``pool-grid`` exit 0, 1 or 2 whatever one value of a config holds."""
+    """``validate`` and ``pool-grid`` exit 0, 1 or 2 whatever one value of a config holds,
+    and so do ``sample`` and ``oracle`` on the small discrete chain."""
     path = data.draw(st.sampled_from(_node_paths(base)))
     cfg = copy.deepcopy(base)
     node = cfg
@@ -637,8 +712,10 @@ def test_no_config_mutation_ends_in_a_traceback(base, data):
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                codes = [cli.main([command, "--config", "run.json"])
-                         for command in ("validate", "pool-grid")]
+                commands = ["validate", "pool-grid"]
+                if base is DISCRETE_CONFIG:
+                    commands += ["sample", "oracle"]
+                codes = [cli.main([command, "--config", "run.json"]) for command in commands]
         finally:
             os.chdir(cwd)
     assert set(codes) <= {0, 1, 2}
