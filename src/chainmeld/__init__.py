@@ -51,7 +51,6 @@ from .pooling import (
     poe_pooling,
 )
 from .samplers import (
-    MHKernelConfig,
     MeldedChainOutput,
     SampleStore,
     run_parallel_stage_two,

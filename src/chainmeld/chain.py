@@ -141,13 +141,16 @@ class UnitFactorization:
         return len(self.phi_indices)
 
 
-def _has_nan(values: np.ndarray) -> bool:
+def _has_nan(values: np.ndarray, inf: bool = False) -> bool:
+    """Whether some value is NaN, or with ``inf`` NaN or infinite."""
     if values.size > 256:
-        return bool(np.isnan(values).any())
+        return not np.isfinite(values).all() if inf else bool(np.isnan(values).any())
     # Cheapest for the samplers' small batches: the sum of squares is NaN
-    # exactly when some value is, since (+-inf)^2 is +inf.
+    # exactly when some value is, since (+-inf)^2 is +inf, and finite when
+    # every value is (unless it overflows: then ``inf`` is a false alarm).
     values = values.ravel()
-    return math.isnan(values.dot(values))
+    probe = values.dot(values)
+    return not math.isfinite(probe) if inf else math.isnan(probe)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from .pooling import (
     poe_pooling,
 )
 from .samplers import (
-    MHKernelConfig,
     MeldedChainOutput,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
@@ -257,11 +256,17 @@ _AXES = _list_of(_typed(
 ))
 
 
+_MODEL = {
+    "name": (_one_of(tuple(_PARAMS)), _NEEDED),
+    "params": (_typed(lambda v: isinstance(v, dict), "an object"), {}),
+}
+
+
 def build_model(cfg: dict) -> BuiltChain:
-    """The configured builtin chain; a bad ``model.params`` value names its key."""
-    name = _require(cfg, "model.name", str)
-    _check_choice("model.name", name, _PARAMS, "builtin")
-    args = _read("model.params", cfg["model"].get("params", {}), _PARAMS[name])
+    """The configured builtin chain; a bad ``model`` key or ``model.params`` value names it."""
+    model = _read("model", _require(cfg, "model"), _MODEL)
+    name = model["name"]
+    args = _read("model.params", model["params"], _PARAMS[name])
     try:
         if name == "gaussian-chain":
             return builtin_gaussian_chain(**args)
@@ -273,35 +278,44 @@ def build_model(cfg: dict) -> BuiltChain:
         raise ConfigError("model.params: values too large for the builtin's arithmetic") from None
 
 
+def _dictatorial_partial(built: BuiltChain, args: dict) -> PooledPrior:
+    n, authoritative = built.model.n_submodels, args["authoritative"]
+    _checked("pooling.authoritative", _typed(lambda v: 0 <= v < n, f"a submodel index 0..{n - 1}"),
+             authoritative)
+    return dictatorial_partial(built.model, authoritative, side_weights=args.get("lambda"),
+                               boundary_marginals=built.boundary_marginals)
+
+
+_LAMBDA = {"lambda": (_table, _NEEDED)}
+# Each pooling method: the keys it reads besides ``method`` (key -> (check,
+# default)), and its factory of the built chain and those keys.  A pool that
+# the factory rejects names the method's last key.
+_POOLS = {
+    **dict.fromkeys(("logarithmic", "log"), (
+        _LAMBDA, lambda built, a: log_pooling(built.model, a["lambda"]))),
+    "poe": ({}, lambda built, a: poe_pooling(built.model)),
+    "linear": (_LAMBDA, lambda built, a: linear_pooling(built.model, a["lambda"],
+                                                        built.boundary_marginals)),
+    "dictatorial-partial": (
+        {"authoritative": (_integer, _NEEDED), "lambda": (_optional(_table), None)},
+        _dictatorial_partial),
+    "dictatorial-complete": (
+        {"choices": (_list_of(_integer), _NEEDED)},
+        lambda built, a: dictatorial_complete(built.model, a["choices"],
+                                              boundary_marginals=built.boundary_marginals)),
+}
+_METHOD = _one_of(tuple(_POOLS))
+
+
 def build_pool(cfg: dict, built: BuiltChain) -> PooledPrior:
-    method = _require(cfg, "pooling.method", str)
-    lam = _checked("pooling.lambda", _optional(_table), cfg["pooling"].get("lambda"))
-    marginals = built.boundary_marginals
-    key = "pooling.lambda"  # the key a rejected pool names
+    """The configured pooled prior; each method reads its own keys and no others."""
+    method = _checked("pooling.method", _METHOD, _require(cfg, "pooling.method"))
+    keys, make = _POOLS[method]
+    args = _read("pooling", cfg["pooling"], {"method": (_METHOD, _NEEDED), **keys})
     try:
-        if method in ("logarithmic", "log"):
-            if lam is None:
-                raise ConfigError("pooling.lambda: required for logarithmic pooling")
-            return log_pooling(built.model, lam)
-        if method == "poe":
-            return poe_pooling(built.model)
-        if method == "linear":
-            if lam is None:
-                raise ConfigError("pooling.lambda: required for linear pooling")
-            return linear_pooling(built.model, lam, marginals)
-        if method == "dictatorial-partial":
-            authoritative = _checked("pooling.authoritative", _integer,
-                                     _require(cfg, "pooling.authoritative"))
-            return dictatorial_partial(
-                built.model, authoritative, side_weights=lam, boundary_marginals=marginals
-            )
-        if method == "dictatorial-complete":
-            key = "pooling.choices"
-            choices = _checked(key, _list_of(_integer), _require(cfg, key))
-            return dictatorial_complete(built.model, choices, boundary_marginals=marginals)
+        return make(built, args)
     except (PoolingConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    raise ConfigError(f"pooling.method: unknown method {method!r}")
+        raise ConfigError(f"pooling.{next(reversed(keys), 'method')}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +427,19 @@ def _write_diagnostics(path: Path, names: list[str], traces, rate: float) -> Non
 
 def _run_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
     """Run the sampler that ``_read_sampler`` read and ``_require_sampler`` accepted."""
-    kernels = [MHKernelConfig(scales=sampler["scales"][stage]) for stage in _STAGES]
+    scales = [sampler["scales"][stage] for stage in _STAGES]
     iters = [sampler["iterations"][stage] for stage in _STAGES]
     factor = factorize_for_sampler(pool, sampler["factorization"])
     kind, seed, chains, warmup = (sampler[key] for key in ("kind", "seed", "chains", "warmup_frac"))
     if kind == "sequential":
-        return run_sequential(built.model, factor, kernels, tuple(iters), chains=chains, seed=seed,
+        return run_sequential(built.model, factor, scales, tuple(iters), chains=chains, seed=seed,
                               warmup_frac=warmup)
-    stores = run_stage_one_pair(built.model, factor, kernels[0], kernels[0], iters[0],
-                                chains=chains, seed=seed, warmup_frac=warmup)
+    stores = run_stage_one_pair(built.model, factor, scales[0], iters[0], chains=chains,
+                                seed=seed, warmup_frac=warmup)
     if kind == "normal-approx":
-        return _run_normal_approx(sampler, built, factor, stores, kernels[1])
+        return _run_normal_approx(sampler, built, factor, stores, scales[1])
     runner = run_parallel_stage_two if kind == "parallel" else run_parallel_stage_two_unitwise
-    return runner(built.model, factor, *stores, kernels[1], iters[1], chains=chains, seed=seed + 1,
+    return runner(built.model, factor, *stores, scales[1], iters[1], chains=chains, seed=seed + 1,
                   warmup_frac=warmup)
 
 
@@ -452,7 +466,7 @@ def _require_sampler(sampler: dict, built: BuiltChain) -> None:
 
 
 def _run_normal_approx(sampler: dict, built: BuiltChain, factor, stores,
-                       kernel) -> MeldedChainOutput:
+                       scale: float) -> MeldedChainOutput:
     """Stage two of ``normal-approx``: a random walk on the stage-two target with
     Gaussians fitted to the stage-one ``stores`` of both ends."""
     model = built.model
@@ -473,7 +487,7 @@ def _run_normal_approx(sampler: dict, built: BuiltChain, factor, stores,
     )
     chains, n2 = sampler["chains"], sampler["iterations"]["stage_two"]
     draws, accepted = run_random_walk(
-        target, coords, kernel, n2, chains=chains, seed=sampler["seed"] + 1,
+        target, coords, scale, n2, chains=chains, seed=sampler["seed"] + 1,
         warmup_frac=sampler["warmup_frac"],
         init=np.concatenate([g1.mean, g3.mean, np.zeros(spec2.psi_dim)]),
     )
@@ -616,9 +630,17 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+# The config's sections; ``load_config`` adds the file's hash as ``_sha256``.
+_SECTIONS = ("model", "pooling", "sampler", "outputs", "grid")
+_OUTPUTS = {"directory": (_typed(lambda v: isinstance(v, str), "a string"), _NEEDED)}
+
+
 def run_from_config(cfg: dict, command: str = "sample") -> int:
     """Run ``command``; it checks every config key it reads before it writes anything."""
-    out_dir = Path(_require(cfg, "outputs.directory", str))
+    for key in cfg:
+        if key != "_sha256":
+            _check_choice(key, key, _SECTIONS, "section")
+    out_dir = Path(_read("outputs", _require(cfg, "outputs"), _OUTPUTS)["directory"])
     reads_sampler = command == "sample" or command in ("validate", "oracle") and "sampler" in cfg
     sampler = _read_sampler(cfg) if reads_sampler else None
     if command == "validate":

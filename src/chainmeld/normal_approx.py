@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainModel, PhiBlock
+from .chain import ChainModel, PhiBlock, _has_nan
 from .errors import NumericalFailureError, StructureError, UnsupportedConfigError
 from .gaussian import (
     GaussianDensity,
@@ -25,7 +25,7 @@ from .gaussian import (
     gaussian_ratio_product,
 )
 from .pooling import PoolFactorization, merge_term, neg_inf_policy
-from .samplers import SampleStore, _has_inf
+from .samplers import SampleStore
 
 __all__ = [
     "MomentDiagnostics",
@@ -143,7 +143,7 @@ def build_normal_approx_target(
         with np.errstate(invalid="ignore"):
             for t, value in zip(terms, values):
                 total = total + t.coef * value
-        if _has_inf(total):
+        if _has_nan(total, inf=True):
             total = neg_inf_policy(terms, values, total, zero=np.isneginf(lj2))
         return total
 

@@ -4,10 +4,15 @@ The stage of submodel m targets its joint over its own prior marginal,
 times its factor ``factor.terms[m]`` of the pooled prior, and reuses
 earlier stages' draws as index-resampling proposals, so no stage
 re-evaluates an earlier stage's submodel.  The sequential sampler folds in
-the submodels of a chain of any length one at a time.  The parallel
-sampler (M = 3) samples both ends in stage one and reuses both stores in a
-Gibbs sweep over the middle submodel; its unitwise variant updates
-independent units of the ends one at a time.
+the submodels of a chain of any length one at a time
+(``run_sequential(chain, factor, scales, n_iter, ...)``, one step scale and
+iteration count per stage).  The parallel sampler (M = 3) samples both ends
+in stage one and reuses both stores in a Gibbs sweep over the middle
+submodel; its unitwise variant updates independent units of the ends one at
+a time.  A stage-one ``SampleStore`` holds what later stages read: the
+end's kept draws of its block and of its psi, chain by chain, and the
+block's coordinates.  Every runner takes the step scale of its random walk
+as a float >= 0.
 
 Every stage advances all of its chains in lockstep.  The chains' states
 are the rows of one ``(chains, d)`` array; each move proposes for every
@@ -40,7 +45,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
-from .chain import ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent
+from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, _has_nan,
+                    check_consistent)
 from .errors import (
     InitializationError,
     StructureError,
@@ -49,7 +55,6 @@ from .errors import (
 from .pooling import PoolFactorization, neg_inf_policy, split_term
 
 __all__ = [
-    "MHKernelConfig",
     "SampleStore",
     "MeldedChainOutput",
     "run_random_walk",
@@ -66,41 +71,17 @@ _NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
-class MHKernelConfig:
-    """Proposal configuration for generic MH updates.
-
-    Continuous coordinates take Gaussian random-walk steps (on the log
-    scale for positive coordinates, with the Jacobian folded into the
-    proposal ratio); discrete coordinates are redrawn uniformly over their
-    categories.  ``scales`` is the step scale of every continuous coordinate.
-    """
-
-    scales: float = 0.1
-
-    def __post_init__(self):
-        if not self.scales >= 0:
-            raise UnsupportedConfigError(f"proposal scales must be >= 0, got {self.scales!r}")
-
-
-@dataclass(frozen=True)
 class SampleStore:
-    """Post-warmup stage-one draws with cached log densities."""
+    """An end's kept stage-one draws of its block (``phi``, with its coordinates
+    ``phi_coords``) and of its psi, one row per draw, chain by chain."""
 
     phi: np.ndarray
     psi: np.ndarray
-    log_density: np.ndarray
-    chain_id: np.ndarray
-    iteration: np.ndarray
     phi_coords: tuple[Coord, ...]
-    psi_coords: tuple[Coord, ...]
 
     def __post_init__(self):
         if self.phi.shape[0] < 1:
             raise StructureError("sample store must hold at least one draw")
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
 
     @property
     def draws(self) -> np.ndarray:
@@ -155,48 +136,6 @@ def _per_chain(rngs, draw, axis: int = 1) -> np.ndarray:
     return np.stack([draw(rng) for rng in rngs], axis=axis)
 
 
-def _walk_draw(rng, n: int, coords, scale: float):
-    """``n`` random-walk proposals for one chain: (mult, step, log q).
-
-    A proposal is ``x * mult + step``.  Real coordinates step by
-    scale * N(0, 1); positive ones are multiplied by exp(scale * N(0, 1)),
-    whose Jacobian is log q; discrete ones are redrawn uniformly over their
-    categories.  ``mult`` and ``log_q`` are None when no coordinate needs
-    them.
-    """
-    kinds = [c.kind for c in coords]
-    cont = [i for i, k in enumerate(kinds) if k != "discrete"]
-    disc = [i for i, k in enumerate(kinds) if k == "discrete"]
-    pos = [i for i, k in enumerate(kinds) if k == "positive"]
-    step = np.empty((n, len(coords)))
-    step[:, cont] = scale * rng.standard_normal((n, len(cont)))
-    if disc:
-        step[:, disc] = rng.integers([coords[i].cardinality for i in disc], size=(n, len(disc)))
-    if not (pos or disc):
-        return None, step, None
-    log_q = step[:, pos].sum(axis=1) if pos else None
-    mult = np.ones_like(step)
-    mult[:, pos] = np.exp(step[:, pos])
-    mult[:, disc] = 0.0
-    step[:, pos] = 0.0
-    return mult, step, log_q
-
-
-class _Walk:
-    """``_walk_draw`` for ``n`` iterations of every chain, (iteration, chain, ...)."""
-
-    def __init__(self, coords: Sequence[Coord], scale: float, rngs, n: int):
-        draws = [_walk_draw(rng, n, coords, scale) for rng in rngs]
-        self.mult, self.step, self.log_q = (
-            None if part[0] is None else np.stack(part, axis=1) for part in zip(*draws)
-        )
-
-    def propose(self, x: np.ndarray, t: int) -> np.ndarray:
-        if self.mult is None:
-            return x + self.step[t]
-        return x * self.mult[t] + self.step[t]
-
-
 def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
     """(warmup, kept) iteration counts; needs 0 <= warmup_frac < 1 and >= 1 kept."""
     if not 0.0 <= warmup_frac < 1.0:
@@ -220,16 +159,6 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
 # returns the terms of every row of z, copying the unchanged ones from cur.
 # Off-support values are rare, so the -inf policy runs only where some term
 # is -inf.
-
-
-def _has_inf(terms: np.ndarray) -> bool:
-    if terms.size > 256:
-        return not np.isfinite(terms).all()
-    # Cheapest for small batches: the sum of squares is finite when every
-    # term is (and does not overflow; if it does, the -inf policy runs for
-    # nothing).
-    terms = terms.ravel()
-    return not math.isfinite(terms.dot(terms))
 
 
 class _StageTarget:
@@ -291,7 +220,7 @@ class _StageTarget:
                 for row in weighted[1:]:
                     lr = lr + row
                 new[2] = lr
-            if _has_inf(new[3:]):
+            if _has_nan(new[3:], inf=True):
                 # Surface the inconsistency rather than silently rejecting.
                 check_consistent(spec, new[1], new[3], phi)
                 new[0] = neg_inf_policy(self.rest, values, new[1] + new[2],
@@ -487,50 +416,81 @@ class _IndexMove:
 
 
 class _WalkMove:
-    """Random walk on the state columns from ``lo`` on."""
+    """Random walk on the state columns from ``lo`` on.
+
+    A proposal is ``x * mult + step``.  Real coordinates step by
+    scale * N(0, 1); positive ones are multiplied by exp(scale * N(0, 1)),
+    whose Jacobian is log q; discrete ones are redrawn uniformly over their
+    categories.  ``mult`` and ``log_q`` are None when no coordinate needs
+    them.  Each chain draws its steps for every iteration in one block; the
+    arrays are laid out (iteration, chain, ...).
+    """
 
     n_units = 1
 
     def __init__(self, state: _Lockstep, lo, coords, scale, rngs, n_iter, log_u):
         self.state, self.lo, self.log_u = state, lo, log_u
-        self.walk = _Walk(coords, scale, rngs, n_iter)
         self.plan = state.target.plan(lo, state.z.shape[1])
         self.accepted = np.empty((n_iter, 1, len(rngs)), dtype=bool)
+        kinds = [c.kind for c in coords]
+        cont = [i for i, k in enumerate(kinds) if k != "discrete"]
+        disc = [i for i, k in enumerate(kinds) if k == "discrete"]
+        pos = [i for i, k in enumerate(kinds) if k == "positive"]
+        cards = [coords[i].cardinality for i in disc]
+
+        def draw(rng):
+            step = np.empty((n_iter, len(coords)))
+            step[:, cont] = scale * rng.standard_normal((n_iter, len(cont)))
+            if disc:
+                step[:, disc] = rng.integers(cards, size=(n_iter, len(disc)))
+            return step
+
+        self.step = step = _per_chain(rngs, draw)
+        self.mult = self.log_q = None
+        if pos:
+            self.log_q = step[..., pos].sum(axis=-1)
+        if pos or disc:
+            self.mult = np.ones_like(step)
+            self.mult[..., pos] = np.exp(step[..., pos])
+            self.mult[..., disc] = 0.0
+            step[..., pos] = 0.0
 
     def __call__(self, t: int) -> None:
-        state, lo, walk = self.state, self.lo, self.walk
+        state, lo = self.state, self.lo
+        x = state.z[:, lo:]
+        x = x + self.step[t] if self.mult is None else x * self.mult[t] + self.step[t]
         if lo:
             prop = state.z.copy()
-            prop[:, lo:] = walk.propose(state.z[:, lo:], t)
+            prop[:, lo:] = x
         else:
-            prop = walk.propose(state.z, t)
-        log_q = None if walk.log_q is None else walk.log_q[t]
+            prop = x
+        log_q = None if self.log_q is None else self.log_q[t]
         self.accepted[t, 0] = state.move(prop, self.plan, self.log_u[t, 0], log_q)
 
 
 @dataclass(frozen=True)
 class _Run:
-    """Kept lockstep draws: states and log targets (chains, kept, ...), source
-    rows per unit, and accept/proposal counts per move (index moves, then
-    the walk)."""
+    """Kept lockstep states (chains, kept, d), source rows per unit, and
+    accept/proposal counts per move (index moves, then the walk)."""
 
     z: np.ndarray
-    lp: np.ndarray
     rows: np.ndarray
     accepted: list
     proposed: list
 
 
-def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_iter,
-                chains, seed, warmup_frac, start=None, init=_initialize) -> _Run:
+def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chains, seed,
+                warmup_frac, start=None, init=_initialize) -> _Run:
     """Lockstep Metropolis-within-Gibbs over ``chains`` chains.
 
     The state is one block per source, updated by index resampling in the
     units ``units[i]`` (column tuples within the block), followed by the
-    walked coordinates, updated by one random-walk move.
+    walked coordinates, updated by one random-walk move with step ``scale``.
     """
     if isinstance(chains, bool) or not isinstance(chains, (int, np.integer)) or chains < 1:
         raise UnsupportedConfigError(f"chains must be a positive integer, got {chains!r}")
+    if not scale >= 0:  # NaN fails too
+        raise UnsupportedConfigError(f"proposal scale must be >= 0, got {scale!r}")
     warmup, kept = split_warmup(n_iter, warmup_frac)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -544,17 +504,15 @@ def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_i
                                     log_u[:, edges[i] : edges[i + 1]]))
             lo += source.shape[1]
         if walk_coords:
-            moves.append(_WalkMove(state, lo, walk_coords, kernel.scales, rngs, n_iter,
+            moves.append(_WalkMove(state, lo, walk_coords, scale, rngs, n_iter,
                                    log_u[:, edges[-2] :]))
         z = np.empty((chains, kept, state.z.shape[1]))
-        lp = np.empty((chains, kept))
         try:
             for t in range(n_iter):
                 for move in moves:
                     move(t)
                 if t >= warmup:
                     z[:, t - warmup] = state.z
-                    lp[:, t - warmup] = state.lp
         finally:
             # Also when a move raises: an earlier inconsistency is the first error.
             target.check_pending()
@@ -565,7 +523,7 @@ def _run_chains(target, sources, units, walk_coords, kernel: MHKernelConfig, n_i
     accepted.append(int(moves[-1].accepted.sum()) if walk_coords else 0)
     proposed = [chains * n_iter * m.n_units for m in index_moves]
     proposed.append(chains * n_iter if walk_coords else 0)
-    return _Run(z, lp, rows.transpose(1, 0, 2), accepted, proposed)
+    return _Run(z, rows.transpose(1, 0, 2), accepted, proposed)
 
 
 def _unit_gather(values: np.ndarray, rows: np.ndarray, units) -> np.ndarray:
@@ -590,12 +548,11 @@ def run_stage_one(
     chain: ChainModel,
     end: int,
     factor: PoolFactorization,
-    kernel: MHKernelConfig,
+    scale: float,
     n_iter: int,
     chains: int = 1,
     seed: int = 0,
     warmup_frac: float = 0.1,
-    init: Optional[np.ndarray] = None,
 ) -> SampleStore:
     """MH chains targeting one end submodel's stage-one density.
 
@@ -608,44 +565,36 @@ def run_stage_one(
         raise UnsupportedConfigError(f"stage one targets submodel 0 or {last}, got {end}")
     spec, block = chain.submodels[end], chain.phi_blocks[chain.blocks_of(end)[0]]
     coords = tuple(block.coords) + tuple(spec.psi_coords)
-    run = _run_chains(_stage_target(chain, factor, end), (), (), coords, kernel, n_iter,
-                      chains, seed, warmup_frac, start=init)
-    kept = run.z.shape[1]
-    draws = run.z.reshape(chains * kept, len(coords))
-    return SampleStore(
-        phi=draws[:, : block.dim].copy(),
-        psi=draws[:, block.dim :].copy(),
-        log_density=run.lp.reshape(-1),
-        chain_id=np.repeat(np.arange(chains), kept),
-        iteration=np.tile(np.arange(n_iter - kept, n_iter), chains),
-        phi_coords=tuple(block.coords),
-        psi_coords=tuple(spec.psi_coords),
-    )
+    run = _run_chains(_stage_target(chain, factor, end), (), (), coords, scale, n_iter,
+                      chains, seed, warmup_frac)
+    draws = run.z.reshape(-1, len(coords))
+    return SampleStore(draws[:, : block.dim].copy(), draws[:, block.dim :].copy(),
+                       tuple(block.coords))
 
 
 def run_stage_one_pair(
     chain: ChainModel,
     factor: PoolFactorization,
-    kernel1: MHKernelConfig,
-    kernel3: MHKernelConfig,
+    scale: float,
     n_iter: int,
     chains: int = 1,
     seed: int = 0,
     warmup_frac: float = 0.1,
 ) -> tuple[SampleStore, SampleStore]:
-    """Run the stage-one samplers of both ends, each from its own seed derived from ``seed``."""
+    """Run the stage-one samplers of both ends with step ``scale``, each from its own
+    seed derived from ``seed``."""
     seed1, seed3 = np.random.SeedSequence(seed).generate_state(2).tolist()
     last = chain.n_submodels - 1
     return (
-        run_stage_one(chain, 0, factor, kernel1, n_iter, chains, seed1, warmup_frac),
-        run_stage_one(chain, last, factor, kernel3, n_iter, chains, seed3, warmup_frac),
+        run_stage_one(chain, 0, factor, scale, n_iter, chains, seed1, warmup_frac),
+        run_stage_one(chain, last, factor, scale, n_iter, chains, seed3, warmup_frac),
     )
 
 
 def run_random_walk(
     log_target,
     coords: Sequence[Coord],
-    kernel: MHKernelConfig,
+    scale: float,
     n_iter: int,
     chains: int = 1,
     seed: int = 0,
@@ -657,12 +606,12 @@ def run_random_walk(
     ``log_target`` maps states ``(chains, d)`` to ``(chains,)``.  Returns
     the kept draws ``(chains, kept, d)`` and the number of accepted moves.
     """
-    run = _run_chains(_FunctionTarget(log_target), (), (), tuple(coords), kernel, n_iter,
+    run = _run_chains(_FunctionTarget(log_target), (), (), tuple(coords), scale, n_iter,
                       chains, seed, warmup_frac, start=init)
     return run.z, run.accepted[0]
 
 
-def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, seed,
+def _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains, seed,
                         warmup_frac, uf1: UnitFactorization, uf3: UnitFactorization):
     spec2 = chain.submodels[1]
     d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
@@ -671,7 +620,7 @@ def _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains, 
         (store1.phi, store3.phi),
         (uf1.phi_indices, uf3.phi_indices),
         tuple(spec2.psi_coords),
-        kernel2,
+        scale,
         n_iter,
         chains,
         seed,
@@ -698,7 +647,7 @@ def run_parallel_stage_two(
     factor: PoolFactorization,
     store1: SampleStore,
     store3: SampleStore,
-    kernel2: MHKernelConfig,
+    scale: float,
     n_iter: int,
     chains: int = 1,
     seed: int = 0,
@@ -714,7 +663,7 @@ def run_parallel_stage_two(
         raise UnsupportedConfigError("parallel stage two requires M = 3")
     whole1 = UnitFactorization(_one_unit(store1.phi.shape[1]), _one_unit(store1.psi.shape[1]))
     whole3 = UnitFactorization(_one_unit(store3.phi.shape[1]), _one_unit(store3.psi.shape[1]))
-    return _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains,
+    return _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains,
                                seed, warmup_frac, whole1, whole3)
 
 
@@ -723,7 +672,7 @@ def run_parallel_stage_two_unitwise(
     factor: PoolFactorization,
     store1: SampleStore,
     store3: SampleStore,
-    kernel2: MHKernelConfig,
+    scale: float,
     n_iter: int,
     chains: int = 1,
     seed: int = 0,
@@ -745,14 +694,14 @@ def run_parallel_stage_two_unitwise(
         raise UnsupportedConfigError(
             "unitwise updates need unit factorizations on submodels 0 and 2"
         )
-    return _parallel_stage_two(chain, factor, store1, store3, kernel2, n_iter, chains,
+    return _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains,
                                seed, warmup_frac, uf1, uf3)
 
 
 def run_sequential(
     chain: ChainModel,
     factor: PoolFactorization,
-    kernels: Sequence[MHKernelConfig],
+    scales: Sequence[float],
     n_iter: Union[int, Sequence[int]],
     chains: int = 1,
     seed: int = 0,
@@ -762,20 +711,21 @@ def run_sequential(
 
     Stage one targets the first submodel.  Stage s + 1 folds in submodel s:
     it index-resamples block s - 1 from stage s's kept draws and walks
-    block s (except in the last stage) and psi_s.  ``kernels`` and
-    ``n_iter`` (an int for every stage) hold one entry per stage.  Stage
+    block s (except in the last stage) and psi_s.  ``scales`` (the step
+    scale of each stage's walk) and ``n_iter`` (an int for every stage) hold
+    one entry per stage.  Stage
     k's index move is ``s{k}_phi1`` when it draws from the stage-one store
     and ``s{k}_index`` otherwise; its walk is ``s{k}_psi{k}`` when it moves
     only psi and ``s{k}_move`` otherwise.
     """
     M = chain.n_submodels
     n_iter = (n_iter,) * M if isinstance(n_iter, int) else tuple(n_iter)
-    kernels = tuple(kernels)
-    if len(n_iter) != M or len(kernels) != M:
-        raise UnsupportedConfigError(f"a chain of {M} submodels needs {M} kernels and "
-                                     f"iteration counts, got {len(kernels)} and {len(n_iter)}")
+    scales = tuple(scales)
+    if len(n_iter) != M or len(scales) != M:
+        raise UnsupportedConfigError(f"a chain of {M} submodels needs {M} scales and "
+                                     f"iteration counts, got {len(scales)} and {len(n_iter)}")
     seeds = np.random.SeedSequence(seed).generate_state(M).tolist()
-    store = run_stage_one(chain, 0, factor, kernels[0], n_iter[0], chains, seeds[0],
+    store = run_stage_one(chain, 0, factor, scales[0], n_iter[0], chains, seeds[0],
                           warmup_frac)
     draws, links = [store.draws], [None]  # per stage: kept draws and their source rows
     accept_counts, proposal_counts = {}, {}
@@ -785,7 +735,7 @@ def run_sequential(
         walk = () if s == M - 1 else tuple(chain.phi_blocks[s].coords)
         run = _run_chains(
             _stage_target(chain, factor, s), (source,), (_one_unit(left.dim),),
-            walk + tuple(spec.psi_coords), kernels[s], n_iter[s], chains, seeds[s],
+            walk + tuple(spec.psi_coords), scales[s], n_iter[s], chains, seeds[s],
             warmup_frac, init=_stage_two_init,
         )
         k = s + 1

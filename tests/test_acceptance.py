@@ -17,7 +17,6 @@ import pytest
 from chainmeld import (
     GaussianDensity,
     GridSpec,
-    MHKernelConfig,
     NumericalFailureError,
     builtin_discrete_chain,
     builtin_gaussian_chain,
@@ -47,7 +46,7 @@ from chainmeld.normal_approx import check_proper_ratio
 
 from conftest import make_discrete_chain, random_table
 
-KERNEL = MHKernelConfig(scales=0.8)
+SCALE = 0.8
 
 
 def _report(number, name, passed):
@@ -103,12 +102,12 @@ def test_acceptance_3_enumeration_oracle_equivalence():
     pool = log_pooling(built.model, [0.5, 0.5, 0.5])
     oracle = enumerate_melded_posterior(built, pool)
     factor = factorize_for_sampler(pool, "subprior-ends")
-    s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 50_000, seed=11)
+    s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 50_000, seed=11)
     n_iter = 222_222  # 10% warmup leaves 2e5 retained iterations
 
     results = {}
     start = time.perf_counter()
-    out = run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, n_iter, seed=12)
+    out = run_parallel_stage_two(built.model, factor, s1, s3, SCALE, n_iter, seed=12)
     results["parallel"] = (
         tv_distance(empirical_table(out.state_matrix(), oracle), oracle),
         time.perf_counter() - start,
@@ -116,7 +115,7 @@ def test_acceptance_3_enumeration_oracle_equivalence():
 
     start = time.perf_counter()
     out = run_parallel_stage_two_unitwise(
-        built.model, factor, s1, s3, KERNEL, n_iter, seed=13
+        built.model, factor, s1, s3, SCALE, n_iter, seed=13
     )
     results["unitwise"] = (
         tv_distance(empirical_table(out.state_matrix(), oracle), oracle),
@@ -125,7 +124,7 @@ def test_acceptance_3_enumeration_oracle_equivalence():
 
     start = time.perf_counter()
     out = run_sequential(
-        built.model, factor, (KERNEL,) * 3, (50_000, n_iter, n_iter), seed=14
+        built.model, factor, (SCALE,) * 3, (50_000, n_iter, n_iter), seed=14
     )
     results["sequential"] = (
         tv_distance(empirical_table(out.state_matrix(), oracle), oracle),
@@ -171,8 +170,8 @@ def test_acceptance_4_joint_model_identity():
     discrete_ok = np.abs(oracle.probs - joint_table.probs).max() < 1e-12
 
     factor = factorize_for_sampler(pool, "subprior-ends")
-    s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 30_000, seed=21)
-    out = run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, 60_000, seed=22)
+    s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 30_000, seed=21)
+    out = run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 60_000, seed=22)
     tv = tv_distance(empirical_table(out.state_matrix(), oracle), joint_table)
     sampler_ok = tv < 0.02
 
@@ -216,9 +215,9 @@ def test_acceptance_5_conjugate_gaussian_chain():
     )
     pool = log_pooling(built.model, lam)
     factor = factorize_for_sampler(pool, "subprior-ends")
-    s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 30_000, chains=2, seed=3)
+    s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 30_000, chains=2, seed=3)
     out = run_parallel_stage_two(
-        built.model, factor, s1, s3, MHKernelConfig(scales=1.0), 10_000, chains=5, seed=4
+        built.model, factor, s1, s3, 1.0, 10_000, chains=5, seed=4
     )
 
     # analytic melded posterior over (phi12, phi23, psi2): accumulate the
@@ -256,9 +255,9 @@ def test_acceptance_6_stage_locality():
     pool = log_pooling(built.model, [0.5, 0.5, 0.5])
     factor = factorize_for_sampler(pool, "subprior-ends")
 
-    s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 5_000, seed=31)
+    s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 5_000, seed=31)
     built.model.reset_counters()
-    run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, 5_000, seed=32)
+    run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 5_000, seed=32)
     parallel_ok = (
         built.model.submodels[0].joint_calls.count == 0
         and built.model.submodels[2].joint_calls.count == 0
@@ -269,11 +268,11 @@ def test_acceptance_6_stage_locality():
     seed, n1 = 33, 2_000
     ss1 = np.random.SeedSequence(seed).spawn(3)[0]
     built.model.reset_counters()
-    run_stage_one(built.model, 0, factor, KERNEL, n1, chains=1, seed=ss1.entropy)
+    run_stage_one(built.model, 0, factor, SCALE, n1, chains=1, seed=ss1.entropy)
     stage_one_calls = built.model.submodels[0].joint_calls.count
     built.model.reset_counters()
     run_sequential(
-        built.model, factor, (KERNEL,) * 3, (n1, 3_000, 3_000), seed=seed
+        built.model, factor, (SCALE,) * 3, (n1, 3_000, 3_000), seed=seed
     )
     sequential_ok = built.model.submodels[0].joint_calls.count == stage_one_calls
     _report(6, "stage-locality call counters", parallel_ok and sequential_ok)

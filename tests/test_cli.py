@@ -111,6 +111,24 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
 
 
+class TestSections:
+    """A misspelt section or key exits 1 naming it, rather than falling back to defaults."""
+
+    @pytest.mark.parametrize("section, value, name", [
+        ("model", {"name": "gaussian-chain", "parms": {"rho": 0.99}}, "model.parms"),
+        ("sampeler", {"kind": "parallel", "seed": 1, "iterations": {}}, "sampeler"),
+        ("outputs", {"directory": "out", "dir": "elsewhere"}, "outputs.dir"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, section, value, name):
+        cfg = _gaussian_config(tmp_path)
+        cfg[section] = value
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "pool-grid"):
+            assert main([command, "--config", path, "--out-dir", str(tmp_path / "out")]) == 1
+            assert f"config error: {name}: unknown" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSamplerKeys:
     """Bad sampler keys exit 1 and name the key path, for validate and sample."""
 
@@ -293,6 +311,11 @@ class TestPoolingKeys:
             ({"method": "dictatorial-complete", "choices": [2, 1]}, "pooling.choices"),
             ({"method": "logarithmic", "lambda": [True, 1, 1]}, "pooling.lambda"),
             ({"method": "dictatorial-complete", "choices": [1.5, 1]}, "pooling.choices"),
+            # a key the method does not read, and an index beyond the chain
+            ({"method": "poe", "lambda": [1, 1, 1]}, "pooling.lambda: unknown key"),
+            ({"method": "dictatorial-complete", "choices": [1, 1], "lambda": [1, 1, 1]},
+             "pooling.lambda: unknown key"),
+            ({"method": "dictatorial-partial", "authoritative": 7}, "pooling.authoritative"),
         ],
     )
     def test_invalid_pool_is_config_error(self, tmp_path, capsys, pooling, key):

@@ -24,20 +24,12 @@ from chainmeld.chain import discrete_coords, real_coords
 from chainmeld.normal_approx import check_proper_ratio
 
 
-def _store(phi, psi=None, phi_coords=None, psi_coords=()):
+def _store(phi, psi=None, phi_coords=None):
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
     psi = np.zeros((phi.shape[0], 0)) if psi is None else np.asarray(psi, dtype=float)
-    return SampleStore(
-        phi=phi,
-        psi=psi,
-        log_density=np.zeros(phi.shape[0]),
-        chain_id=np.zeros(phi.shape[0], dtype=int),
-        iteration=np.arange(phi.shape[0]),
-        phi_coords=phi_coords or real_coords(phi.shape[1]),
-        psi_coords=psi_coords,
-    )
+    return SampleStore(phi=phi, psi=psi, phi_coords=phi_coords or real_coords(phi.shape[1]))
 
 
 class TestFitMoments:
@@ -69,7 +61,7 @@ class TestFitMoments:
     def test_fits_phi_columns_only(self, rng):
         phi = rng.standard_normal((500, 1))
         psi = 5.0 + rng.standard_normal((500, 1))
-        store = _store(phi, psi, psi_coords=real_coords(1))
+        store = _store(phi, psi)
         g = fit_gaussian_moments(store)
         assert g.dim == 1
         assert g.mean[0] == pytest.approx(0.0, abs=0.2)

@@ -9,7 +9,6 @@ from chainmeld import (
     ChainModel,
     Coord,
     InitializationError,
-    MHKernelConfig,
     ModelInconsistencyError,
     StructureError,
     SubmodelSpec,
@@ -34,8 +33,8 @@ from chainmeld.pooling import PoolTerm
 from conftest import make_discrete_chain, make_long_chain, random_table
 
 
-KERNEL = MHKernelConfig(scales=0.8)
-KERNELS = (KERNEL,) * 3
+SCALE = 0.8
+SCALES = (SCALE,) * 3
 
 
 def _gaussian_setup(seed=0, **params):
@@ -49,7 +48,7 @@ class TestMHStep:
     """The random-walk Metropolis-Hastings kernel alone, on one chain."""
 
     def test_standard_normal_target(self):
-        draws, _ = run_random_walk(lambda z: -0.5 * z[:, 0] ** 2, real_coords(1), KERNEL,
+        draws, _ = run_random_walk(lambda z: -0.5 * z[:, 0] ** 2, real_coords(1), SCALE,
                                    20000, seed=1)
         draws = draws[0, :, 0]
         assert abs(draws.mean()) < 0.05
@@ -57,7 +56,7 @@ class TestMHStep:
 
     def test_positive_coordinate_stays_positive(self):
         # Exponential(1), density on x > 0
-        draws, _ = run_random_walk(lambda z: -z[:, 0], (Coord("positive"),), KERNEL, 30000,
+        draws, _ = run_random_walk(lambda z: -z[:, 0], (Coord("positive"),), SCALE, 30000,
                                    seed=2)
         draws = draws[0, :, 0]
         assert (draws > 0).all()
@@ -66,43 +65,63 @@ class TestMHStep:
     def test_discrete_coordinate_resampled_uniformly(self):
         log_w = np.log(np.array([0.2, 0.5, 0.3]))
         draws, _ = run_random_walk(lambda z: log_w[z[:, 0].astype(int)],
-                                   (Coord("discrete", 3),), KERNEL, 30000, seed=3)
+                                   (Coord("discrete", 3),), SCALE, 30000, seed=3)
         freq = np.bincount(draws[0, :, 0].astype(int), minlength=3) / draws.shape[1]
         np.testing.assert_allclose(freq, np.exp(log_w), atol=0.02)
 
     def test_kernel_validation(self):
+        # Every public runner rejects a bad scale, also for a stage that walks
+        # nothing: without tau, the Gaussian chain's parallel stage two and
+        # sequential stage three have no coordinate to walk.
+        built, _, factor = _gaussian_setup()
+        model = built.model
+        assert not model.submodels[1].psi_coords and not model.submodels[2].psi_coords
+        s1, s3 = run_stage_one_pair(model, factor, SCALE, 200, seed=1)
+        units = make_discrete_chain()
+        unit_factor = factorize_for_sampler(log_pooling(units.model, [0.5] * 3), "subprior-ends")
+        u1, u3 = run_stage_one_pair(units.model, unit_factor, SCALE, 200, seed=1)
         for scale in (-0.1, math.nan):
-            with pytest.raises(UnsupportedConfigError):
-                MHKernelConfig(scales=scale)
+            runs = [
+                lambda: run_random_walk(lambda z: -z[:, 0] ** 2, real_coords(1), scale, 200),
+                lambda: run_stage_one(model, 0, factor, scale, 200),
+                lambda: run_stage_one_pair(model, factor, scale, 200),
+                lambda: run_parallel_stage_two(model, factor, s1, s3, scale, 200),
+                lambda: run_parallel_stage_two_unitwise(units.model, unit_factor, u1, u3,
+                                                        scale, 200),
+                lambda: run_sequential(model, factor, (SCALE, SCALE, scale), 200),
+            ]
+            for run in runs:
+                with pytest.raises(UnsupportedConfigError, match="scale must be >= 0"):
+                    run()
 
 
 class TestStageOne:
     def test_targets_subposterior(self):
         # prior N(0,1), one observation y=1 with unit noise: posterior N(0.5, 0.5)
         built, _, factor = _gaussian_setup(mu1=0.0, y1=[1.0], s1=1.0)
-        store = run_stage_one(built.model, 0, factor, KERNEL, 40000, chains=2, seed=5)
+        store = run_stage_one(built.model, 0, factor, SCALE, 40000, chains=2, seed=5)
         assert store.phi.mean() == pytest.approx(0.5, abs=0.03)
         assert store.phi.var() == pytest.approx(0.5, abs=0.05)
 
     def test_seed_determinism(self):
         built, _, factor = _gaussian_setup()
-        a = run_stage_one(built.model, 0, factor, KERNEL, 2000, seed=9)
-        b = run_stage_one(built.model, 0, factor, KERNEL, 2000, seed=9)
-        c = run_stage_one(built.model, 0, factor, KERNEL, 2000, seed=10)
+        a = run_stage_one(built.model, 0, factor, SCALE, 2000, seed=9)
+        b = run_stage_one(built.model, 0, factor, SCALE, 2000, seed=9)
+        c = run_stage_one(built.model, 0, factor, SCALE, 2000, seed=10)
         np.testing.assert_array_equal(a.phi, b.phi)
         assert not np.array_equal(a.phi, c.phi)
 
     def test_chain_bookkeeping(self):
         built, _, factor = _gaussian_setup()
-        store = run_stage_one(built.model, 0, factor, KERNEL, 1000, chains=3, seed=1)
-        assert store.n == 3 * 900
-        assert set(store.chain_id) == {0, 1, 2}
-        assert store.iteration.min() == 100
+        store = run_stage_one(built.model, 0, factor, SCALE, 1000, chains=3, seed=1)
+        # the kept 900 draws of each chain (chain-major: see TestLockstep)
+        assert store.phi.shape == (3 * 900, 1) and store.psi.shape == (3 * 900, 0)
+        assert store.phi_coords == built.model.phi_blocks[0].coords
 
     def test_invalid_end(self):
         built, _, factor = _gaussian_setup()
         with pytest.raises(UnsupportedConfigError):
-            run_stage_one(built.model, 1, factor, KERNEL, 1000, seed=0)
+            run_stage_one(built.model, 1, factor, SCALE, 1000, seed=0)
 
     def test_initialization_failure(self):
         built, pool, _ = _gaussian_setup()
@@ -110,16 +129,16 @@ class TestStageOne:
         nowhere = (PoolTerm(1.0, lambda x: np.full(len(x), -math.inf), (0,)),)
         doomed = dataclasses.replace(factor, terms=(nowhere,) + factor.terms[1:])
         with pytest.raises(InitializationError):
-            run_stage_one(built.model, 0, doomed, KERNEL, 1000, seed=0)
+            run_stage_one(built.model, 0, doomed, SCALE, 1000, seed=0)
 
     def test_warmup_must_leave_draws(self):
         built, _, factor = _gaussian_setup()
         with pytest.raises(UnsupportedConfigError):
-            run_stage_one(built.model, 0, factor, KERNEL, 10, warmup_frac=1.0, seed=0)
+            run_stage_one(built.model, 0, factor, SCALE, 10, warmup_frac=1.0, seed=0)
 
     def test_pair_runs_both_ends(self):
         built, _, factor = _gaussian_setup()
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 4000, seed=3)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 4000, seed=3)
         # ends sit near their prior means -2.5 and 2.5
         assert s1.phi.mean() == pytest.approx(-2.5, abs=0.2)
         assert s3.phi.mean() == pytest.approx(2.5, abs=0.2)
@@ -131,7 +150,7 @@ class TestStageOne:
         built = builtin_discrete_chain(end, random_table(rng, (2, 2)), end,
                                        phi_cards=((2,), (2,)))
         factor = factorize_for_sampler(log_pooling(built.model, [1, 1, 1]), "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 200, chains=2, seed=14)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 200, chains=2, seed=14)
         assert not np.array_equal(s1.draws, s3.draws)
 
 
@@ -140,9 +159,9 @@ class TestParallelStageTwo:
         built = built or make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 4000, seed=seed)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 4000, seed=seed)
         runner = run_parallel_stage_two_unitwise if unitwise else run_parallel_stage_two
-        out = runner(built.model, factor, s1, s3, KERNEL, n_two, seed=seed + 1)
+        out = runner(built.model, factor, s1, s3, SCALE, n_two, seed=seed + 1)
         return built, out
 
     def test_output_shapes_and_indices(self):
@@ -158,16 +177,16 @@ class TestParallelStageTwo:
         built, out = self._run()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, _ = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 4000, seed=21)
+        s1, _ = run_stage_one_pair(built.model, factor, SCALE, 4000, seed=21)
         np.testing.assert_array_equal(out.psi[0][0], s1.psi[out.indices[0, :, 0]])
 
     def test_stage_locality(self):
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 2000, seed=4)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 2000, seed=4)
         built.model.reset_counters()
-        run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, 2000, seed=5)
+        run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 2000, seed=5)
         assert built.model.submodels[0].joint_calls.count == 0
         assert built.model.submodels[2].joint_calls.count == 0
         assert built.model.submodels[1].joint_calls.count > 0
@@ -181,9 +200,9 @@ class TestParallelStageTwo:
         built = make_discrete_chain(with_units=False)
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 1000, seed=2)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 1000, seed=2)
         with pytest.raises(UnsupportedConfigError):
-            run_parallel_stage_two_unitwise(built.model, factor, s1, s3, KERNEL, 500, seed=3)
+            run_parallel_stage_two_unitwise(built.model, factor, s1, s3, SCALE, 500, seed=3)
 
     def test_single_unit_degenerates_to_blocked(self):
         from chainmeld import UnitFactorization, builtin_discrete_chain
@@ -200,10 +219,10 @@ class TestParallelStageTwo:
         )
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 2000, seed=6)
-        blocked = run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, 1500, seed=7)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 2000, seed=6)
+        blocked = run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 1500, seed=7)
         unitwise = run_parallel_stage_two_unitwise(
-            built.model, factor, s1, s3, KERNEL, 1500, seed=7
+            built.model, factor, s1, s3, SCALE, 1500, seed=7
         )
         np.testing.assert_array_equal(blocked.state_matrix(), unitwise.state_matrix())
         np.testing.assert_array_equal(blocked.indices, unitwise.indices)
@@ -214,8 +233,8 @@ class TestSequential:
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        a = run_sequential(built.model, factor, KERNELS, (2000, 2000, 2000), seed=8)
-        b = run_sequential(built.model, factor, KERNELS, (2000, 2000, 2000), seed=8)
+        a = run_sequential(built.model, factor, SCALES, (2000, 2000, 2000), seed=8)
+        b = run_sequential(built.model, factor, SCALES, (2000, 2000, 2000), seed=8)
         np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
 
     def test_stage_locality(self):
@@ -223,7 +242,7 @@ class TestSequential:
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
         built.model.reset_counters()
-        run_sequential(built.model, factor, KERNELS, (1000, 2000, 2000), seed=9)
+        run_sequential(built.model, factor, SCALES, (1000, 2000, 2000), seed=9)
         spec1 = built.model.submodels[0]
         # submodel-1 joints are evaluated only in its own stage-one chain
         # (1000 MH steps + initialization retries); any stage-two or
@@ -234,7 +253,7 @@ class TestSequential:
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        out = run_sequential(built.model, factor, KERNELS, 1000, seed=10)
+        out = run_sequential(built.model, factor, SCALES, 1000, seed=10)
         assert out.phi[0].shape[1] == 900
 
     @pytest.mark.parametrize("M, mode", [(2, "flat-ends"), (4, "subprior-ends"),
@@ -244,7 +263,7 @@ class TestSequential:
         pool = log_pooling(built.model, np.linspace(0.3, 0.8, M))
         oracle = enumerate_melded_posterior(built, pool)
         factor = factorize_for_sampler(pool, mode)
-        out = run_sequential(built.model, factor, (KERNEL,) * M, 20_000, chains=8, seed=M + 100)
+        out = run_sequential(built.model, factor, (SCALE,) * M, 20_000, chains=8, seed=M + 100)
         assert (len(out.phi), len(out.psi)) == (M - 1, M)
         assert tv_distance(empirical_table(out.state_matrix(), oracle), oracle) < 0.02
         moves = {"s2_phi1", f"s{M}_psi{M}"}
@@ -264,12 +283,12 @@ class TestSequential:
             phi_blocks=(PhiBlock("a", real_coords(1)),),
         )
         with pytest.raises(UnsupportedConfigError):
-            run_sequential(model, factor, KERNELS[:2], 1000, seed=0)
+            run_sequential(model, factor, SCALES[:2], 1000, seed=0)
 
     def test_needs_one_kernel_per_stage(self):
         built, _, factor = _gaussian_setup()
-        with pytest.raises(UnsupportedConfigError, match="3 kernels"):
-            run_sequential(built.model, factor, KERNELS[:2], 1000, seed=0)
+        with pytest.raises(UnsupportedConfigError, match="3 scales"):
+            run_sequential(built.model, factor, SCALES[:2], 1000, seed=0)
 
 
 class TestWarmupFrac:
@@ -278,17 +297,17 @@ class TestWarmupFrac:
         built = make_discrete_chain()
         pool = log_pooling(built.model, [0.5, 0.5, 0.5])
         factor = factorize_for_sampler(pool, "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 200, seed=1)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 200, seed=1)
         model = built.model
         runs = [
-            lambda: run_stage_one(model, 0, factor, KERNEL, 200, warmup_frac=warmup),
-            lambda: run_stage_one_pair(model, factor, KERNEL, KERNEL, 200,
+            lambda: run_stage_one(model, 0, factor, SCALE, 200, warmup_frac=warmup),
+            lambda: run_stage_one_pair(model, factor, SCALE, 200,
                                        warmup_frac=warmup),
-            lambda: run_parallel_stage_two(model, factor, s1, s3, KERNEL, 200,
+            lambda: run_parallel_stage_two(model, factor, s1, s3, SCALE, 200,
                                            warmup_frac=warmup),
-            lambda: run_parallel_stage_two_unitwise(model, factor, s1, s3, KERNEL, 200,
+            lambda: run_parallel_stage_two_unitwise(model, factor, s1, s3, SCALE, 200,
                                                     warmup_frac=warmup),
-            lambda: run_sequential(model, factor, KERNELS, 200,
+            lambda: run_sequential(model, factor, SCALES, 200,
                                    warmup_frac=warmup),
         ]
         for run in runs:
@@ -299,10 +318,10 @@ class TestWarmupFrac:
 class TestEvaluationCounts:
     def test_pair_matches_two_single_runs(self):
         built, _, factor = _gaussian_setup()
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, chains=2, seed=3)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, chains=2, seed=3)
         seed1, seed3 = np.random.SeedSequence(3).generate_state(2).tolist()
-        a = run_stage_one(built.model, 0, factor, KERNEL, 500, chains=2, seed=seed1)
-        b = run_stage_one(built.model, 2, factor, KERNEL, 500, chains=2, seed=seed3)
+        a = run_stage_one(built.model, 0, factor, SCALE, 500, chains=2, seed=seed1)
+        b = run_stage_one(built.model, 2, factor, SCALE, 500, chains=2, seed=seed3)
         np.testing.assert_array_equal(s1.draws, a.draws)
         np.testing.assert_array_equal(s3.draws, b.draws)
 
@@ -310,7 +329,7 @@ class TestEvaluationCounts:
         built, _, factor = _gaussian_setup()
         spec1 = built.model.submodels[0]
         built.model.reset_counters()
-        run_stage_one(built.model, 0, factor, KERNEL, 300, seed=2)
+        run_stage_one(built.model, 0, factor, SCALE, 300, seed=2)
         # one initial evaluation (the default state is finite) plus one per step
         assert spec1.joint_calls.count == 301
         # the initial state, then one batched consistency check per 1024 steps
@@ -322,10 +341,10 @@ class TestEvaluationCounts:
         # only the log p1 and log p2 terms, a block-2 proposal only log p2
         # and log p3: two marginal calls, the other end's term is reused.
         built, _, factor = _gaussian_setup()
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 500, seed=4)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
         built.model.reset_counters()
         n = 200
-        out = run_parallel_stage_two(built.model, factor, s1, s3, KERNEL, n, seed=5)
+        out = run_parallel_stage_two(built.model, factor, s1, s3, SCALE, n, seed=5)
         phi_proposals = out.proposal_counts["phi1"] + out.proposal_counts["phi3"]
         assert phi_proposals == 2 * n
         # the initial state adds one evaluation of each term
@@ -366,7 +385,7 @@ class TestDeferredConsistencyCheck:
         patched = dataclasses.replace(spec, log_joint=joint, log_prior_marginal=marginal)
         model = ChainModel((patched,) + model.submodels[1:], model.phi_blocks)
         factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
-        run_stage_one(model, 0, factor, MHKernelConfig(0.5), n_iter, chains=3, seed=1)
+        run_stage_one(model, 0, factor, 0.5, n_iter, chains=3, seed=1)
 
     @pytest.mark.parametrize("nan_above", [math.inf, 1.9])
     def test_inconsistency_past_the_first_batch(self, nan_above):
@@ -405,19 +424,20 @@ class TestLockstep:
 
     def test_stage_one_chain_zero_ignores_other_chains(self):
         built, factor = self._setup()
-        one = run_stage_one(built.model, 0, factor, KERNEL, 600, chains=1, seed=5)
-        four = run_stage_one(built.model, 0, factor, KERNEL, 600, chains=4, seed=5)
-        first = four.chain_id == 0
-        np.testing.assert_array_equal(four.draws[first], one.draws)
-        np.testing.assert_array_equal(four.log_density[first], one.log_density)
-        np.testing.assert_array_equal(four.iteration[first], one.iteration)
+        one = run_stage_one(built.model, 0, factor, SCALE, 600, chains=1, seed=5)
+        four = run_stage_one(built.model, 0, factor, SCALE, 600, chains=4, seed=5)
+        # the store is chain-major: chain 0's kept draws come first
+        kept = one.draws.shape[0]
+        assert four.draws.shape[0] == 4 * kept
+        np.testing.assert_array_equal(four.draws[:kept], one.draws)
+        assert not np.array_equal(four.draws[kept : 2 * kept], one.draws)
 
     @pytest.mark.parametrize("runner", [run_parallel_stage_two, run_parallel_stage_two_unitwise])
     def test_stage_two_chain_zero_ignores_other_chains(self, runner):
         built, factor = self._setup()
-        s1, s3 = run_stage_one_pair(built.model, factor, KERNEL, KERNEL, 1000, chains=2, seed=6)
-        one = runner(built.model, factor, s1, s3, KERNEL, 600, chains=1, seed=7)
-        four = runner(built.model, factor, s1, s3, KERNEL, 600, chains=4, seed=7)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 1000, chains=2, seed=6)
+        one = runner(built.model, factor, s1, s3, SCALE, 600, chains=1, seed=7)
+        four = runner(built.model, factor, s1, s3, SCALE, 600, chains=4, seed=7)
         for a, b in zip((*four.phi, *four.psi, four.indices), (*one.phi, *one.psi, one.indices)):
             np.testing.assert_array_equal(a[:1], b)
         assert not np.array_equal(four.indices[0], four.indices[1])
@@ -432,10 +452,10 @@ class TestLockstep:
         )
         model = ChainModel((scalar,) + built.model.submodels[1:], built.model.phi_blocks)
         with pytest.raises(StructureError, match="submodel 0"):
-            run_stage_one(model, 0, factor, KERNEL, 200, chains=1, seed=1)
+            run_stage_one(model, 0, factor, SCALE, 200, chains=1, seed=1)
 
     @pytest.mark.parametrize("chains", [0, -2, 1.5, True])
     def test_chains_must_be_positive_integer(self, chains):
         built, factor = self._setup()
         with pytest.raises(UnsupportedConfigError, match="chains"):
-            run_stage_one(built.model, 0, factor, KERNEL, 200, chains=chains, seed=1)
+            run_stage_one(built.model, 0, factor, SCALE, 200, chains=chains, seed=1)
