@@ -179,13 +179,11 @@ def builtin_gaussian_chain(
     data2 = None if y2 is None else _quadratic(*_data("y2", y2, s2))
 
     lm1, lj1, lm3, lj3 = map(_of_scalar, (prior1, post1, prior3, post3))
-
-    def lm2(x):
-        return prior2.logpdf(np.asarray(x, dtype=float))
+    lm2 = prior2.logpdf
 
     def lj2(phi_m, psi_m):
         phi = np.asarray(phi_m, dtype=float)
-        out = prior2.logpdf(phi)
+        out = lm2(phi)
         if psi_prior is not None:
             psi = np.asarray(psi_m, dtype=float)[..., 0]
             out = out + psi_prior(psi)

@@ -148,7 +148,8 @@ def _has_nan(values: np.ndarray, inf: bool = False) -> bool:
     # Cheapest for the samplers' small batches: the sum of squares is NaN
     # exactly when some value is, since (+-inf)^2 is +inf, and finite when
     # every value is (unless it overflows: then ``inf`` is a false alarm).
-    values = values.ravel()
+    if values.ndim != 1:
+        values = values.ravel()
     probe = values.dot(values)
     return not math.isfinite(probe) if inf else math.isnan(probe)
 

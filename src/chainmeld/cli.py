@@ -139,6 +139,7 @@ def _checked(path: str, check, value):
 _number = _typed(_is_finite, "a finite number")
 _integer = _typed(_is_integer, "an integer")
 _list = _typed(lambda v: isinstance(v, list), "a list")
+_object = _typed(lambda v: isinstance(v, dict), "an object")
 _unit_keys = _typed(lambda v: isinstance(v, dict) and sorted(v) == ["phi_indices", "psi_indices"],
                     "an object with phi_indices and psi_indices")
 
@@ -212,22 +213,21 @@ def _read(path: str, value, table: dict) -> dict:
     return out
 
 
-def _per_stage(path: str, check, default):
-    """A check reading an object of per-stage values, each stage's default filled in."""
-    return lambda value: _read(path, value, dict.fromkeys(_STAGES, (check, default)))
-
-
-# Each sampler key's check and default.
+# Each sampler key's check and default.  ``iterations`` and ``scales`` hold
+# one value per stage; ``_read_sampler`` reads them once the kind is known.
 _SAMPLER = {
     "kind": (_one_of(_SAMPLER_KINDS), _NEEDED),
     "seed": (_typed(lambda v: _is_integer(v) and v >= 0, "an integer >= 0"), _NEEDED),
     "chains": (_typed(lambda v: _is_integer(v) and v >= 1, "an integer >= 1"), 1),
-    "iterations": (_per_stage("sampler.iterations", _typed(
-        lambda v: _is_integer(v) and v >= 100, "an integer >= 100"), 1000), _NEEDED),
-    "scales": (_per_stage("sampler.scales", _typed(
-        lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"), 0.5), {}),
+    "iterations": (_object, _NEEDED),
+    "scales": (_object, {}),
     "warmup_frac": (_typed(lambda v: _is_finite(v) and 0 <= v < 1, "a number in [0, 1)"), 0.1),
     "factorization": (_one_of(FACTORIZATIONS), "subprior-ends"),
+}
+# Each per-stage key's check and default for one stage.
+_PER_STAGE = {
+    "iterations": (_typed(lambda v: _is_integer(v) and v >= 100, "an integer >= 100"), 1000),
+    "scales": (_typed(lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"), 0.5),
 }
 
 
@@ -239,6 +239,10 @@ _MAX_DRAWS = 2**31
 def _read_sampler(cfg: dict) -> dict:
     """The ``sampler`` section, checked, with every default and per-stage value filled in."""
     sampler = _read("sampler", _require(cfg, "sampler"), _SAMPLER)
+    # Only the sequential sampler has a stage three.
+    stages = _STAGES if sampler["kind"] == "sequential" else _STAGES[:2]
+    for key, entry in _PER_STAGE.items():
+        sampler[key] = _read(f"sampler.{key}", sampler[key], dict.fromkeys(stages, entry))
     for stage, n in sampler["iterations"].items():
         if sampler["chains"] * n > _MAX_DRAWS:
             raise ConfigError(
@@ -249,16 +253,16 @@ def _read_sampler(cfg: dict) -> dict:
 
 
 # grid.axes: one [lo, hi, n] per coordinate of the pooled blocks
-_AXES = _list_of(_typed(
+_GRID = {"axes": (_list_of(_typed(
     lambda a: isinstance(a, list) and len(a) == 3 and _is_finite(a[0]) and _is_finite(a[1])
     and a[0] < a[1] and _is_integer(a[2]) and a[2] >= 1,
     "axes [lo, hi, n] with finite lo < hi and an integer n >= 1",
-))
+)), _NEEDED)}
 
 
 _MODEL = {
     "name": (_one_of(tuple(_PARAMS)), _NEEDED),
-    "params": (_typed(lambda v: isinstance(v, dict), "an object"), {}),
+    "params": (_object, {}),
 }
 
 
@@ -427,8 +431,8 @@ def _write_diagnostics(path: Path, names: list[str], traces, rate: float) -> Non
 
 def _run_sampler(sampler: dict, built: BuiltChain, pool: PooledPrior) -> MeldedChainOutput:
     """Run the sampler that ``_read_sampler`` read and ``_require_sampler`` accepted."""
-    scales = [sampler["scales"][stage] for stage in _STAGES]
-    iters = [sampler["iterations"][stage] for stage in _STAGES]
+    scales = list(sampler["scales"].values())
+    iters = list(sampler["iterations"].values())
     factor = factorize_for_sampler(pool, sampler["factorization"])
     kind, seed, chains, warmup = (sampler[key] for key in ("kind", "seed", "chains", "warmup_frac"))
     if kind == "sequential":
@@ -522,7 +526,7 @@ def _cmd_validate(cfg: dict, sampler: dict | None) -> int:
 
 
 def _cmd_pool_grid(cfg: dict, out_dir: Path) -> int:
-    axes = _checked("grid.axes", _AXES, _require(cfg, "grid.axes"))
+    axes = _read("grid", _require(cfg, "grid"), _GRID)["axes"]
     spec = GridSpec(tuple((float(lo), float(hi), n) for lo, hi, n in axes))
     built = build_model(cfg)
     if built.supports is not None:

@@ -132,17 +132,18 @@ def build_normal_approx_target(
     terms = merge_term(factor.terms[1], -1.0, spec2.eval_log_prior, (0, 1))
     gauss = block_diag_stack([g1, g3])
     edges = (0, b12.dim, b12.dim + b23.dim)
-    cols = [slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1]) for t in terms]
     d = edges[-1]
+    joint, gauss_logpdf = spec2.eval_log_joint, gauss.logpdf
+    parts = [(t.fn, t.coef, slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1])) for t in terms]
 
     def log_target(z: np.ndarray) -> np.ndarray:
         phi = z[:, :d]
-        lj2 = spec2.eval_log_joint(phi, z[:, d:])
-        values = [t.fn(z[:, c]) for t, c in zip(terms, cols)]
-        total = lj2 + gauss.logpdf(phi)
+        lj2 = joint(phi, z[:, d:])
+        values = [fn(z[:, cols]) for fn, _, cols in parts]
+        total = lj2 + gauss_logpdf(phi)
         with np.errstate(invalid="ignore"):
-            for t, value in zip(terms, values):
-                total = total + t.coef * value
+            for (_, coef, _), value in zip(parts, values):
+                total = total + coef * value
         if _has_nan(total, inf=True):
             total = neg_inf_policy(terms, values, total, zero=np.isneginf(lj2))
         return total

@@ -26,13 +26,21 @@ they give that row alone, chain c of a run is the same whatever the
 number of chains beside it.
 
 Every move evaluates the submodel's joint once for all chains.  A move
-that changes phi also evaluates the prior marginal log p_m and each other
-pool term that reads a block it changes; a move of psi alone evaluates
-nothing else.  A subposterior target (under ``subprior-ends``, stage one
-and the last sequential stage) reads no log p_m: there log p_m only checks
-that a finite joint never meets a -inf prior marginal, and that check runs
-in one batched call per ``_CHECK_BATCH`` (1024) moves and once at the end
-of the stage.  An inconsistent submodel therefore fails at most one batch
+that changes phi also needs the prior marginal log p_m and each other pool
+term that reads a block it changes; a move of psi alone evaluates nothing
+else.  A move that replaces a whole block by index resampling (both ends of
+the parallel stage two, every sequential index move) draws all of its
+stage-one rows before the stage starts, so each of those terms that reads
+only that block is evaluated for all of the stage's proposals in one
+batched call, and each move reads its own row.  If that call raises, the
+term is evaluated move by move instead, so a run raises the first error
+that evaluating every move raises.  A unitwise move mixes rows and
+evaluates its terms per move.  A subposterior target (under
+``subprior-ends``, stage one and the last sequential stage) reads no log
+p_m: there a move does the joint, the consistency check and the accept.
+The check that a finite joint never meets a -inf prior marginal runs in
+one batched call per ``_CHECK_BATCH`` (1024) moves and once at the end of
+the stage.  An inconsistent submodel therefore fails at most one batch
 later, with the error a check of every move would raise first.
 """
 
@@ -152,13 +160,25 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
 # batched targets
 # ---------------------------------------------------------------------------
 #
-# A target evaluates the proposals of every chain at once.  Its cached
-# terms are the rows of one (terms, chains) array whose row 0 is the log
-# target (-inf off the target's support).  ``plan(lo, hi)`` says which terms
-# a move of state columns lo:hi changes, and ``evaluate(z, plan, cur)``
-# returns the terms of every row of z, copying the unchanged ones from cur.
-# Off-support values are rare, so the -inf policy runs only where some term
-# is -inf.
+# A target evaluates the proposals of every chain at once.  A state caches
+# its terms: the log target of every chain (-inf off the target's support),
+# or the rows of one (terms, chains) array whose row 0 is the log target.
+# ``initial(z)`` evaluates them for every row of z.  ``kernel(lo, hi)``
+# binds, once per stage, the move of state columns lo:hi: a function
+# ``(z, cur, t) -> new`` that gives the terms of every row of z at
+# iteration t, re-evaluating only the terms the move changes and copying
+# the others from cur.  Off-support values are rare, so the -inf policy runs
+# only where some term is -inf.
+
+
+def _tabulate(fn, proposals: np.ndarray):
+    """``fn`` of every proposal (iterations, chains, width) in one call, as
+    (iterations, chains) floats; None if the call raises."""
+    try:
+        flat = proposals.reshape(-1, proposals.shape[-1])
+        return np.array(fn(flat), dtype=float).reshape(proposals.shape[:2])
+    except Exception:
+        return None
 
 
 class _StageTarget:
@@ -171,10 +191,10 @@ class _StageTarget:
     terms merges with the divided-out marginal, so the target is the log
     joint + (c - 1) log p_m + the other terms, and with c = 1 and no other
     term it is exactly the subposterior.  Terms: log target, log joint,
-    (c - 1) log p_m + the other terms, log p_m, then each other term.  A move
-    re-evaluates only the terms that read a block it changes.  A
-    subposterior's moves defer log p_m to ``check_pending`` and leave its
-    term as it was.
+    (c - 1) log p_m + the other terms, then the marginal terms: log p_m and
+    each other term.  A move re-evaluates only the marginal terms that read
+    a block it changes.  A subposterior's state keeps only the log target,
+    and its moves defer log p_m to ``check_pending``.
     """
 
     def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int]):
@@ -185,48 +205,93 @@ class _StageTarget:
         edges = np.cumsum([0, *widths.values()]).tolist()
         self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
         self.d = edges[-1]
-        self.cols = tuple(
-            slice(self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1])
-            for t in self.rest
-        )
+        self.joint = spec.eval_log_joint
+        # Each marginal term's row in the terms, evaluator, blocks and state columns.
+        self.marginals = [
+            (3 + i, fn, blocks, slice(self.bounds[blocks[0]][0], self.bounds[blocks[-1]][1]))
+            for i, (fn, blocks) in enumerate(
+                [(spec.eval_log_prior, tuple(widths))] + [(t.fn, t.blocks) for t in self.rest])
+        ]
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
-    def plan(self, lo: int, hi: int):
-        """(does phi move, indices of the other terms to re-evaluate)."""
-        moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
-        return bool(moved), tuple(
-            k for k, t in enumerate(self.rest) if moved.intersection(t.blocks)
-        )
+    def initial(self, z):
+        """The terms of every row of z, all evaluated."""
+        every = [(row, fn, cols) for row, fn, _, cols in self.marginals]
+        new = self._fill(z, np.zeros((3 + len(every), len(z))), every, (), None)
+        return new[0] if self.subposterior else new
 
-    def evaluate(self, z, plan, cur):
-        phi_moved, which = plan
-        spec, d = self.spec, self.d
-        new = np.zeros((4 + len(self.rest), len(z))) if cur is None else cur.copy()
-        phi = z[:, :d]
-        new[1] = spec.eval_log_joint(phi, z[:, d:])
-        if phi_moved and self.subposterior and cur is not None:
-            # Only the consistency check reads log p_m here; it runs in batches.
-            self._defer_check(phi, new[1])
-        elif phi_moved:
-            new[3] = spec.eval_log_prior(phi)
-            values = new[4:]
-            for k in which:
-                values[k] = self.rest[k].fn(z[:, self.cols[k]])
-            # A subposterior's weighted sum is 0; skipping it keeps stage one fast.
-            if not self.subposterior:
-                weighted = self.coefs * new[3:]
-                lr = weighted[0]
-                for row in weighted[1:]:
-                    lr = lr + row
-                new[2] = lr
-            if _has_nan(new[3:], inf=True):
-                # Surface the inconsistency rather than silently rejecting.
-                check_consistent(spec, new[1], new[3], phi)
-                new[0] = neg_inf_policy(self.rest, values, new[1] + new[2],
-                                        np.isneginf(new[1]))
+    def kernel(self, lo: int, hi: int, proposals=None):
+        """The move of state columns lo:hi.
+
+        ``proposals`` (iterations, chains, hi - lo) holds every proposal of a
+        move that replaces a whole block.  Each marginal term that reads only
+        that block is then evaluated for all of them in one call before the
+        stage runs, and the move at iteration t reads row t.  If that call
+        raises, the term is evaluated move by move instead, so the first
+        error raised is the one a run that evaluates every move raises.
+        """
+        moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
+        joint, d = self.joint, self.d
+        if self.subposterior:
+            defer = self._defer_check if moved else None
+
+            def log_target(z, cur, t):
+                # The joint is the log target; only the consistency check reads
+                # log p_m, and it runs in batches.
+                phi = z[:, :d]
+                lj = joint(phi, z[:, d:])
+                if defer is not None:
+                    defer(phi, lj)
+                return lj.astype(float)
+
+            return log_target
+        if not moved:
+            def psi_terms(z, cur, t):
+                new = cur.copy()
+                new[1] = joint(z[:, :d], z[:, d:])
+                new[0] = new[1] + new[2]
                 return new
-        new[0] = new[1] + new[2]
+
+            return psi_terms
+        live, tables = [], []
+        for row, fn, blocks, cols in self.marginals:
+            if moved.isdisjoint(blocks):
+                continue
+            values = None
+            if proposals is not None and moved.issuperset(blocks):
+                values = _tabulate(fn, proposals)
+            if values is None:
+                live.append((row, fn, cols))
+            else:
+                tables.append((row, values))
+        fill = self._fill
+        return lambda z, cur, t: fill(z, cur.copy(), live, tables, t)
+
+    def _fill(self, z, new, live, tables, t):
+        """``new`` with the joint and the marginal terms ``live`` (row, evaluator,
+        columns) of z, the terms ``tables`` (row, values) of iteration t, and
+        their sums."""
+        d = self.d
+        phi = z[:, :d]
+        new[1] = self.joint(phi, z[:, d:])
+        for row, fn, cols in live:
+            new[row] = fn(z[:, cols])
+        for row, values in tables:
+            new[row] = values[t]
+        # A subposterior's weighted sum is 0; skipping it keeps stage one fast.
+        if not self.subposterior:
+            weighted = self.coefs * new[3:]
+            lr = weighted[0]
+            for w in weighted[1:]:
+                lr = lr + w
+            new[2] = lr
+        if _has_nan(new[3:], inf=True):
+            # Surface the inconsistency rather than silently rejecting.
+            check_consistent(self.spec, new[1], new[3], phi)
+            new[0] = neg_inf_policy(self.rest, new[4:], new[1] + new[2], np.isneginf(new[1]))
+        else:
+            new[0] = new[1] + new[2]
         return new
 
     def _defer_check(self, phi, lj):
@@ -274,13 +339,14 @@ class _FunctionTarget:
     def __init__(self, fn):
         self.fn = fn
 
-    def plan(self, lo: int, hi: int):
-        return None
-
-    def evaluate(self, z, plan, cur):
-        new = np.empty((1, len(z)))
-        new[0] = self.fn(z)
+    def initial(self, z):
+        new = np.empty(len(z))
+        new[:] = self.fn(z)
         return new
+
+    def kernel(self, lo: int, hi: int, proposals=None):
+        initial = self.initial
+        return lambda z, cur, t: initial(z)
 
     def check_pending(self):
         pass
@@ -292,23 +358,18 @@ class _FunctionTarget:
 
 
 class _Lockstep:
-    """Every chain's state as one row of ``z``, with the target's terms."""
+    """Every chain's state as one row of ``z``, with its cached target terms."""
 
-    __slots__ = ("target", "z", "terms")
+    __slots__ = ("z", "terms")
 
-    def __init__(self, target, z: np.ndarray):
-        self.target = target
-        self.z = z
-        self.terms = target.evaluate(z, target.plan(0, z.shape[1]), None)
+    def __init__(self, z: np.ndarray, terms: np.ndarray):
+        self.z, self.terms = z, terms
 
-    @property
-    def lp(self) -> np.ndarray:
-        return self.terms[0]
-
-    def move(self, prop: np.ndarray, plan, log_u: np.ndarray, log_q=None) -> np.ndarray:
-        """Accept or reject every chain's proposal; returns the acceptance mask."""
-        new = self.target.evaluate(prop, plan, self.terms)
-        log_alpha = new[0] - self.terms[0]
+    def accept(self, prop: np.ndarray, new: np.ndarray, log_u: np.ndarray,
+               log_q=None) -> np.ndarray:
+        """Accept or reject every chain's proposal, whose terms are ``new``;
+        returns the acceptance mask."""
+        log_alpha = new - self.terms if new.ndim == 1 else new[0] - self.terms[0]
         if log_q is not None:
             log_alpha += log_q
         acc = log_u < log_alpha
@@ -341,8 +402,10 @@ def _initialize(target, sources, walk_coords, rngs, start=None):
             if attempt:
                 walk[c] = _jitter(walk[c], walk_coords, rngs[c])
         parts = [s[rows[:, i]] for i, s in enumerate(sources)]
-        state = _Lockstep(target, np.concatenate(parts + [walk], axis=1))
-        redo = np.flatnonzero(state.lp == _NEG_INF)
+        z = np.concatenate(parts + [walk], axis=1)
+        terms = target.initial(z)
+        redo = np.flatnonzero((terms if terms.ndim == 1 else terms[0]) == _NEG_INF)
+        state = _Lockstep(z, terms)
         if not redo.size:
             return state, rows
     raise InitializationError(
@@ -362,39 +425,44 @@ class _IndexMove:
     The block is updated unit by unit: each chain visits the units in its
     own random order every iteration and proposes each unit's columns from
     a uniformly drawn row.  Per-step arrays are laid out (iteration, step,
-    chain) so that one step reads contiguous rows.
+    chain) so that one step reads contiguous rows.  A move of the whole
+    block (one unit) hands the target all of its proposals, so that terms
+    of the block alone are evaluated once per stage.  ``step(t)`` makes
+    iteration t's moves.
     """
 
-    def __init__(self, state: _Lockstep, source, lo, units, rngs, n_iter, log_u):
+    def __init__(self, state: _Lockstep, target, source, lo, units, rngs, n_iter, log_u):
         d = source.shape[1]
-        self.state, self.cols, self.log_u = state, slice(lo, lo + d), log_u
-        self.plan = state.target.plan(lo, lo + d)
+        cols = slice(lo, lo + d)
         self.n_units = n = len(units)
         self.draws = _per_chain(
             rngs, lambda r: r.integers(len(source), size=(n_iter, n)), axis=-1
         )
-        self.proposals = source[self.draws]
-        self.order = self.where = None
+        proposals = source[self.draws]
+        self.order = where = None
         if n > 1:
             self.order = _per_chain(
                 rngs, lambda r: r.permuted(np.tile(np.arange(n), (n_iter, 1)), axis=1),
                 axis=-1,
             )
             masks = np.zeros((n, d), dtype=bool)
-            for u, cols in enumerate(units):
-                masks[u, list(cols)] = True
-            self.where = masks[self.order]
-        self.accepted = np.empty(self.draws.shape, dtype=bool)
+            for u, unit_cols in enumerate(units):
+                masks[u, list(unit_cols)] = True
+            where = masks[self.order]
+        self.accepted = accepted = np.empty(self.draws.shape, dtype=bool)
+        kernel = target.kernel(lo, lo + d, proposals[:, 0] if n == 1 else None)
+        accept = state.accept
 
-    def __call__(self, t: int) -> None:
-        state = self.state
-        for j in range(self.n_units):
-            prop = state.z.copy()
-            if self.where is None:
-                prop[:, self.cols] = self.proposals[t, j]
-            else:
-                np.copyto(prop[:, self.cols], self.proposals[t, j], where=self.where[t, j])
-            self.accepted[t, j] = state.move(prop, self.plan, self.log_u[t, j])
+        def step(t):
+            for j in range(n):
+                prop = state.z.copy()
+                if where is None:
+                    prop[:, cols] = proposals[t, j]
+                else:
+                    np.copyto(prop[:, cols], proposals[t, j], where=where[t, j])
+                accepted[t, j] = accept(prop, kernel(prop, state.terms, t), log_u[t, j])
+
+        self.step = step
 
     def rows(self, start: np.ndarray) -> np.ndarray:
         """Every chain's source row per unit after each iteration, (n_iter, chains, units).
@@ -423,14 +491,13 @@ class _WalkMove:
     whose Jacobian is log q; discrete ones are redrawn uniformly over their
     categories.  ``mult`` and ``log_q`` are None when no coordinate needs
     them.  Each chain draws its steps for every iteration in one block; the
-    arrays are laid out (iteration, chain, ...).
+    arrays are laid out (iteration, chain, ...).  ``step(t)`` makes
+    iteration t's move.
     """
 
     n_units = 1
 
-    def __init__(self, state: _Lockstep, lo, coords, scale, rngs, n_iter, log_u):
-        self.state, self.lo, self.log_u = state, lo, log_u
-        self.plan = state.target.plan(lo, state.z.shape[1])
+    def __init__(self, state: _Lockstep, target, lo, coords, scale, rngs, n_iter, log_u):
         self.accepted = np.empty((n_iter, 1, len(rngs)), dtype=bool)
         kinds = [c.kind for c in coords]
         cont = [i for i, k in enumerate(kinds) if k != "discrete"]
@@ -445,27 +512,31 @@ class _WalkMove:
                 step[:, disc] = rng.integers(cards, size=(n_iter, len(disc)))
             return step
 
-        self.step = step = _per_chain(rngs, draw)
-        self.mult = self.log_q = None
+        steps = _per_chain(rngs, draw)
+        mult = log_q = None
         if pos:
-            self.log_q = step[..., pos].sum(axis=-1)
+            log_q = steps[..., pos].sum(axis=-1)
         if pos or disc:
-            self.mult = np.ones_like(step)
-            self.mult[..., pos] = np.exp(step[..., pos])
-            self.mult[..., disc] = 0.0
-            step[..., pos] = 0.0
+            mult = np.ones_like(steps)
+            mult[..., pos] = np.exp(steps[..., pos])
+            mult[..., disc] = 0.0
+            steps[..., pos] = 0.0
+        kernel = target.kernel(lo, state.z.shape[1])
+        accept, accepted, log_u = state.accept, self.accepted[:, 0], log_u[:, 0]
 
-    def __call__(self, t: int) -> None:
-        state, lo = self.state, self.lo
-        x = state.z[:, lo:]
-        x = x + self.step[t] if self.mult is None else x * self.mult[t] + self.step[t]
-        if lo:
-            prop = state.z.copy()
-            prop[:, lo:] = x
-        else:
-            prop = x
-        log_q = None if self.log_q is None else self.log_q[t]
-        self.accepted[t, 0] = state.move(prop, self.plan, self.log_u[t, 0], log_q)
+        def step(t):
+            z = state.z
+            x = z[:, lo:] if lo else z
+            x = x + steps[t] if mult is None else x * mult[t] + steps[t]
+            if lo:
+                prop = z.copy()
+                prop[:, lo:] = x
+            else:
+                prop = x
+            accepted[t] = accept(prop, kernel(prop, state.terms, t), log_u[t],
+                                 None if log_q is None else log_q[t])
+
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -500,17 +571,18 @@ def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chain
         log_u = np.log(_per_chain(rngs, lambda r: r.random((n_iter, edges[-1])), axis=-1))
         moves, lo = [], 0
         for i, source in enumerate(sources):
-            moves.append(_IndexMove(state, source, lo, units[i], rngs, n_iter,
+            moves.append(_IndexMove(state, target, source, lo, units[i], rngs, n_iter,
                                     log_u[:, edges[i] : edges[i + 1]]))
             lo += source.shape[1]
         if walk_coords:
-            moves.append(_WalkMove(state, lo, walk_coords, scale, rngs, n_iter,
+            moves.append(_WalkMove(state, target, lo, walk_coords, scale, rngs, n_iter,
                                    log_u[:, edges[-2] :]))
         z = np.empty((chains, kept, state.z.shape[1]))
+        steps = [move.step for move in moves]
         try:
             for t in range(n_iter):
-                for move in moves:
-                    move(t)
+                for step in steps:
+                    step(t)
                 if t >= warmup:
                     z[:, t - warmup] = state.z
         finally:

@@ -377,7 +377,7 @@ def test_acceptance_9_determinism(tmp_path):
     discrete = {"name": "discrete-chain", "params": _discrete_cli_params()}
     log_pool = {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]}
     middle_pool = {"method": "dictatorial-complete", "choices": [1, 1]}
-    iterations = {"stage_one": 800, "stage_two": 800, "stage_three": 800}
+    iterations = {"stage_one": 800, "stage_two": 800}
     # every sampler kind, each with several lockstep chains
     runs = [
         ("parallel", gaussian, log_pool, 2),

@@ -197,6 +197,26 @@ class TestSamplerKeys:
         self._rejects(tmp_path, capsys, cfg, "sampler.normal_approx_mode: unknown key")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["parallel", "parallel-unitwise", "normal-approx"])
+    @pytest.mark.parametrize("key", ["iterations", "scales"])
+    def test_stage_three_only_where_a_stage_three_runs(self, tmp_path, capsys, kind, key):
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["kind"] = kind
+        cfg["sampler"][key]["stage_three"] = 500 if key == "iterations" else 0.5
+        self._rejects(tmp_path, capsys, cfg, f"sampler.{key}.stage_three: unknown key")
+
+    @pytest.mark.parametrize("kind", ["parallel", "sequential"])
+    def test_draw_limit_covers_the_stages_that_run(self, tmp_path, capsys, kind):
+        # 2**22 chains x 100 iterations fit; the default 1000 of a stage three do not.
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"].update(kind=kind, chains=2**22,
+                              iterations={"stage_one": 100, "stage_two": 100})
+        path = _write_config(tmp_path, cfg)
+        if kind == "sequential":
+            self._rejects(tmp_path, capsys, cfg, "sampler.chains x sampler.iterations.stage_three")
+        else:
+            assert main(["validate", "--config", path]) == 0
+
     @pytest.mark.parametrize("key, value", [("factorization", "flat-ends"),
                                             ("kind", "normal-approx")])
     def test_documented_keys_validate(self, tmp_path, capsys, key, value):
@@ -539,7 +559,8 @@ class TestPoolGrid:
         ({"axes": [[-1e300, 1e300, 10], [-6, 6, 4]]}, "grid.axes"),  # no cell near the mass
         ({"axes": [[-6, 6, 1], [-6, 6, 4]]}, "grid.axes"),  # one cell: no spread
         ({"axes": 5}, "grid.axes"),
-        (5, "grid.axes"),
+        (5, "grid"),
+        ({"axes": [[-6, 6, 40], [-6, 6, 40]], "axis": [[-6, 6, 40]]}, "grid.axis"),
         ("discrete", "model.name"),
     ])
     def test_bad_input_names_its_key(self, tmp_path, capsys, grid, key):

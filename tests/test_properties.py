@@ -220,7 +220,8 @@ def _stage_reference(chain, factor, m, phi, psi):
 def _stage_value(target, z):
     """Log target of each row of z, evaluated from scratch as the samplers do."""
     with np.errstate(invalid="ignore"):
-        return target.evaluate(z, target.plan(0, z.shape[1]), None)[0]
+        terms = target.initial(z)
+        return terms if terms.ndim == 1 else terms[0]
 
 
 def _check_stage_targets(chain, factor, x):
@@ -368,6 +369,53 @@ def test_gaussian_batched_joint_equals_rows(case):
     batched = spec.eval_log_joint(phi, psi)
     assert batched.shape == phi.shape[:-1]
     np.testing.assert_allclose(batched, _row_by_row(spec, phi, psi), rtol=1e-12, atol=1e-12)
+
+
+# -- single-block pool terms, batched ------------------------------------------
+#
+# A stage-two index move that replaces a whole block evaluates each pool term
+# of that block alone for all of the stage's proposals in one call, so such a
+# term must give each row the bits it gives in the small batches a move
+# evaluates (one row per chain).
+
+
+def _single_block_terms():
+    """(name, evaluator, block) of every one-block term the builtins' pools use:
+    the end prior marginals, the middle submodel's boundary marginals and the
+    linear pool's mixtures of them."""
+    out = []
+    for name, built in (("gaussian", GAUSS_DATA), ("discrete", DISCRETE)):
+        model, marginals = built.model, built.boundary_marginals
+        out += [(f"{name}-end{m}", model.submodels[m].eval_log_prior, model.blocks_of(m)[0])
+                for m in (0, model.n_submodels - 1)]
+        out += [(f"{name}-boundary{key}", fn, key[1]) for key, fn in marginals.items()]
+        for lam in ([[0.3, 0.7], [0.6, 0.4]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+            out += [(f"{name}-linear{lam}-{b}", t.fn, b)
+                    for b, t in enumerate(linear_pooling(model, lam, marginals).terms)]
+    return out
+
+
+SINGLE_BLOCK_TERMS = _single_block_terms()
+
+
+@settings(max_examples=60)
+@given(term=st.sampled_from(SINGLE_BLOCK_TERMS), n=st.integers(1, 10**4),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1.0, 30.0, 1e155]))
+def test_single_block_term_gives_a_row_the_same_bits_in_any_batch(term, n, seed, spread):
+    name, fn, b = term
+    built = GAUSS_DATA if name.startswith("gaussian") else DISCRETE
+    dim = built.model.phi_blocks[b].dim
+    rng = np.random.default_rng(seed)
+    if built is DISCRETE:
+        rows = rng.integers(2, size=(n, dim)).astype(float)
+    else:
+        rows = spread * rng.standard_normal((n, dim))
+    with np.errstate(over="ignore"):  # a log density beyond the float range is -inf
+        whole = np.asarray(fn(rows), dtype=float)
+        for size in (1, 2, 8):
+            parts = np.concatenate([np.asarray(fn(rows[i : i + size]), dtype=float)
+                                    for i in range(0, n, size)])
+            assert parts.tobytes() == whole.tobytes(), (name, size)
 
 
 # -- unit factorizations of the discrete builtin --------------------------------
@@ -657,7 +705,7 @@ DISCRETE_CONFIG = {
     },
     "pooling": {"method": "dictatorial-complete", "choices": [1, 1]},
     "sampler": {"kind": "parallel-unitwise", "seed": 3, "chains": 2,
-                "iterations": {"stage_one": 100, "stage_two": 100, "stage_three": 100},
+                "iterations": {"stage_one": 100, "stage_two": 100},
                 "scales": {"stage_one": 0.5, "stage_two": 1.0}, "warmup_frac": 0.2,
                 "factorization": "flat-ends"},
     "outputs": {"directory": "out"},

@@ -335,11 +335,13 @@ class TestEvaluationCounts:
         # the initial state, then one batched consistency check per 1024 steps
         assert spec1.marginal_calls.count == 1 + math.ceil(300 / 1024)
 
-    def test_phi_proposal_makes_two_marginal_calls(self):
+    def test_phi_proposal_makes_one_marginal_call(self):
         # log pool with lambda = 0.5: pool2 - log p2 is
         # -0.5 log p1 - 0.5 log p2 - 0.5 log p3.  A block-1 proposal changes
-        # only the log p1 and log p2 terms, a block-2 proposal only log p2
-        # and log p3: two marginal calls, the other end's term is reused.
+        # the log p1 and log p2 terms, a block-2 proposal log p2 and log p3.
+        # Each end's term reads only the block its index move replaces, so it
+        # is evaluated for all of the stage's proposals in one call; log p2 is
+        # evaluated once per proposal.
         built, _, factor = _gaussian_setup()
         s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
         built.model.reset_counters()
@@ -349,12 +351,80 @@ class TestEvaluationCounts:
         assert phi_proposals == 2 * n
         # the initial state adds one evaluation of each term
         spec1, spec2, spec3 = built.model.submodels
-        assert spec1.marginal_calls.count == n + 1
-        assert spec3.marginal_calls.count == n + 1
+        assert spec1.marginal_calls.count == 2
+        assert spec3.marginal_calls.count == 2
         assert spec2.marginal_calls.count == phi_proposals + 1
-        total = sum(spec.marginal_calls.count for spec in built.model.submodels)
-        assert total == 2 * phi_proposals + 3
         assert spec2.joint_calls.count == phi_proposals + 1
+
+    def test_unitwise_moves_evaluate_end_terms_per_move(self):
+        # A unit proposal mixes rows, so the end terms are evaluated move by move.
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
+        built.model.reset_counters()
+        n = 200
+        out = run_parallel_stage_two_unitwise(built.model, factor, s1, s3, SCALE, n, seed=5)
+        spec1, spec2, spec3 = built.model.submodels
+        assert out.proposal_counts["phi1"] == out.proposal_counts["phi3"] == 2 * n
+        assert spec1.marginal_calls.count == spec3.marginal_calls.count == 2 * n + 1
+        assert spec2.marginal_calls.count == 4 * n + 1
+
+    @staticmethod
+    def _with_end_term(factor, fn):
+        """``factor`` with fn in place of the block-1 end term of the middle factor."""
+        end = next(t for t in factor.terms[1] if t.blocks == (0,))
+        middle = tuple(dataclasses.replace(t, fn=fn) if t is end else t
+                       for t in factor.terms[1])
+        return dataclasses.replace(factor, terms=(factor.terms[0], middle, factor.terms[2])), end
+
+    def test_failing_batched_term_is_evaluated_per_move(self):
+        # An end term whose batched call raises, though no single move's call
+        # does: the stage falls back to one call per move, with the same draws.
+        built, _, factor = _gaussian_setup()
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
+        calls = []
+
+        def small_batches_only(x):
+            calls.append(len(x))
+            if len(x) > 1:
+                raise MemoryError("batch too large")
+            return end.fn(x)
+
+        fussy, end = self._with_end_term(factor, small_batches_only)
+        a = run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 200, seed=5)
+        b = run_parallel_stage_two(built.model, fussy, s1, s3, SCALE, 200, seed=5)
+        np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
+        np.testing.assert_array_equal(a.indices, b.indices)
+        # the initial state, the batched call that raised, then one call per move
+        assert calls == [1, 200] + [1] * 200
+
+    @pytest.mark.parametrize("nan_joint", [False, True])
+    def test_batched_term_error_is_the_first_move_by_move_error(self, nan_joint):
+        # The end term raises on every call after the initial state's.  Checked
+        # move by move, the first move raises it, unless the middle joint, which
+        # each move evaluates first, is NaN there.
+        built, _, factor = _gaussian_setup()
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
+        model = built.model
+        spec2 = model.submodels[1]
+        joint, joint_calls, term_calls = spec2.log_joint, itertools.count(), itertools.count()
+
+        def nan_after_init(phi, psi):
+            return np.full(len(phi), math.nan) if next(joint_calls) else joint(phi, psi)
+
+        def raising_end(x):
+            if next(term_calls):
+                raise ModelInconsistencyError("end term raised")
+            return end.fn(x)
+
+        bad_factor, end = self._with_end_term(factor, raising_end)
+        if nan_joint:
+            spec2 = dataclasses.replace(spec2, log_joint=nan_after_init)
+            model = ChainModel((model.submodels[0], spec2, model.submodels[2]),
+                               model.phi_blocks)
+        message = "log_joint returned NaN" if nan_joint else "end term raised"
+        with pytest.raises(ModelInconsistencyError, match=message):
+            run_parallel_stage_two(model, bad_factor, s1, s3, SCALE, 200, seed=5)
 
 
 class TestDeferredConsistencyCheck:
