@@ -16,7 +16,6 @@ from .chain import (
     real_coords,
     submodel_log_ratio,
     unit_additivity_gap,
-    validate_chain,
 )
 from .errors import (
     ChainmeldError,

@@ -27,7 +27,7 @@ from .chain import (
     log_melded_density,
     real_coords,
 )
-from .errors import ConfigError, UnsupportedConfigError
+from .errors import ConfigError, StructureError, UnsupportedConfigError
 from .gaussian import GaussianDensity
 
 __all__ = [
@@ -237,31 +237,27 @@ def _check_table(name: str, table, shape: tuple[int, ...], normalized: bool):
     return table
 
 
-def _flat_weights(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Row-major strides, in elements, of table axes ``start:stop``."""
-    strides = np.cumprod((shape + (1,))[:0:-1])[::-1]
-    return strides[start:stop].astype(float)
+def _table_lookup(table: np.ndarray, n_phi: Optional[int] = None):
+    """Batched log lookup ``(phi, psi) -> log table[phi..., psi...]``.
 
-
-def _table_lookup(table: np.ndarray, log_table: np.ndarray):
-    """Batched log lookup: last-axis coordinates index the table axes.
-
-    Coordinates must hold exact category values (as the samplers and the
-    enumeration produce); each row maps to one flat index, so a batch is one
-    gather.
+    The first ``n_phi`` table axes (all of them by default) are indexed by
+    phi's last-axis coordinates and the rest by psi's; a lookup over all axes
+    needs no psi.  Coordinates must hold exact category values (as the
+    samplers and the enumeration produce); each row maps to one flat index,
+    so a batch is one gather.
     """
-    flat = log_table.ravel()
-    weights = _flat_weights(log_table.shape, 0, log_table.ndim)
+    with np.errstate(divide="ignore"):
+        flat = np.log(table).ravel()
+    strides = np.cumprod((table.shape + (1,))[:0:-1])[::-1].astype(float)
+    w_phi, w_psi = np.split(strides, [table.ndim if n_phi is None else n_phi])
 
-    def lookup(x):
-        return flat[np.asarray(x).dot(weights).astype(np.intp)]
+    def lookup(phi, psi=None):
+        at = np.asarray(phi).dot(w_phi)
+        if w_psi.size:
+            at += np.asarray(psi).dot(w_psi)
+        return flat[at.astype(np.intp)]
 
     return lookup
-
-
-def _with_log(table: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(table)
 
 
 def _factorization_gap(table: np.ndarray, units: Sequence[Sequence[int]]) -> float:
@@ -311,6 +307,12 @@ def builtin_discrete_chain(
             raise ConfigError(f"{key}: need {n} entries for {M} submodels, got {len(value)}")
     phi_cards = tuple(tuple(int(c) for c in p) for p in phi_cards)
     psi_cards = tuple(tuple(int(c) for c in p) for p in psi_cards)
+    for key, cards in (("phi_cards", phi_cards), ("psi_cards", psi_cards)):
+        low = [c for p in cards for c in p if c < 2]
+        if low:
+            raise ConfigError(f"{key}: discrete coordinates need cardinality >= 2, got {low[0]}")
+    if not all(phi_cards):
+        raise ConfigError("phi_cards: every shared block needs at least one coordinate")
     labels = [f"phi{b + 1}{b + 2}" for b in range(M - 1)]
     phi_shapes = [sum((phi_cards[b] for b in (m - 1, m) if 0 <= b < M - 1), ())
                   for m in range(M)]
@@ -326,6 +328,10 @@ def builtin_discrete_chain(
         n_phi = len(phi_shapes[m])
         marg = prior.sum(axis=tuple(range(n_phi, prior.ndim))) if psi_cards[m] else prior
         if uf is not None:
+            try:
+                uf.check_partition(m, n_phi, len(psi_cards[m]))
+            except StructureError as exc:
+                raise ConfigError(f"units: {exc}") from None
             joint_units = [(*phi, *(n_phi + i for i in psi))
                            for phi, psi in zip(uf.phi_indices, uf.psi_indices)]
             gap = max(_factorization_gap(joint, joint_units),
@@ -333,23 +339,13 @@ def builtin_discrete_chain(
             if gap > 1e-12:
                 raise ConfigError(f"units: submodel {m}'s tables are not products of "
                                   f"per-unit factors (largest gap {gap:.3g} > 1e-12)")
-        log_joint_table = _with_log(joint)
-
-        def lj(phi_m, psi_m, _t=log_joint_table.ravel(),
-               _wphi=_flat_weights(joint.shape, 0, n_phi),
-               _wpsi=_flat_weights(joint.shape, n_phi, joint.ndim)):
-            flat = np.asarray(phi_m).dot(_wphi)
-            if _wpsi.size:
-                flat += np.asarray(psi_m).dot(_wpsi)
-            return _t[flat.astype(np.intp)]
-
         specs.append(
             SubmodelSpec(
                 m,
                 labels[m - 1] if m > 0 else None,
                 labels[m] if m < M - 1 else None,
-                lj,
-                _table_lookup(marg, _with_log(marg)),
+                _table_lookup(joint, n_phi),
+                _table_lookup(marg),
                 psi_coords=discrete_coords(psi_cards[m]),
                 unit_factorization=uf,
             )
@@ -362,8 +358,8 @@ def builtin_discrete_chain(
         marg, n_left = marginal_tables[m], len(phi_cards[m - 1])
         left = marg.sum(axis=tuple(range(n_left, marg.ndim)))
         right = marg.sum(axis=tuple(range(n_left)))
-        boundary[(m, m - 1)] = _table_lookup(left, _with_log(left))
-        boundary[(m, m)] = _table_lookup(right, _with_log(right))
+        boundary[(m, m - 1)] = _table_lookup(left)
+        boundary[(m, m)] = _table_lookup(right)
     model = ChainModel(
         submodels=tuple(specs),
         phi_blocks=tuple(

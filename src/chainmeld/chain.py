@@ -25,7 +25,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -44,7 +43,6 @@ __all__ = [
     "real_coords",
     "positive_coords",
     "discrete_coords",
-    "validate_chain",
     "log_melded_density",
     "markov_combination_density",
     "submodel_log_ratio",
@@ -140,6 +138,15 @@ class UnitFactorization:
     def n_units(self) -> int:
         return len(self.phi_indices)
 
+    def check_partition(self, m: int, phi_dim: int, psi_dim: int) -> None:
+        """Raise unless the units split submodel m's phi and psi coordinates exactly."""
+        for kind, units, n in (("phi", self.phi_indices, phi_dim),
+                               ("psi", self.psi_indices, psi_dim)):
+            if sorted(i for unit in units for i in unit) != list(range(n)):
+                raise StructureError(
+                    f"submodel {m}: unit {kind} indices {[list(u) for u in units]} do not "
+                    f"partition its {kind} coordinates ({f'0..{n - 1}' if n else 'it has none'})")
+
 
 def _has_nan(values: np.ndarray, inf: bool = False) -> bool:
     """Whether some value is NaN, or with ``inf`` NaN or infinite."""
@@ -227,11 +234,33 @@ class ChainModel:
 
     Submodel m touches block m-1 on its left and block m on its right
     (where those exist).  M = 2 is permitted and degenerates to classic
-    two-model melding with a single shared block.
+    two-model melding with a single shared block.  A chain whose specs do
+    not match that wiring, or whose unit factorizations do not partition
+    their submodel's coordinates, raises ``StructureError`` when built.
     """
 
     submodels: tuple[SubmodelSpec, ...]
     phi_blocks: tuple[PhiBlock, ...]
+
+    def __post_init__(self):
+        M, labels = len(self.submodels), [b.label for b in self.phi_blocks]
+        if M < 2 or len(labels) != M - 1:
+            raise StructureError(f"a chain needs M >= 2 submodels and M - 1 phi blocks, got "
+                                 f"{M} submodels and {len(labels)} phi blocks")
+        if len(set(labels)) != M - 1:
+            raise StructureError(f"phi block labels are not unique: {labels}")
+        for m, spec in enumerate(self.submodels):
+            wiring = (spec.index, spec.left_block, spec.right_block)
+            expected = (m, labels[m - 1] if m else None, labels[m] if m < M - 1 else None)
+            if wiring != expected:
+                raise StructureError(f"submodel at position {m}: (index, left_block, right_block) "
+                                     f"is {wiring}, expected {expected}")
+            if not (callable(spec.log_joint) and callable(spec.log_prior_marginal)):
+                raise StructureError(
+                    f"submodel {m}: log_joint and log_prior_marginal must be callable")
+            if spec.unit_factorization is not None:
+                phi_dim = sum(self.phi_blocks[b].dim for b in self.blocks_of(m))
+                spec.unit_factorization.check_partition(m, phi_dim, spec.psi_dim)
 
     @property
     def n_submodels(self) -> int:
@@ -283,54 +312,6 @@ class ChainModel:
         for spec in self.submodels:
             spec.joint_calls.count = 0
             spec.marginal_calls.count = 0
-
-
-def validate_chain(model: ChainModel) -> list[str]:
-    """Report-style validation; empty list iff the model is usable."""
-    report: list[str] = []
-    M = model.n_submodels
-    if M < 2:
-        report.append("chain requires M >= 2")
-        return report
-    if len(model.phi_blocks) != M - 1:
-        report.append(
-            f"chain with {M} submodels needs {M - 1} phi blocks, "
-            f"got {len(model.phi_blocks)}"
-        )
-    labels = [b.label for b in model.phi_blocks]
-    if len(set(labels)) != len(labels):
-        report.append("phi block labels are not unique")
-    for m, spec in enumerate(model.submodels):
-        if spec.index != m:
-            report.append(f"submodel at position {m} declares index {spec.index}")
-        expect_left = labels[m - 1] if 0 < m <= len(labels) else None
-        expect_right = labels[m] if m < len(labels) else None
-        if spec.left_block != expect_left:
-            report.append(
-                f"submodel {m}: left block {spec.left_block!r}, expected {expect_left!r}"
-            )
-        if spec.right_block != expect_right:
-            report.append(
-                f"submodel {m}: right block {spec.right_block!r}, expected {expect_right!r}"
-            )
-        if not callable(spec.log_joint):
-            report.append(f"submodel {m}: log_joint is not callable")
-        if not callable(spec.log_prior_marginal):
-            report.append(f"submodel {m}: log_prior_marginal is not callable")
-        uf = spec.unit_factorization
-        if uf is not None:
-            phi_dim = sum(model.phi_blocks[b].dim for b in model.blocks_of(m))
-            flat_phi = sorted(itertools.chain.from_iterable(uf.phi_indices))
-            flat_psi = sorted(itertools.chain.from_iterable(uf.psi_indices))
-            if flat_phi != list(range(phi_dim)):
-                report.append(
-                    f"submodel {m}: unit phi indices do not partition 0..{phi_dim - 1}"
-                )
-            if flat_psi != list(range(spec.psi_dim)):
-                report.append(
-                    f"submodel {m}: unit psi indices do not partition 0..{spec.psi_dim - 1}"
-                )
-    return report
 
 
 def check_consistent(spec: SubmodelSpec, lj, lm, phi_m) -> None:

@@ -53,6 +53,25 @@ def make_discrete_chain(seed=7, factorized_ends=True, with_units=True):
     )
 
 
+def discrete_cli_params(seed=7):
+    """The 64-state discrete test chain (units on both ends) as CLI params."""
+    rng = np.random.default_rng(seed)
+    p1 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
+    p3 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
+    p2 = random_table(rng, (2, 2, 2, 2, 2, 2))
+    lik2 = np.exp(0.3 * rng.standard_normal((2, 2, 2, 2, 2, 2)))
+    unit = {"phi_indices": [[0], [1]], "psi_indices": [[], []]}
+    return {
+        "prior1": p1.tolist(),
+        "prior2": p2.tolist(),
+        "prior3": p3.tolist(),
+        "phi_cards": [[2, 2], [2, 2]],
+        "psi_cards": [[], [2, 2], []],
+        "likelihoods": [None, lik2.tolist(), None],
+        "units": [unit, None, unit],
+    }
+
+
 def make_long_chain(M, seed=0):
     """Seeded M-submodel discrete chain: one binary coordinate per shared
     block, a binary psi on submodel 1, random tables and a likelihood on

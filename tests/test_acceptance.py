@@ -44,7 +44,7 @@ from chainmeld.builtins import DiscreteTable
 from chainmeld.cli import main
 from chainmeld.normal_approx import check_proper_ratio
 
-from conftest import make_discrete_chain, random_table
+from conftest import discrete_cli_params, make_discrete_chain, random_table
 
 SCALE = 0.8
 
@@ -351,30 +351,11 @@ def test_acceptance_8_marginal_replacement():
     _report(8, "marginal replacement (pooled marginals preserved)", ok)
 
 
-def _discrete_cli_params(seed=7):
-    """The 64-state discrete test chain (units on both ends) as CLI params."""
-    rng = np.random.default_rng(seed)
-    p1 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
-    p3 = np.multiply.outer(random_table(rng, 2), random_table(rng, 2))
-    p2 = random_table(rng, (2, 2, 2, 2, 2, 2))
-    lik2 = np.exp(0.3 * rng.standard_normal((2, 2, 2, 2, 2, 2)))
-    unit = {"phi_indices": [[0], [1]], "psi_indices": [[], []]}
-    return {
-        "prior1": p1.tolist(),
-        "prior2": p2.tolist(),
-        "prior3": p3.tolist(),
-        "phi_cards": [[2, 2], [2, 2]],
-        "psi_cards": [[], [2, 2], []],
-        "likelihoods": [None, lik2.tolist(), None],
-        "units": [unit, None, unit],
-    }
-
-
 def test_acceptance_9_determinism(tmp_path):
     gaussian = {"name": "gaussian-chain",
                 "params": {"rho": 0.2, "y1": [-2.0], "y3": [2.0], "y2": [0.5], "s2": 2.0,
                            "tau": 1.0}}
-    discrete = {"name": "discrete-chain", "params": _discrete_cli_params()}
+    discrete = {"name": "discrete-chain", "params": discrete_cli_params()}
     log_pool = {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]}
     middle_pool = {"method": "dictatorial-complete", "choices": [1, 1]}
     iterations = {"stage_one": 800, "stage_two": 800}

@@ -18,7 +18,6 @@ from chainmeld import (
     poe_pooling,
     submodel_log_ratio,
     tv_distance,
-    validate_chain,
 )
 from chainmeld.builtins import BuiltChain
 from chainmeld.chain import ChainModel
@@ -29,7 +28,7 @@ from conftest import make_discrete_chain, make_long_chain, random_table
 class TestGaussianChain:
     def test_validates(self):
         built = builtin_gaussian_chain()
-        assert validate_chain(built.model) == []
+        assert built.model.n_submodels == 3 and len(built.model.phi_blocks) == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -92,7 +91,9 @@ class TestGaussianChain:
 
 class TestDiscreteChain:
     def test_validates(self, discrete_chain):
-        assert validate_chain(discrete_chain.model) == []
+        model = discrete_chain.model
+        assert [spec.unit_factorization is not None for spec in model.submodels] == [
+            True, False, True]
 
     def test_unnormalized_table_rejected(self):
         bad = np.ones((2, 2))  # sums to 4
@@ -141,6 +142,21 @@ class TestDiscreteChain:
                 psi_cards=meta["psi_cards"],
                 likelihoods=(lik1,) + meta["likelihood_tables"][1:],
                 units=[spec.unit_factorization for spec in discrete_chain.model.submodels],
+            )
+
+    @pytest.mark.parametrize("phi, psi, match", [
+        (((0,), (1, 5)), ((), ()), "phi indices"),
+        (((0, 1), (1,)), ((), ()), "phi indices"),  # a product table; the overlap is named
+        (((0,), (1,)), ((0,), ()), "psi indices"),
+    ])
+    def test_units_must_partition_the_coordinates(self, discrete_chain, phi, psi, match):
+        meta = discrete_chain.meta
+        uf = UnitFactorization(phi, psi)
+        with pytest.raises(ConfigError, match=f"^units: submodel 0: unit {match} .* partition"):
+            builtin_discrete_chain(
+                *meta["prior_tables"], phi_cards=meta["phi_cards"],
+                psi_cards=meta["psi_cards"], likelihoods=meta["likelihood_tables"],
+                units=(uf, None, discrete_chain.model.submodels[2].unit_factorization),
             )
 
     def test_marginals_sum_correctly(self, discrete_chain):

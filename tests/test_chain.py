@@ -18,7 +18,6 @@ from chainmeld import (
     real_coords,
     submodel_log_ratio,
     unit_additivity_gap,
-    validate_chain,
 )
 
 
@@ -64,35 +63,47 @@ class TestCoord:
 
 
 class TestValidateChain:
+    """A chain is checked when it is built: a mis-wired one raises StructureError."""
+
     def test_valid(self):
-        assert validate_chain(_three_chain()) == []
+        assert _three_chain().n_submodels == 3
 
     def test_too_few_submodels(self):
-        model = ChainModel(submodels=(_flat_spec(0, None, "a", 1),), phi_blocks=())
-        assert "M >= 2" in validate_chain(model)[0]
+        with pytest.raises(StructureError, match="M >= 2"):
+            ChainModel(submodels=(_flat_spec(0, None, "a", 1),), phi_blocks=())
 
     def test_block_count_mismatch(self):
-        model = ChainModel(
-            submodels=(_flat_spec(0, None, "a", 1), _flat_spec(1, "a", None, 1)),
-            phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
-        )
-        assert any("phi blocks" in line for line in validate_chain(model))
+        with pytest.raises(StructureError, match="got 2 submodels and 2 phi blocks"):
+            ChainModel(
+                submodels=(_flat_spec(0, None, "a", 1), _flat_spec(1, "a", None, 1)),
+                phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
+            )
 
     def test_bad_wiring(self):
-        model = _three_chain({1: _flat_spec(1, "b", "a", 2, psi_dim=1)})
-        report = validate_chain(model)
-        assert any("left block" in line for line in report)
+        with pytest.raises(StructureError, match=r"position 1: \(index, left_block, "
+                           r"right_block\) is \(1, 'b', 'a'\), expected \(1, 'a', 'b'\)"):
+            _three_chain({1: _flat_spec(1, "b", "a", 2, psi_dim=1)})
+
+    @pytest.mark.parametrize("spec, match", [
+        (_flat_spec(2, "a", "b", 2), r"is \(2, 'a', 'b'\), expected \(1, 'a', 'b'\)"),
+        (_flat_spec(1, "a", None, 2), r"is \(1, 'a', None\), expected \(1, 'a', 'b'\)"),
+        (SubmodelSpec(1, "a", "b", None, lambda phi: 0.0), "submodel 1: .* must be callable"),
+        (SubmodelSpec(1, "a", "b", lambda phi, psi: 0.0, 0.0), "submodel 1: .* must be callable"),
+    ])
+    def test_bad_spec(self, spec, match):
+        with pytest.raises(StructureError, match=match):
+            _three_chain({1: spec})
 
     def test_duplicate_labels(self):
-        model = ChainModel(
-            submodels=(
-                _flat_spec(0, None, "a", 1),
-                _flat_spec(1, "a", "a", 2),
-                _flat_spec(2, "a", None, 1),
-            ),
-            phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("a", real_coords(1))),
-        )
-        assert any("not unique" in line for line in validate_chain(model))
+        with pytest.raises(StructureError, match="not unique"):
+            ChainModel(
+                submodels=(
+                    _flat_spec(0, None, "a", 1),
+                    _flat_spec(1, "a", "a", 2),
+                    _flat_spec(2, "a", None, 1),
+                ),
+                phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("a", real_coords(1))),
+            )
 
     def test_bad_unit_partition(self):
         spec = SubmodelSpec(
@@ -101,8 +112,22 @@ class TestValidateChain:
             lambda phi: 0.0,
             unit_factorization=UnitFactorization(((0, 0),), ((),)),
         )
-        model = _three_chain({0: spec})
-        assert any("partition" in line for line in validate_chain(model))
+        with pytest.raises(StructureError, match="partition"):
+            _three_chain({0: spec})
+
+    @pytest.mark.parametrize("phi, psi, match", [
+        (((0,), (1, 5)), ((), ()), r"phi indices \[\[0\], \[1, 5\]\] do not partition its phi "
+                                   r"coordinates \(0\.\.1\)"),
+        (((0, 1), (1,)), ((), ()), r"phi indices \[\[0, 1\], \[1\]\]"),
+        (((0,), (1,)), ((0,), ()), r"psi indices \[\[0\], \[\]\] do not partition its psi "
+                                   r"coordinates \(it has none\)"),
+    ])
+    def test_unit_partition_message(self, phi, psi, match):
+        spec = SubmodelSpec(0, None, "a", lambda phi, psi: 0.0, lambda phi: 0.0,
+                            unit_factorization=UnitFactorization(phi, psi))
+        with pytest.raises(StructureError, match="submodel 0: unit " + match):
+            ChainModel((spec, _flat_spec(1, "a", None, 2)),
+                       (PhiBlock("a", real_coords(2)),))
 
 
 class TestPhiConcat:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from chainmeld import builtin_gaussian_chain, log_pool_gaussian_chain
 from chainmeld.cli import main
 
-from conftest import random_table
+from conftest import discrete_cli_params, random_table
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -67,6 +69,29 @@ def _discrete_config(tmp_path):
         },
         "outputs": {"directory": str(tmp_path / "out")},
     }
+
+
+def _unitwise_config(tmp_path):
+    """The 64-state discrete test chain, units on both ends, for ``parallel-unitwise``."""
+    return {
+        "model": {"name": "discrete-chain", "params": discrete_cli_params(3)},
+        "pooling": {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
+        "sampler": {
+            "kind": "parallel-unitwise",
+            "seed": 1,
+            "chains": 2,
+            "iterations": {"stage_one": 100, "stage_two": 100},
+        },
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: importing the CLI loads none of it."""
+    code = ("import sys, chainmeld.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestValidate:
@@ -315,6 +340,42 @@ class TestModelParams:
         params["prior1"] = np.multiply.outer(random_table(rng, 2), random_table(rng, 2)).tolist()
         assert main(["validate", "--config", _write_config(tmp_path, cfg)]) == 0
 
+    @pytest.mark.parametrize("end, message", [
+        ({"phi_indices": [[0], [1, 5]], "psi_indices": [[], []]},
+         "unit phi indices [[0], [1, 5]] do not partition its phi coordinates (0..1)"),
+        ({"phi_indices": [[0], [1]], "psi_indices": [[0], []]},
+         "unit psi indices [[0], []] do not partition its psi coordinates (it has none)"),
+    ])
+    def test_units_must_partition_the_coordinates(self, tmp_path, capsys, end, message):
+        cfg = _unitwise_config(tmp_path)
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 0
+        capsys.readouterr()
+        cfg["model"]["params"]["units"][0] = end
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "sample", "oracle"):
+            assert main([command, "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert err == f"config error: model.params.units: submodel 0: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, cards, shape", [
+        ("psi_cards", [[], [2, 1], []], (2,) * 5 + (1,)),
+        ("phi_cards", [[2, 2], [2, 0]], (2,) * 6),
+        ("phi_cards", [[], [2, 2]], (2,) * 4),
+    ])
+    def test_cardinalities_name_their_key(self, tmp_path, capsys, key, cards, shape):
+        cfg = _unitwise_config(tmp_path)
+        params = cfg["model"]["params"]
+        del params["likelihoods"], params["units"]
+        params["prior2"] = random_table(np.random.default_rng(0), shape).tolist()
+        params[key] = cards
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "sample", "oracle"):
+            assert main([command, "--config", path]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: model.params.{key}: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPoolingKeys:
     @pytest.mark.parametrize(
@@ -360,6 +421,7 @@ class TestSample:
         manifest = (out / "manifest.txt").read_text()
         assert "seed: 42" in manifest
         assert "config_sha256:" in manifest
+        assert "scipy" not in manifest
 
     def test_seed_override_changes_output(self, tmp_path):
         path = _write_config(tmp_path, _gaussian_config(tmp_path))

@@ -36,6 +36,8 @@ from chainmeld import (
     builtin_gaussian_chain,
     dictatorial_complete,
     dictatorial_partial,
+    enumerate_melded_posterior,
+    enumerate_pooled_prior,
     factorize_for_sampler,
     linear_pooling,
     log_melded_density,
@@ -276,11 +278,12 @@ LONG_CHAINS = {M: make_long_chain(M, seed=M) for M in range(2, 6)}
 
 
 @st.composite
-def long_pools(draw):
-    """Any pooling method over a discrete chain of 2 to 5 submodels."""
-    M = draw(st.integers(2, 5))
-    built = LONG_CHAINS[M]
+def long_pools(draw, built=None):
+    """Any pooling method over ``built``, or over a discrete chain of 2 to 5 submodels."""
+    if built is None:
+        built = LONG_CHAINS[draw(st.integers(2, 5))]
     model, marginals = built.model, built.boundary_marginals
+    M = model.n_submodels
     method = draw(st.sampled_from(["logarithmic", "poe", "linear", "partial", "complete"]))
     if method == "logarithmic":
         lam = draw(st.lists(weight, min_size=M, max_size=M))
@@ -321,6 +324,37 @@ def test_stage_plan_sums_to_pool_and_stays_local(pool, mode):
         middle = pool.terms if mode == "flat-ends" else merge_term(
             merge_term(pool.terms, -1.0, p0, (0,)), -1.0, p2, (1,))
         assert factor.terms[1] == middle
+
+
+@st.composite
+def random_chains(draw):
+    """A discrete chain of 2 to 4 submodels without data: one coordinate of 2 or 3
+    categories per block, 0 or 1 psi coordinates per submodel, strictly positive
+    random tables."""
+    M = draw(st.integers(2, 4))
+    phi_cards = [(draw(st.integers(2, 3)),) for _ in range(M - 1)]
+    psi_cards = [tuple(draw(st.lists(st.integers(2, 3), max_size=1))) for _ in range(M)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    priors = []
+    for m in range(M):
+        shape = sum((phi_cards[b] for b in (m - 1, m) if 0 <= b < M - 1), ()) + psi_cards[m]
+        table = 0.2 + rng.random(shape)
+        priors.append(table / table.sum())
+    return builtin_discrete_chain(*priors, phi_cards=phi_cards, psi_cards=psi_cards)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_melded_phi_marginal_is_the_pooled_prior_on_random_tables(data):
+    """Acceptance 8 on random tables: without data, summing psi out of the melded
+    posterior leaves the pooled prior over the blocks, for every pooling method."""
+    built = data.draw(random_chains())
+    pool = data.draw(long_pools(built))
+    melded = enumerate_melded_posterior(built, pool)
+    pooled = enumerate_pooled_prior(built, pool)
+    phi = melded.marginal(melded.group_columns(*(b.label for b in built.model.phi_blocks)))
+    assert np.array_equal(phi.states, pooled.states)
+    assert np.abs(phi.probs - pooled.probs).max() <= 1e-12
 
 
 # -- batched log_joint contract ------------------------------------------------
