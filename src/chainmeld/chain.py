@@ -20,7 +20,9 @@ Conventions used throughout the package:
   what makes grid evaluation of pooled priors cheap and lets the samplers
   advance all their chains (``chains``, a positive integer, is the batch
   size) in one call per move; ``SubmodelSpec.eval_log_joint`` rejects a
-  joint whose result does not have the batch shape.
+  joint whose result does not have the batch shape, and
+  ``SubmodelSpec.checked_evaluators`` gives the samplers' moves the same
+  evaluators without that per-call check.
 """
 
 from __future__ import annotations
@@ -139,10 +141,16 @@ class UnitFactorization:
         return len(self.phi_indices)
 
     def check_partition(self, m: int, phi_dim: int, psi_dim: int) -> None:
-        """Raise unless the units split submodel m's phi and psi coordinates exactly."""
+        """Raise unless the units split submodel m's phi and psi coordinates exactly,
+        by integer index."""
         for kind, units, n in (("phi", self.phi_indices, phi_dim),
                                ("psi", self.psi_indices, psi_dim)):
-            if sorted(i for unit in units for i in unit) != list(range(n)):
+            flat = [i for unit in units for i in unit]
+            odd = [i for i in flat if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+            if odd:
+                raise StructureError(
+                    f"submodel {m}: unit {kind} indices must be integers, got {odd!r}")
+            if sorted(flat) != list(range(n)):
                 raise StructureError(
                     f"submodel {m}: unit {kind} indices {[list(u) for u in units]} do not "
                     f"partition its {kind} coordinates ({f'0..{n - 1}' if n else 'it has none'})")
@@ -226,6 +234,40 @@ class SubmodelSpec:
                 f"submodel {self.index}: log_prior_marginal returned NaN"
             )
         return float(arr) if arr.ndim == 0 else arr
+
+    def checked_evaluators(self):
+        """``(log_joint, log_prior)`` as a sampler's moves call them, bound once per stage.
+
+        Each counts its calls and raises on NaN like ``eval_log_joint`` and
+        ``eval_log_prior``, but takes only batches ``(n, d)`` and checks no
+        shape: a stage evaluates its initial batch with ``eval_log_joint``,
+        which checks the joint's batch shape, and every move's batch has that
+        shape.  The evaluators read ``log_joint`` and ``log_prior_marginal``
+        when bound.
+        """
+        joint, prior, index = self.log_joint, self.log_prior_marginal, self.index
+        joint_calls, marginal_calls = self.joint_calls, self.marginal_calls
+
+        def log_joint(phi_m, psi_m):
+            joint_calls.count += 1
+            value = joint(phi_m, psi_m)
+            # An array of shape (n,), as the initial batch showed: its sum of
+            # squares is NaN exactly when some value is, for any n.
+            if math.isnan(value.dot(value)):
+                raise ModelInconsistencyError(f"submodel {index}: log_joint returned NaN")
+            return value
+
+        def log_prior(phi_m):
+            marginal_calls.count += 1
+            value = prior(phi_m)
+            if type(value) is not np.ndarray:
+                value = np.asarray(value, dtype=float)
+            if _has_nan(value):
+                raise ModelInconsistencyError(
+                    f"submodel {index}: log_prior_marginal returned NaN")
+            return value
+
+        return log_joint, log_prior
 
 
 @dataclass(frozen=True)

@@ -25,27 +25,39 @@ generator only: with evaluators that give each row of a batch the value
 they give that row alone, chain c of a run is the same whatever the
 number of chains beside it.
 
-Every move evaluates the submodel's joint once for all chains.  A move
-that changes phi also needs the prior marginal log p_m and each other pool
-term that reads a block it changes; a move of psi alone evaluates nothing
-else.  A move that replaces a whole block by index resampling (both ends of
-the parallel stage two, every sequential index move) draws all of its
-stage-one rows before the stage starts, so each of those terms that reads
-only that block is evaluated for all of the stage's proposals in one
-batched call, and each move reads its own row.  If that call raises, the
-term is evaluated move by move instead, so a run raises the first error
-that evaluating every move raises.  A unitwise move mixes rows and
-evaluates its terms per move.  A subposterior target (under
-``subprior-ends``, stage one and the last sequential stage) reads no log
-p_m: there a move does the joint, the consistency check and the accept.
-The check that a finite joint never meets a -inf prior marginal runs in
-one batched call per ``_CHECK_BATCH`` (1024) moves and once at the end of
-the stage.  An inconsistent submodel therefore fails at most one batch
-later, with the error a check of every move would raise first.
+Moves are evaluated per stage or per move.  A move whose proposals are
+fixed before the stage starts and write every state column is evaluated
+once per stage: the all-discrete walk of a stage one (every coordinate is
+redrawn, so the proposal is the drawn step) and the index move of a last
+sequential stage whose psi is empty.  Every term of all of its proposals,
+the joint included, is evaluated in one batched call, and each move reads
+its own row; such a move is always its stage's only move.  A move that
+replaces one whole block by index resampling (both ends of the parallel
+stage two, the other sequential index moves) draws all of its stage-one
+rows before the stage starts too, but its joint also reads the rest of the
+state: each pool term that reads only that block is evaluated for the whole
+stage in one call, and the joint per move.  Every other move evaluates per
+move, for all chains in one call: the joint, and, when it changes phi, the
+prior marginal log p_m and each other pool term that reads a block it
+changes.  A unitwise move mixes rows, so its terms are per move.  A batched
+call that raises is redone move by move, so a run raises the first error
+that evaluating every move raises.  Per-move calls go through
+``SubmodelSpec.checked_evaluators``, bound once per stage: they count every
+call and raise on NaN, and the joint's batch shape is checked once, on the
+stage's initial states.
+
+A subposterior target (under ``subprior-ends``, stage one and the last
+sequential stage) reads no log p_m in its moves.  The check that a finite
+joint never meets a -inf prior marginal runs in one batched call per
+``_CHECK_BATCH`` (1024) moves: over a whole-state move's proposals when the
+stage starts, otherwise as the moves run and once at the end of the stage.
+An inconsistent submodel therefore fails at most one batch later, with the
+error a check of every move would raise first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -54,7 +66,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
 from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, _has_nan,
-                    check_consistent)
+                    check_consistent, unit_additivity_gap)
 from .errors import (
     InitializationError,
     StructureError,
@@ -75,6 +87,8 @@ __all__ = [
 
 _INIT_RETRIES = 100
 _CHECK_BATCH = 1024  # moves whose prior marginal one deferred check evaluates
+_PROBE_ROWS = 8  # distinct stage-one draws whose pairs probe an end's unit additivity
+_ADDITIVITY_TOL = 1e-8  # largest unit additivity gap of an end's log joint
 _NEG_INF = -math.inf
 
 
@@ -163,12 +177,14 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
 # A target evaluates the proposals of every chain at once.  A state caches
 # its terms: the log target of every chain (-inf off the target's support),
 # or the rows of one (terms, chains) array whose row 0 is the log target.
-# ``initial(z)`` evaluates them for every row of z.  ``kernel(lo, hi)``
-# binds, once per stage, the move of state columns lo:hi: a function
-# ``(z, cur, t) -> new`` that gives the terms of every row of z at
+# ``initial(z)`` evaluates them for every row of z.  ``kernel(lo, hi,
+# proposals)`` binds, once per stage, the move of state columns lo:hi: a
+# function ``(z, cur, t) -> new`` that gives the terms of every row of z at
 # iteration t, re-evaluating only the terms the move changes and copying
-# the others from cur.  Off-support values are rare, so the -inf policy runs
-# only where some term is -inf.
+# the others from cur, or reading them from the terms of the stage's
+# ``proposals`` when those were evaluated when the stage started.
+# Off-support values are rare, so the -inf policy runs only where some term
+# is -inf.
 
 
 def _tabulate(fn, proposals: np.ndarray):
@@ -195,9 +211,13 @@ class _StageTarget:
     each other term.  A move re-evaluates only the marginal terms that read
     a block it changes.  A subposterior's state keeps only the log target,
     and its moves defer log p_m to ``check_pending``.
+
+    Initial states go through ``eval_log_joint`` and ``eval_log_prior``,
+    which check the joint's batch shape.  Moves call the checked evaluators
+    of ``specs`` (the chain's submodels), bound once for the stage.
     """
 
-    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int]):
+    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], specs):
         self.spec = spec
         coef, self.rest = split_term(terms, spec.eval_log_prior, tuple(widths))
         self.coefs = np.array([coef - 1.0] + [t.coef for t in self.rest])[:, None]
@@ -205,32 +225,55 @@ class _StageTarget:
         edges = np.cumsum([0, *widths.values()]).tolist()
         self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
         self.d = edges[-1]
-        self.joint = spec.eval_log_joint
-        # Each marginal term's row in the terms, evaluator, blocks and state columns.
-        self.marginals = [
-            (3 + i, fn, blocks, slice(self.bounds[blocks[0]][0], self.bounds[blocks[-1]][1]))
-            for i, (fn, blocks) in enumerate(
-                [(spec.eval_log_prior, tuple(widths))] + [(t.fn, t.blocks) for t in self.rest])
-        ]
+        self.width = self.d + spec.psi_dim
+        checked = {id(s): s.checked_evaluators() for s in specs}
+        self.joint = checked[id(spec)][0]
+
+        def move_fn(fn):
+            # A term that is a submodel's eval_log_prior moves through its twin.
+            owner = getattr(fn, "__self__", None)
+            if id(owner) in checked and fn == owner.eval_log_prior:
+                return checked[id(owner)][1]
+            return fn
+
+        # Each marginal term's row in the terms, evaluator, the evaluator its
+        # moves call, blocks and state columns (None for all of phi).
+        self.marginals = []
+        for i, (fn, blocks) in enumerate(
+                [(spec.eval_log_prior, tuple(widths))] + [(t.fn, t.blocks) for t in self.rest]):
+            a, e = self.bounds[blocks[0]][0], self.bounds[blocks[-1]][1]
+            cols = None if (a, e) == (0, self.d) else slice(a, e)
+            self.marginals.append((3 + i, fn, move_fn(fn), blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
     def initial(self, z):
         """The terms of every row of z, all evaluated."""
-        every = [(row, fn, cols) for row, fn, _, cols in self.marginals]
-        new = self._fill(z, np.zeros((3 + len(every), len(z))), every, (), None)
+        new = self._every(z)
         return new[0] if self.subposterior else new
+
+    def _every(self, z):
+        """Every term of every row of z, through ``eval_log_joint`` and ``eval_log_prior``."""
+        every = [(row, fn, cols) for row, fn, _, _, cols in self.marginals]
+        return self._fill(z, np.zeros((3 + len(every), len(z))), self.spec.eval_log_joint,
+                          every, (), None)
 
     def kernel(self, lo: int, hi: int, proposals=None):
         """The move of state columns lo:hi.
 
         ``proposals`` (iterations, chains, hi - lo) holds every proposal of a
-        move that replaces a whole block.  Each marginal term that reads only
-        that block is then evaluated for all of them in one call before the
-        stage runs, and the move at iteration t reads row t.  If that call
-        raises, the term is evaluated move by move instead, so the first
-        error raised is the one a run that evaluates every move raises.
+        move whose proposals are fixed before the stage starts.  If the move
+        writes the whole state, every term of every proposal is evaluated
+        in one batched call, and the move at iteration t reads row t.
+        Otherwise each marginal term that reads only the moved block is.
+        If a batched call raises, the move evaluates those terms move by
+        move instead, so the first error raised is the one a run that
+        evaluates every move raises.
         """
+        if proposals is not None and hi - lo == self.width:
+            table = self._whole(proposals)
+            if table is not None:
+                return lambda z, cur, t: table[t]
         moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
         joint, d = self.joint, self.d
         if self.subposterior:
@@ -250,48 +293,73 @@ class _StageTarget:
             def psi_terms(z, cur, t):
                 new = cur.copy()
                 new[1] = joint(z[:, :d], z[:, d:])
-                new[0] = new[1] + new[2]
+                np.add(new[1], new[2], out=new[0])
                 return new
 
             return psi_terms
         live, tables = [], []
-        for row, fn, blocks, cols in self.marginals:
+        for row, fn, move, blocks, cols in self.marginals:
             if moved.isdisjoint(blocks):
                 continue
             values = None
             if proposals is not None and moved.issuperset(blocks):
                 values = _tabulate(fn, proposals)
             if values is None:
-                live.append((row, fn, cols))
+                live.append((row, move, cols))
             else:
                 tables.append((row, values))
         fill = self._fill
-        return lambda z, cur, t: fill(z, cur.copy(), live, tables, t)
+        return lambda z, cur, t: fill(z, cur.copy(), joint, live, tables, t)
 
-    def _fill(self, z, new, live, tables, t):
-        """``new`` with the joint and the marginal terms ``live`` (row, evaluator,
-        columns) of z, the terms ``tables`` (row, values) of iteration t, and
-        their sums."""
+    def _whole(self, proposals):
+        """The cached terms of every proposal (iterations, chains, width) of a
+        move that writes the whole state, one row per iteration; None if an
+        evaluation raises.
+
+        A subposterior's proposals then go through the consistency check in
+        ``_CHECK_BATCH``-move chunks, in move order, as a move-by-move run
+        checks them.
+        """
+        d, spec = self.d, self.spec
+        if self.subposterior:
+            lj = _tabulate(lambda x: spec.eval_log_joint(x[:, :d], x[:, d:]), proposals)
+            if lj is not None:
+                for a in range(0, len(lj), _CHECK_BATCH):
+                    self._check(proposals[a : a + _CHECK_BATCH, :, :d], lj[a : a + _CHECK_BATCH])
+            return lj
+        try:
+            new = self._every(proposals.reshape(-1, self.width))
+        except Exception:
+            return None
+        return np.ascontiguousarray(new.reshape(len(new), *proposals.shape[:2]).transpose(1, 0, 2))
+
+    def _fill(self, z, new, joint, live, tables, t):
+        """``new`` with the ``joint`` and the marginal terms ``live`` (row,
+        evaluator, columns) of z, the terms ``tables`` (row, values) of
+        iteration t, and their sums."""
         d = self.d
         phi = z[:, :d]
-        new[1] = self.joint(phi, z[:, d:])
+        new[1] = joint(phi, z[:, d:])
         for row, fn, cols in live:
-            new[row] = fn(z[:, cols])
+            new[row] = fn(phi if cols is None else z[:, cols])
         for row, values in tables:
             new[row] = values[t]
-        # A subposterior's weighted sum is 0; skipping it keeps stage one fast.
-        if not self.subposterior:
-            weighted = self.coefs * new[3:]
-            lr = weighted[0]
-            for w in weighted[1:]:
-                lr = lr + w
-            new[2] = lr
-        if _has_nan(new[3:], inf=True):
+        if self.subposterior:
+            # Its weighted sum is 0; skipping it keeps stage one fast.
+            lr = new[2]
+            odd = _has_nan(new[3:], inf=True)
+        else:
+            # Row by row, in order (an accumulation never pairs).  The sum is
+            # finite exactly when every term is, and so is its sum of squares,
+            # unless one overflows, which only takes the slower path below.
+            new[2] = lr = np.add.accumulate(self.coefs * new[3:])[-1]
+            odd = not math.isfinite(lr.dot(lr))
+        if odd:
             # Surface the inconsistency rather than silently rejecting.
             check_consistent(self.spec, new[1], new[3], phi)
-            new[0] = neg_inf_policy(self.rest, new[4:], new[1] + new[2], np.isneginf(new[1]))
+            new[0] = neg_inf_policy(self.rest, new[4:], new[1] + lr, np.isneginf(new[1]))
         else:
-            new[0] = new[1] + new[2]
+            np.add(new[1], lr, out=new[0])
         return new
 
     def _defer_check(self, phi, lj):
@@ -305,16 +373,19 @@ class _StageTarget:
             self.check_pending()
 
     def check_pending(self):
-        """Run the deferred consistency checks: one batched prior marginal call.
-
-        If the batch raises, the moves are checked again one by one, so the
-        error raised is the first one that checking every move as it was
-        proposed would raise.
-        """
+        """Run the deferred consistency checks: one batched prior marginal call."""
         n, self._pending = self._pending, 0
-        if not n:
-            return
-        spec, phi, lj = self.spec, self._phi[:n], self._lj[:n]
+        if n:
+            self._check(self._phi[:n], self._lj[:n])
+
+    def _check(self, phi, lj):
+        """Check the moves' states phi (moves, chains, d) against their joints lj.
+
+        If the batched prior marginal call raises, the moves are checked
+        again one by one, so the error raised is the first one that checking
+        every move as it was proposed would raise.
+        """
+        spec = self.spec
         try:
             flat = phi.reshape(-1, phi.shape[-1])
             check_consistent(spec, lj.reshape(-1), spec.eval_log_prior(flat), flat)
@@ -330,7 +401,8 @@ def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _Stag
         raise UnsupportedConfigError(f"{len(factor.terms)} pool factors for a chain of "
                                      f"{chain.n_submodels} submodels")
     return _StageTarget(chain.submodels[m], factor.terms[m],
-                        {b: chain.phi_blocks[b].dim for b in chain.blocks_of(m)})
+                        {b: chain.phi_blocks[b].dim for b in chain.blocks_of(m)},
+                        chain.submodels)
 
 
 class _FunctionTarget:
@@ -427,8 +499,8 @@ class _IndexMove:
     a uniformly drawn row.  Per-step arrays are laid out (iteration, step,
     chain) so that one step reads contiguous rows.  A move of the whole
     block (one unit) hands the target all of its proposals, so that terms
-    of the block alone are evaluated once per stage.  ``step(t)`` makes
-    iteration t's moves.
+    of the block alone, and every term when the block is the whole state,
+    are evaluated once per stage.  ``step(t)`` makes iteration t's moves.
     """
 
     def __init__(self, state: _Lockstep, target, source, lo, units, rngs, n_iter, log_u):
@@ -453,14 +525,23 @@ class _IndexMove:
         kernel = target.kernel(lo, lo + d, proposals[:, 0] if n == 1 else None)
         accept = state.accept
 
-        def step(t):
-            for j in range(n):
-                prop = state.z.copy()
-                if where is None:
-                    prop[:, cols] = proposals[t, j]
+        if n == 1:
+            whole = d == state.z.shape[1]
+
+            def step(t):
+                if whole:  # the proposal is the drawn row
+                    prop = proposals[t, 0]
                 else:
-                    np.copyto(prop[:, cols], proposals[t, j], where=where[t, j])
-                accepted[t, j] = accept(prop, kernel(prop, state.terms, t), log_u[t, j])
+                    prop = state.z.copy()
+                    prop[:, cols] = proposals[t, 0]
+                accepted[t, 0] = accept(prop, kernel(prop, state.terms, t), log_u[t, 0])
+        else:
+            def step(t):
+                props, masks, us, acc = proposals[t], where[t], log_u[t], accepted[t]
+                for j in range(n):
+                    prop = state.z.copy()
+                    np.copyto(prop[:, cols], props[j], where=masks[j])
+                    acc[j] = accept(prop, kernel(prop, state.terms, t), us[j])
 
         self.step = step
 
@@ -490,7 +571,8 @@ class _WalkMove:
     scale * N(0, 1); positive ones are multiplied by exp(scale * N(0, 1)),
     whose Jacobian is log q; discrete ones are redrawn uniformly over their
     categories.  ``mult`` and ``log_q`` are None when no coordinate needs
-    them.  Each chain draws its steps for every iteration in one block; the
+    them; when every coordinate is discrete, the proposal is the step
+    itself.  Each chain draws its steps for every iteration in one block; the
     arrays are laid out (iteration, chain, ...).  ``step(t)`` makes
     iteration t's move.
     """
@@ -513,21 +595,28 @@ class _WalkMove:
             return step
 
         steps = _per_chain(rngs, draw)
+        # With every coordinate redrawn, the proposal is the step itself, fixed
+        # before the stage starts; a walk of the whole state then hands the
+        # target all of its proposals.
+        redrawn = not cont
         mult = log_q = None
         if pos:
             log_q = steps[..., pos].sum(axis=-1)
-        if pos or disc:
+        if pos or disc and not redrawn:
             mult = np.ones_like(steps)
             mult[..., pos] = np.exp(steps[..., pos])
             mult[..., disc] = 0.0
             steps[..., pos] = 0.0
-        kernel = target.kernel(lo, state.z.shape[1])
+        kernel = target.kernel(lo, state.z.shape[1], steps if redrawn and not lo else None)
         accept, accepted, log_u = state.accept, self.accepted[:, 0], log_u[:, 0]
 
         def step(t):
             z = state.z
-            x = z[:, lo:] if lo else z
-            x = x + steps[t] if mult is None else x * mult[t] + steps[t]
+            if redrawn:
+                x = steps[t]
+            else:
+                x = z[:, lo:] if lo else z
+                x = x + steps[t] if mult is None else x * mult[t] + steps[t]
             if lo:
                 prop = z.copy()
                 prop[:, lo:] = x
@@ -739,6 +828,29 @@ def run_parallel_stage_two(
                                seed, warmup_frac, whole1, whole3)
 
 
+def _check_units_additive(spec: SubmodelSpec, store: SampleStore) -> None:
+    """Raise ``StructureError`` unless the end's log joint is a sum of per-unit
+    terms at every pair of up to ``_PROBE_ROWS`` distinct rows of its store.
+
+    The rows are the first distinct ones among 64 evenly spaced store rows,
+    so the probe draws no random numbers.  A gap above ``_ADDITIVITY_TOL``
+    means the units do not factorize the joint, and unitwise proposals from
+    the store's per-unit marginals would target the wrong posterior.
+    """
+    if spec.unit_factorization.n_units < 2:
+        return
+    at = np.linspace(0, len(store.phi) - 1, 64).round().astype(int)
+    _, first = np.unique(np.concatenate([store.phi[at], store.psi[at]], axis=1), axis=0,
+                         return_index=True)
+    for a, b in itertools.combinations(at[np.sort(first)[:_PROBE_ROWS]], 2):
+        gap = unit_additivity_gap(spec, store.phi[a], store.psi[a], store.phi[b], store.psi[b])
+        if not gap <= _ADDITIVITY_TOL:
+            raise StructureError(
+                f"submodel {spec.index}: its units do not factorize log_joint (unit "
+                f"additivity gap {gap:.3g} > {_ADDITIVITY_TOL:g} between stage-one draws "
+                f"{a} and {b}); unitwise updates need a joint that is a sum of per-unit terms")
+
+
 def run_parallel_stage_two_unitwise(
     chain: ChainModel,
     factor: PoolFactorization,
@@ -752,7 +864,9 @@ def run_parallel_stage_two_unitwise(
 ) -> MeldedChainOutput:
     """Stage two with individual-at-a-time updates of the end submodels (M = 3).
 
-    Requires unit factorizations on submodels 1 and 3.  Units are visited
+    Requires unit factorizations on submodels 1 and 3 that factorize their
+    log joints; a probe at pairs of stored draws (``_check_units_additive``)
+    raises ``StructureError`` before sampling when they do not.  Units are visited
     in a fresh random order each iteration; each unit's slice is proposed
     from its own stage-one empirical marginal and accepted against the
     middle-submodel terms with the other units held at their current
@@ -766,6 +880,8 @@ def run_parallel_stage_two_unitwise(
         raise UnsupportedConfigError(
             "unitwise updates need unit factorizations on submodels 0 and 2"
         )
+    _check_units_additive(chain.submodels[0], store1)
+    _check_units_additive(chain.submodels[2], store3)
     return _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains,
                                seed, warmup_frac, uf1, uf3)
 

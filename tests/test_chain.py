@@ -121,6 +121,10 @@ class TestValidateChain:
         (((0, 1), (1,)), ((), ()), r"phi indices \[\[0, 1\], \[1\]\]"),
         (((0,), (1,)), ((0,), ()), r"psi indices \[\[0\], \[\]\] do not partition its psi "
                                    r"coordinates \(it has none\)"),
+        # Equal by value, but not indices: a unitwise stage two would fail on them.
+        (((0.0,), (1.0,)), ((), ()), r"phi indices must be integers, got \[0\.0, 1\.0\]"),
+        (((0,), (True,)), ((), ()), r"phi indices must be integers, got \[True\]"),
+        (((0, 1),), ((np.float64(0),),), r"psi indices must be integers"),
     ])
     def test_unit_partition_message(self, phi, psi, match):
         spec = SubmodelSpec(0, None, "a", lambda phi, psi: 0.0, lambda phi: 0.0,

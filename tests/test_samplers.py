@@ -12,6 +12,7 @@ from chainmeld import (
     ModelInconsistencyError,
     StructureError,
     SubmodelSpec,
+    UnitFactorization,
     UnsupportedConfigError,
     builtin_discrete_chain,
     builtin_gaussian_chain,
@@ -425,6 +426,129 @@ class TestEvaluationCounts:
         message = "log_joint returned NaN" if nan_joint else "end term raised"
         with pytest.raises(ModelInconsistencyError, match=message):
             run_parallel_stage_two(model, bad_factor, s1, s3, SCALE, 200, seed=5)
+
+
+class TestWholeStateMoves:
+    """A move whose fixed proposals write the whole state (a discrete stage one's
+    walk, the index move of a last sequential stage with no psi) evaluates
+    every proposal's terms in one batched call when its stage starts."""
+
+    @staticmethod
+    def _patched(built, m, **fields):
+        """``built``'s chain with submodel m's evaluators replaced."""
+        specs = list(built.model.submodels)
+        specs[m] = dataclasses.replace(specs[m], **fields)
+        return ChainModel(tuple(specs), built.model.phi_blocks)
+
+    @staticmethod
+    def _small_batches_only(fn, chains):
+        """``fn`` that raises on batches larger than ``chains`` rows."""
+        def joint(phi, psi):
+            if len(phi) > chains:
+                raise MemoryError("batch too large")
+            return fn(phi, psi)
+        return joint
+
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    def test_stage_one_matches_move_by_move(self, mode):
+        built = make_discrete_chain()
+        fussy = self._patched(built, 0, log_joint=self._small_batches_only(
+            built.model.submodels[0].log_joint, 3))
+        runs = []
+        for model in (built.model, fussy):
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
+            runs.append(run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=4))
+        np.testing.assert_array_equal(runs[0].draws, runs[1].draws)
+
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    def test_last_sequential_stage_matches_move_by_move(self, mode):
+        built = make_long_chain(4, seed=4)
+        assert built.model.submodels[-1].psi_dim == 0
+        fussy = self._patched(built, 3, log_joint=self._small_batches_only(
+            built.model.submodels[3].log_joint, 2))
+        runs = []
+        for model in (built.model, fussy):
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 4), mode)
+            runs.append(run_sequential(model, factor, (SCALE,) * 4, 1500, chains=2, seed=6))
+        a, b = runs
+        np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert a.accept_counts == b.accept_counts
+
+    def test_discrete_stage_one_counts(self):
+        # One initial joint call and one batched call for every proposal; the
+        # initial prior marginal, then one consistency check per 1024 moves.
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        spec1 = built.model.submodels[0]
+        built.model.reset_counters()
+        run_stage_one(built.model, 0, factor, SCALE, 2500, chains=3, seed=2)
+        assert spec1.joint_calls.count == 2
+        assert spec1.marginal_calls.count == 1 + math.ceil(2500 / 1024)
+
+    @pytest.mark.parametrize("end", [0, 2])
+    @pytest.mark.parametrize("seed, phi", [(1, "[1. 0.]"), (2, "[1. 1.]")])
+    def test_inconsistent_end_raises_the_first_move_by_move_error(self, end, seed, phi):
+        # The end's prior marginal is -inf wherever phi_m[0] = 1, its joint is
+        # finite there; the first such proposal in move order is named.
+        built = make_discrete_chain()
+        marginal = built.model.submodels[end].log_prior_marginal
+
+        def holey(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x[..., 0] == 1.0, -math.inf, marginal(x))
+
+        model = self._patched(built, end, log_prior_marginal=holey)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        with pytest.raises(ModelInconsistencyError) as err:
+            run_stage_one(model, end, factor, SCALE, 3000, chains=2, seed=seed)
+        assert str(err.value) == (
+            f"submodel {end}: joint is finite but prior marginal is -inf at phi_m={phi}")
+
+    @pytest.mark.parametrize("stage", ["stage one", "last sequential stage"])
+    def test_nan_joint_names_its_submodel(self, stage):
+        built = make_long_chain(3, seed=5)
+        m = 0 if stage == "stage one" else 2
+        joint = built.model.submodels[m].log_joint
+
+        def nan_at_one(phi, psi):
+            return np.where(phi[..., 0] == 1.0, math.nan, joint(phi, psi))
+
+        model = self._patched(built, m, log_joint=nan_at_one)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        with pytest.raises(ModelInconsistencyError, match=f"submodel {m}: log_joint returned NaN"):
+            run_sequential(model, factor, SCALES, 500, chains=2, seed=8)
+
+
+class TestUnitwiseProbe:
+    """Unitwise stage two checks that each end's units factorize its joint."""
+
+    def test_coupled_ends_raise(self):
+        # The ends' tables are not products across their two units; sampling
+        # them unitwise gave TV 0.107 to enumeration, against 0.023 blocked.
+        built = make_discrete_chain(seed=7, factorized_ends=False)
+        uf = UnitFactorization(((0,), (1,)), ((), ()))
+        m = built.model
+        model = ChainModel((dataclasses.replace(m.submodels[0], unit_factorization=uf),
+                            m.submodels[1],
+                            dataclasses.replace(m.submodels[2], unit_factorization=uf)),
+                           m.phi_blocks)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        s1, s3 = run_stage_one_pair(model, factor, SCALE, 2000, chains=2, seed=11)
+        with pytest.raises(StructureError, match="submodel 0: its units do not factorize"):
+            run_parallel_stage_two_unitwise(model, factor, s1, s3, SCALE, 200, seed=1)
+
+    def test_probe_evaluates_pairs_of_stored_states(self):
+        # Each end's store holds the 4 states of its two binary units; the probe
+        # evaluates the joint at each of the 6 pairs: both states and one
+        # mixed state per unit.  No move of stage two evaluates an end's joint.
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 1000, seed=2)
+        built.model.reset_counters()
+        run_parallel_stage_two_unitwise(built.model, factor, s1, s3, SCALE, 300, seed=3)
+        for end in (0, 2):
+            assert built.model.submodels[end].joint_calls.count == 6 * (2 + 2)
 
 
 class TestDeferredConsistencyCheck:
