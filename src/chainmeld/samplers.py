@@ -25,11 +25,24 @@ generator only: with evaluators that give each row of a batch the value
 they give that row alone, chain c of a run is the same whatever the
 number of chains beside it.
 
-Moves are evaluated per stage or per move.  A move whose proposals are
-fixed before the stage starts and write every state column is evaluated
-once per stage: the all-discrete walk of a stage one (every coordinate is
-redrawn, so the proposal is the drawn step) and the index move of a last
-sequential stage whose psi is empty.  Every term of all of its proposals,
+Moves are evaluated per state, per stage or per move.  A stage whose
+state columns are all discrete and whose state space has no more states
+than the stage has move evaluations (chains x iterations x moves per
+iteration) evaluates its log target at every state once, when it starts:
+every term of every state, enumerated in row-major order, in one batched
+call.  Each move then looks its proposals up with one gather at their flat
+indices, and the chains' states cache the log target alone.  If the
+call raises (a NaN, or a finite joint at a -inf prior marginal, at a state
+the run may never visit), or a stage-one store holds a value that is not a
+category, the stage evaluates its moves as a continuous one does.  With
+evaluators that give each row of a batch the value they give that row
+alone, the draws are the same either way.
+
+Otherwise, a move whose proposals are fixed before the stage starts and
+write every state column is evaluated once per stage: the all-discrete
+walk of a stage one (every coordinate is redrawn, so the proposal is the
+drawn step) and the index move of a last sequential stage whose psi is
+empty.  Every term of all of its proposals,
 the joint included, is evaluated in one batched call, and each move reads
 its own row; such a move is always its stage's only move.  A move that
 replaces one whole block by index resampling (both ends of the parallel
@@ -47,8 +60,9 @@ call and raise on NaN, and the joint's batch shape is checked once, on the
 stage's initial states.
 
 A subposterior target (under ``subprior-ends``, stage one and the last
-sequential stage) reads no log p_m in its moves.  The check that a finite
-joint never meets a -inf prior marginal runs in one batched call per
+sequential stage) reads no log p_m in its moves.  A table checks that a
+finite joint never meets a -inf prior marginal at every state; otherwise
+the check runs in one batched call per
 ``_CHECK_BATCH`` (1024) moves: over a whole-state move's proposals when the
 stage starts, otherwise as the moves run and once at the end of the stage.
 An inconsistent submodel therefore fails at most one batch later, with the
@@ -214,11 +228,15 @@ class _StageTarget:
 
     Initial states go through ``eval_log_joint`` and ``eval_log_prior``,
     which check the joint's batch shape.  Moves call the checked evaluators
-    of ``specs`` (the chain's submodels), bound once for the stage.
+    of ``specs`` (the chain's submodels), bound once for the stage, or, when
+    every state column has a cardinality in ``cards`` (None for a continuous
+    column), read the log target from a table of every state (``tabulate``).
     """
 
-    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], specs):
+    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], specs, cards):
         self.spec = spec
+        self.cards = cards if all(cards) else None
+        self.table = None
         coef, self.rest = split_term(terms, spec.eval_log_prior, tuple(widths))
         self.coefs = np.array([coef - 1.0] + [t.coef for t in self.rest])[:, None]
         self.subposterior = coef == 1.0 and not self.rest
@@ -258,22 +276,61 @@ class _StageTarget:
         return self._fill(z, np.zeros((3 + len(every), len(z))), self.spec.eval_log_joint,
                           every, (), None)
 
+    def tabulate(self, state: _Lockstep, sources, evaluations: int) -> None:
+        """Evaluate the log target of every state once, when that costs no more
+        than the stage's ``evaluations`` move evaluations.
+
+        Applies when every state column is discrete and the sources hold only
+        category values.  States are enumerated in row-major order, every term
+        of them in one batched call, and each move reads its log target from
+        the table with one gather; ``state`` then caches the log target alone.
+        If the call raises (a NaN, or a finite joint at a -inf prior marginal,
+        at a state the run may never visit), the moves evaluate as they go.
+        """
+        cards = self.cards
+        if cards is None or math.prod(cards) > evaluations:
+            return
+        lo = 0
+        for source in sources:
+            c = np.array(cards[lo : lo + source.shape[1]])
+            if not ((source >= 0) & (source < c) & (source == np.floor(source))).all():
+                return
+            lo += source.shape[1]
+        states = np.indices(cards, dtype=float).reshape(len(cards), -1).T.copy()
+        try:
+            self.table = self._every(states)[0].copy()
+        except Exception:
+            return
+        self.strides = np.array([math.prod(cards[i + 1 :]) for i in range(len(cards))],
+                                dtype=float)
+        if state.terms.ndim > 1:
+            state.terms = state.terms[0]
+
     def kernel(self, lo: int, hi: int, proposals=None):
         """The move of state columns lo:hi.
 
-        ``proposals`` (iterations, chains, hi - lo) holds every proposal of a
-        move whose proposals are fixed before the stage starts.  If the move
-        writes the whole state, every term of every proposal is evaluated
-        in one batched call, and the move at iteration t reads row t.
-        Otherwise each marginal term that reads only the moved block is.
+        With a table of every state, the move looks up its proposals' log
+        target.  ``proposals`` (iterations, chains, hi - lo) holds every
+        proposal of a move whose proposals are fixed before the stage starts.
+        If the move writes the whole state, every proposal is looked up, or
+        every term of every proposal evaluated, in one batched call, and the
+        move at iteration t reads row t.  Otherwise each marginal term that
+        reads only the moved block is evaluated in one batched call.
         If a batched call raises, the move evaluates those terms move by
         move instead, so the first error raised is the one a run that
         evaluates every move raises.
         """
-        if proposals is not None and hi - lo == self.width:
-            table = self._whole(proposals)
-            if table is not None:
-                return lambda z, cur, t: table[t]
+        whole = proposals is not None and hi - lo == self.width
+        if self.table is not None:
+            table, strides = self.table, self.strides
+            if whole:
+                values = table[proposals.dot(strides).astype(np.intp)]
+                return lambda z, cur, t: values[t]
+            return lambda z, cur, t: table[z.dot(strides).astype(np.intp)]
+        if whole:
+            terms = self._whole(proposals)
+            if terms is not None:
+                return lambda z, cur, t: terms[t]
         moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
         joint, d = self.joint, self.d
         if self.subposterior:
@@ -400,9 +457,10 @@ def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _Stag
     if len(factor.terms) != chain.n_submodels:
         raise UnsupportedConfigError(f"{len(factor.terms)} pool factors for a chain of "
                                      f"{chain.n_submodels} submodels")
-    return _StageTarget(chain.submodels[m], factor.terms[m],
-                        {b: chain.phi_blocks[b].dim for b in chain.blocks_of(m)},
-                        chain.submodels)
+    spec, blocks = chain.submodels[m], chain.blocks_of(m)
+    coords = [c for b in blocks for c in chain.phi_blocks[b].coords] + list(spec.psi_coords)
+    return _StageTarget(spec, factor.terms[m], {b: chain.phi_blocks[b].dim for b in blocks},
+                        chain.submodels, [c.cardinality for c in coords])
 
 
 class _FunctionTarget:
@@ -415,6 +473,9 @@ class _FunctionTarget:
         new = np.empty(len(z))
         new[:] = self.fn(z)
         return new
+
+    def tabulate(self, state, sources, evaluations: int) -> None:
+        pass
 
     def kernel(self, lo: int, hi: int, proposals=None):
         initial = self.initial
@@ -657,6 +718,7 @@ def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chain
         state, start_rows = init(target, sources, walk_coords, rngs, start)
         # One uniform per move and chain-iteration, drawn in one block per chain.
         edges = np.cumsum([0] + [len(u) for u in units] + [1 if walk_coords else 0]).tolist()
+        target.tabulate(state, sources, chains * n_iter * edges[-1])
         log_u = np.log(_per_chain(rngs, lambda r: r.random((n_iter, edges[-1])), axis=-1))
         moves, lo = [], 0
         for i, source in enumerate(sources):

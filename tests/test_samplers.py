@@ -10,6 +10,7 @@ from chainmeld import (
     Coord,
     InitializationError,
     ModelInconsistencyError,
+    SampleStore,
     StructureError,
     SubmodelSpec,
     UnitFactorization,
@@ -19,6 +20,7 @@ from chainmeld import (
     empirical_table,
     enumerate_melded_posterior,
     factorize_for_sampler,
+    linear_pooling,
     log_pooling,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
@@ -358,17 +360,29 @@ class TestEvaluationCounts:
         assert spec2.joint_calls.count == phi_proposals + 1
 
     def test_unitwise_moves_evaluate_end_terms_per_move(self):
-        # A unit proposal mixes rows, so the end terms are evaluated move by move.
+        # The stage's 64 states are tabulated: every term is evaluated for the
+        # initial state, then once for every state.  Without the table (a
+        # middle joint that raises on the table's batch), a unit proposal mixes
+        # rows, so the end terms are evaluated move by move.
         built = make_discrete_chain()
-        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
-        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
-        built.model.reset_counters()
-        n = 200
-        out = run_parallel_stage_two_unitwise(built.model, factor, s1, s3, SCALE, n, seed=5)
+        fussy = TestWholeStateMoves._patched(built, 1, log_joint=(
+            TestWholeStateMoves._small_batches_only(built.model.submodels[1].log_joint, 1)))
         spec1, spec2, spec3 = built.model.submodels
-        assert out.proposal_counts["phi1"] == out.proposal_counts["phi3"] == 2 * n
-        assert spec1.marginal_calls.count == spec3.marginal_calls.count == 2 * n + 1
-        assert spec2.marginal_calls.count == 4 * n + 1
+        n = 200
+        for model, per_move in ((built.model, False), (fussy, True)):
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+            s1, s3 = run_stage_one_pair(model, factor, SCALE, 500, seed=4)
+            model.reset_counters()
+            out = run_parallel_stage_two_unitwise(model, factor, s1, s3, SCALE, n, seed=5)
+            assert out.proposal_counts["phi1"] == out.proposal_counts["phi3"] == 2 * n
+            if per_move:
+                assert spec1.marginal_calls.count == spec3.marginal_calls.count == 2 * n + 1
+                assert spec2.marginal_calls.count == 4 * n + 1
+                # the initial state, the table's call that raised, then one per move
+                assert spec2.joint_calls.count == 2 + 5 * n
+            else:
+                assert spec1.marginal_calls.count == spec3.marginal_calls.count == 2
+                assert spec2.marginal_calls.count == spec2.joint_calls.count == 2
 
     @staticmethod
     def _with_end_term(factor, fn):
@@ -441,6 +455,15 @@ class TestWholeStateMoves:
         return ChainModel(tuple(specs), built.model.phi_blocks)
 
     @staticmethod
+    def _raises_on(fn, rows):
+        """``fn`` that raises on batches of ``rows`` rows."""
+        def joint(phi, psi):
+            if len(phi) == rows:
+                raise MemoryError("batch too large")
+            return fn(phi, psi)
+        return joint
+
+    @staticmethod
     def _small_batches_only(fn, chains):
         """``fn`` that raises on batches larger than ``chains`` rows."""
         def joint(phi, psi):
@@ -476,15 +499,24 @@ class TestWholeStateMoves:
         assert a.accept_counts == b.accept_counts
 
     def test_discrete_stage_one_counts(self):
-        # One initial joint call and one batched call for every proposal; the
+        # With a table of the end's 4 states: the initial joint and prior
+        # marginal, then one call of each for every state, which also checks
+        # consistency.  Without one, a batched call for every proposal (a joint
+        # that raises on the table's batch of 4 rows), or one call per move (a
+        # joint that raises on every batch larger than the 3 chains); the
         # initial prior marginal, then one consistency check per 1024 moves.
         built = make_discrete_chain()
-        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
-        spec1 = built.model.submodels[0]
-        built.model.reset_counters()
-        run_stage_one(built.model, 0, factor, SCALE, 2500, chains=3, seed=2)
-        assert spec1.joint_calls.count == 2
-        assert spec1.marginal_calls.count == 1 + math.ceil(2500 / 1024)
+        joint = built.model.submodels[0].log_joint
+        checks = 1 + math.ceil(2500 / 1024)
+        for fn, joint_calls, marginal_calls in (
+                (joint, 2, 2), (self._raises_on(joint, 4), 3, checks),
+                (self._small_batches_only(joint, 3), 3 + 2500, checks)):
+            model = self._patched(built, 0, log_joint=fn)
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+            model.reset_counters()
+            run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=2)
+            assert model.submodels[0].joint_calls.count == joint_calls
+            assert model.submodels[0].marginal_calls.count == marginal_calls
 
     @pytest.mark.parametrize("end", [0, 2])
     @pytest.mark.parametrize("seed, phi", [(1, "[1. 0.]"), (2, "[1. 1.]")])
@@ -518,6 +550,184 @@ class TestWholeStateMoves:
         factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
         with pytest.raises(ModelInconsistencyError, match=f"submodel {m}: log_joint returned NaN"):
             run_sequential(model, factor, SCALES, 500, chains=2, seed=8)
+
+
+class TestStateSpaceTable:
+    """An all-discrete stage with no more states than move evaluations reads
+    its log target from a table of every state, evaluated when it starts,
+    with the draws of a run that evaluates every move."""
+
+    CHAINS = {"discrete": make_discrete_chain(), "long": make_long_chain(4)}
+
+    @staticmethod
+    def _chain_batches_only(model, chains):
+        """``model`` with joints that raise on batches of other than ``chains``
+        rows, so that no stage can be tabulated (nor evaluated per stage)."""
+        def fussy(fn):
+            def joint(phi, psi):
+                if np.ndim(phi) == 2 and len(phi) != chains:
+                    raise MemoryError("only batches of one row per chain")
+                return fn(phi, psi)
+            return joint
+        return ChainModel(tuple(dataclasses.replace(s, log_joint=fussy(s.log_joint))
+                                for s in model.submodels), model.phi_blocks)
+
+    @staticmethod
+    def _factor(built, model, method, mode):
+        M = model.n_submodels
+        if method == "log":
+            pool = log_pooling(model, [0.5] * M)
+        else:
+            pool = linear_pooling(model, [[0.3, 0.7]] * (M - 1), built.boundary_marginals)
+        return factorize_for_sampler(pool, mode)
+
+    @staticmethod
+    def _run(kind, model, factor, chains, stores):
+        """The run's draws, chain-major, and its indices and accept counts; a
+        parallel stage two reuses the stage-one ``stores``."""
+        if kind == "stage one":
+            store = run_stage_one(model, model.n_submodels - 1, factor, SCALE, 300,
+                                  chains=chains, seed=3)
+            return (store.draws.reshape(chains, -1, store.draws.shape[1]),), {}
+        if kind == "sequential":
+            out = run_sequential(model, factor, (SCALE,) * model.n_submodels, 300,
+                                 chains=chains, seed=4)
+        else:
+            runner = (run_parallel_stage_two if kind == "parallel"
+                      else run_parallel_stage_two_unitwise)
+            out = runner(model, factor, *stores, SCALE, 300, chains=chains, seed=6)
+        return (*out.phi, *out.psi, out.indices), out.accept_counts
+
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    @pytest.mark.parametrize("method", ["log", "linear"])
+    @pytest.mark.parametrize("chain, kind", [
+        ("discrete", "stage one"), ("discrete", "parallel"),
+        ("discrete", "parallel-unitwise"), ("discrete", "sequential"),
+        ("long", "stage one"), ("long", "sequential"),
+    ])
+    def test_matches_move_by_move(self, chain, kind, method, mode):
+        # 3 chains: no stage of these chains has 3 states.
+        built = self.CHAINS[chain]
+        factor = self._factor(built, built.model, method, mode)
+        stores = None
+        if kind.startswith("parallel"):
+            stores = run_stage_one_pair(built.model, factor, SCALE, 400, chains=2, seed=5)
+        runs, calls = {}, {}
+        for fallback in (False, True):
+            model = self._chain_batches_only(built.model, 3) if fallback else built.model
+            model.reset_counters()
+            runs[fallback] = self._run(kind, model, self._factor(built, model, method, mode),
+                                       3, stores)
+            calls[fallback] = sum(s.joint_calls.count for s in model.submodels)
+        (table, accepted), (moves, moves_accepted) = runs[False], runs[True]
+        for a, b in zip(table, moves):
+            np.testing.assert_array_equal(a, b)
+        assert accepted == moves_accepted
+        assert calls[False] < calls[True]
+        if kind == "sequential":
+            return  # a later stage draws from every chain's kept draws
+        for chains in (1, 8):
+            other, _ = self._run(kind, built.model, factor, chains, stores)
+            for a, b in zip(table, other):
+                np.testing.assert_array_equal(a[:1], b[:1])
+
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    def test_whole_state_moves_without_a_table_match(self, mode):
+        # A joint that raises on the table's batch of 4 states only leaves the
+        # whole-state walk one batched call per stage; one that raises on every
+        # batch larger than the 3 chains leaves it one call per move.
+        built = make_discrete_chain()
+        joint = built.model.submodels[0].log_joint
+        runs = []
+        for fn in (joint, TestWholeStateMoves._raises_on(joint, 4),
+                   TestWholeStateMoves._small_batches_only(joint, 3)):
+            model = TestWholeStateMoves._patched(built, 0, log_joint=fn)
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
+            runs.append(run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=4).draws)
+        np.testing.assert_array_equal(runs[0], runs[1])
+        np.testing.assert_array_equal(runs[0], runs[2])
+
+    @staticmethod
+    def _stores(built, factor):
+        """Stage-one stores; the first holds phi12 = (0, 0), (0, 1) and (1, 0) only."""
+        _, s3 = run_stage_one_pair(built.model, factor, SCALE, 400, chains=2, seed=5)
+        phi = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], (50, 1))
+        return SampleStore(phi, np.empty((len(phi), 0)), s3.phi_coords), s3
+
+    def _middle_run(self, at, **fields):
+        """Parallel stage two whose middle submodel has ``fields``'s evaluators,
+        with and without the table; both raise the same, or return the same."""
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        s1, s3 = self._stores(built, factor)
+        spec = built.model.submodels[1]
+        patched = {k: fn(getattr(spec, k), at) for k, fn in fields.items()}
+        model = TestWholeStateMoves._patched(built, 1, **patched)
+        outcomes = []
+        for m in (model, self._chain_batches_only(model, 4)):
+            factor = factorize_for_sampler(log_pooling(m, [0.5] * 3), "subprior-ends")
+            try:
+                out = run_parallel_stage_two(m, factor, s1, s3, SCALE, 400, chains=4, seed=7)
+                outcomes.append(out.state_matrix())
+            except ModelInconsistencyError as exc:
+                outcomes.append(str(exc))
+        table, moves = outcomes
+        if isinstance(table, str):
+            assert table == moves
+        else:
+            np.testing.assert_array_equal(table, moves)
+        return table
+
+    @staticmethod
+    def _nan_joint(fn, at):
+        def joint(phi, psi):
+            hit = (phi[..., 0] == at[0]) & (phi[..., 1] == at[1])
+            return np.where(hit, math.nan, fn(phi, psi))
+        return joint
+
+    @staticmethod
+    def _holey_marginal(fn, at):
+        def marginal(phi):
+            phi = np.asarray(phi, dtype=float)
+            hit = (phi[..., 0] == at[0]) & (phi[..., 1] == at[1])
+            return np.where(hit, -math.inf, fn(phi))
+        return marginal
+
+    def test_nan_joint_at_an_unvisited_state_does_not_raise(self):
+        self._middle_run((1.0, 1.0), log_joint=self._nan_joint)
+
+    def test_nan_joint_at_a_visited_state_raises(self):
+        assert self._middle_run((1.0, 0.0), log_joint=self._nan_joint) == (
+            "submodel 1: log_joint returned NaN")
+
+    def test_inconsistent_marginal_at_an_unvisited_state_does_not_raise(self):
+        self._middle_run((1.0, 1.0), log_prior_marginal=self._holey_marginal)
+
+    def test_inconsistent_marginal_at_a_visited_state_raises(self):
+        assert self._middle_run((1.0, 0.0), log_prior_marginal=self._holey_marginal) == (
+            "submodel 1: joint is finite but prior marginal is -inf at phi_m=[1. 0. 0. 0.]")
+
+    @pytest.mark.parametrize("n_iter, tabulated", [(31, False), (32, True)])
+    def test_more_states_than_moves_evaluate_per_move(self, n_iter, tabulated):
+        # Sequential stage two has 64 states and 2 moves per iteration; at one
+        # chain, 32 iterations make 64 move evaluations.
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        built.model.reset_counters()
+        run_sequential(built.model, factor, SCALES, (400, n_iter, 400), seed=6)
+        joint_calls = built.model.submodels[1].joint_calls.count
+        assert joint_calls == (2 if tabulated else 1 + 2 * n_iter)
+
+    def test_store_off_the_categories_evaluates_per_move(self):
+        built = make_discrete_chain()
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        s1, s3 = self._stores(built, factor)
+        phi = s1.phi.copy()
+        phi[0, 1] = 0.5
+        s1 = SampleStore(phi, s1.psi, s1.phi_coords)
+        built.model.reset_counters()
+        run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 100, seed=6)
+        assert built.model.submodels[1].joint_calls.count == 1 + 3 * 100
 
 
 class TestUnitwiseProbe:
