@@ -199,7 +199,7 @@ def ess(traces) -> EssResult:
     if w == 0.0:
         return EssResult(float(total), capped=True)
     var_plus = (n - 1) / n * w + (arr.mean(axis=1).var(ddof=1) if chains > 1 else 0.0)
-    acov = _autocov(arr).mean(axis=0)
+    acov = np.stack([_autocov(arr[c]) for c in range(chains)]).mean(axis=0)
     rho = 1.0 - (w - acov) / var_plus
     # Geyer paired sums rho[2k] + rho[2k+1]; stop at the first negative
     # pair.  tau = -1 + 2 * sum(pairs) can dip below 1 for antithetic
@@ -223,12 +223,12 @@ def ess(traces) -> EssResult:
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:
-    """Autocovariance of each row of x (chains, n), all rows in one FFT pair."""
-    n = x.shape[1]
+    n = x.shape[0]
+    centered = x - x.mean()
     size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x - x.mean(axis=1, keepdims=True), size)
-    f = f * np.conj(f)  # not in place: that takes another loop, with other bits
-    return np.fft.irfft(f, size)[:, :n] / n
+    f = np.fft.rfft(centered, size)
+    acov = np.fft.irfft(f * np.conj(f), size)[:n].real / n
+    return acov
 
 
 def ess_bulk(traces) -> EssResult:

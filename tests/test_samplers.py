@@ -485,14 +485,22 @@ class TestWholeStateMoves:
 
     @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
     def test_last_sequential_stage_matches_move_by_move(self, mode):
+        # The last stage's joint raises on the table's batch of its 2 states,
+        # so its index move evaluates every proposal in one batched call: the
+        # initial states, the table's call, then that call.  Joints that take
+        # only batches of one row per chain go move by move after both batched
+        # calls raise.
         built = make_long_chain(4, seed=4)
         assert built.model.submodels[-1].psi_dim == 0
-        fussy = self._patched(built, 3, log_joint=self._small_batches_only(
+        whole = self._patched(built, 3, log_joint=self._raises_on(
             built.model.submodels[3].log_joint, 2))
-        runs = []
-        for model in (built.model, fussy):
+        runs, calls = [], []
+        for model in (whole, TestStateSpaceTable._chain_batches_only(built.model, 3)):
             factor = factorize_for_sampler(log_pooling(model, [0.5] * 4), mode)
-            runs.append(run_sequential(model, factor, (SCALE,) * 4, 1500, chains=2, seed=6))
+            model.reset_counters()
+            runs.append(run_sequential(model, factor, (SCALE,) * 4, 1500, chains=3, seed=6))
+            calls.append(model.submodels[3].joint_calls.count)
+        assert calls == [3, 3 + 1500]
         a, b = runs
         np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
         np.testing.assert_array_equal(a.indices, b.indices)
@@ -504,19 +512,25 @@ class TestWholeStateMoves:
         # consistency.  Without one, a batched call for every proposal (a joint
         # that raises on the table's batch of 4 rows), or one call per move (a
         # joint that raises on every batch larger than the 3 chains); the
-        # initial prior marginal, then one consistency check per 1024 moves.
+        # initial prior marginal, then one consistency check per 1024 moves;
+        # under flat-ends the prior marginal is a term of the target, evaluated
+        # for every proposal in one batched call.  All three draw the same.
         built = make_discrete_chain()
         joint = built.model.submodels[0].log_joint
-        checks = 1 + math.ceil(2500 / 1024)
-        for fn, joint_calls, marginal_calls in (
-                (joint, 2, 2), (self._raises_on(joint, 4), 3, checks),
-                (self._small_batches_only(joint, 3), 3 + 2500, checks)):
-            model = self._patched(built, 0, log_joint=fn)
-            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
-            model.reset_counters()
-            run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=2)
-            assert model.submodels[0].joint_calls.count == joint_calls
-            assert model.submodels[0].marginal_calls.count == marginal_calls
+        for mode in ("subprior-ends", "flat-ends"):
+            checks = 1 + math.ceil(2500 / 1024) if mode == "subprior-ends" else 2
+            draws = []
+            for fn, joint_calls, marginal_calls in (
+                    (joint, 2, 2), (self._raises_on(joint, 4), 3, checks),
+                    (self._small_batches_only(joint, 3), 3 + 2500, checks)):
+                model = self._patched(built, 0, log_joint=fn)
+                factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
+                model.reset_counters()
+                draws.append(run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=2).draws)
+                assert model.submodels[0].joint_calls.count == joint_calls
+                assert model.submodels[0].marginal_calls.count == marginal_calls
+            np.testing.assert_array_equal(draws[0], draws[1])
+            np.testing.assert_array_equal(draws[0], draws[2])
 
     @pytest.mark.parametrize("end", [0, 2])
     @pytest.mark.parametrize("seed, phi", [(1, "[1. 0.]"), (2, "[1. 1.]")])
@@ -630,22 +644,6 @@ class TestStateSpaceTable:
             other, _ = self._run(kind, built.model, factor, chains, stores)
             for a, b in zip(table, other):
                 np.testing.assert_array_equal(a[:1], b[:1])
-
-    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
-    def test_whole_state_moves_without_a_table_match(self, mode):
-        # A joint that raises on the table's batch of 4 states only leaves the
-        # whole-state walk one batched call per stage; one that raises on every
-        # batch larger than the 3 chains leaves it one call per move.
-        built = make_discrete_chain()
-        joint = built.model.submodels[0].log_joint
-        runs = []
-        for fn in (joint, TestWholeStateMoves._raises_on(joint, 4),
-                   TestWholeStateMoves._small_batches_only(joint, 3)):
-            model = TestWholeStateMoves._patched(built, 0, log_joint=fn)
-            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
-            runs.append(run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=4).draws)
-        np.testing.assert_array_equal(runs[0], runs[1])
-        np.testing.assert_array_equal(runs[0], runs[2])
 
     @staticmethod
     def _stores(built, factor):
