@@ -22,39 +22,37 @@ Once the chain is initialized, it draws the whole stage's stage-one
 indices, proposal noise, unit orders and uniforms in blocks, and every
 move consumes one uniform.  A chain's draws therefore depend on its own
 generator only: with evaluators that give each row of a batch the value
-they give that row alone, chain c of a run is the same whatever the
-number of chains beside it.
+they give that row alone, chain c of one stage over fixed stage-one stores
+is the same whatever the number of chains beside it.  A whole run keeps
+that only while its stores do not pool chains: every ``run_sequential``
+stage after the first, and a parallel stage two over stores that hold
+every chain's kept draws (as the CLI's do), index-resample from all
+chains' draws, so the store length, and with it every index draw, changes
+with the number of chains.
 
-Moves are evaluated per state, per stage or per move.  A stage whose
-state columns are all discrete and whose state space has no more states
-than the stage has move evaluations (chains x iterations x moves per
-iteration) evaluates its log target at every state once, when it starts:
-every term of every state, enumerated in row-major order, in one batched
-call.  Each move then looks its proposals up with one gather at their flat
-indices, and the chains' states cache the log target alone.  If the
-call raises (a NaN, or a finite joint at a -inf prior marginal, at a state
-the run may never visit), or a stage-one store holds a value that is not a
-category, the stage evaluates its moves as a continuous one does.  With
-evaluators that give each row of a batch the value they give that row
-alone, the draws are the same either way.
+Moves are evaluated per state or per move.  A stage whose state columns
+are all discrete and whose state space has no more states than the stage
+has move evaluations (chains x iterations x moves per iteration) evaluates
+its log target at every state once, when it starts: every term of every
+state, enumerated in row-major order, in one batched call.  Each move then
+looks its proposals up with one gather at their flat indices, and the
+chains' states cache the log target alone.  If the call raises (a NaN, or
+a finite joint at a -inf prior marginal, at a state the run may never
+visit), or a stage-one store holds a value that is not a category, the
+stage evaluates its moves as a continuous one does.  With evaluators that
+give each row of a batch the value they give that row alone, the draws
+are the same either way.
 
-Otherwise, a move whose proposals are fixed before the stage starts and
-write every state column is evaluated once per stage: the all-discrete
-walk of a stage one (every coordinate is redrawn, so the proposal is the
-drawn step) and the index move of a last sequential stage whose psi is
-empty.  Every term of all of its proposals,
-the joint included, is evaluated in one batched call, and each move reads
-its own row; such a move is always its stage's only move.  A move that
-replaces one whole block by index resampling (both ends of the parallel
-stage two, the other sequential index moves) draws all of its stage-one
-rows before the stage starts too, but its joint also reads the rest of the
-state: each pool term that reads only that block is evaluated for the whole
-stage in one call, and the joint per move.  Every other move evaluates per
-move, for all chains in one call: the joint, and, when it changes phi, the
-prior marginal log p_m and each other pool term that reads a block it
-changes.  A unitwise move mixes rows, so its terms are per move.  A batched
-call that raises is redone move by move, so a run raises the first error
-that evaluating every move raises.  Per-move calls go through
+Otherwise every move evaluates per move, for all chains in one call: the
+joint, and, when it changes phi, the prior marginal log p_m and each other
+pool term that reads a block it changes.  A move whose proposals are fixed
+before the stage starts (a whole-block index move: both ends of the
+parallel stage two and every sequential index move; the walk of a stage
+one whose coordinates are all discrete) evaluates each pool term that
+reads only the blocks it replaces for the whole stage in one call instead.
+A unitwise move mixes rows, so its terms are per move.  A batched call
+that raises is redone move by move, so a run raises the first error that
+evaluating every move raises.  Per-move calls go through
 ``SubmodelSpec.checked_evaluators``, bound once per stage: they count every
 call and raise on NaN, and the joint's batch shape is checked once, on the
 stage's initial states.
@@ -62,11 +60,10 @@ stage's initial states.
 A subposterior target (under ``subprior-ends``, stage one and the last
 sequential stage) reads no log p_m in its moves.  A table checks that a
 finite joint never meets a -inf prior marginal at every state; otherwise
-the check runs in one batched call per
-``_CHECK_BATCH`` (1024) moves: over a whole-state move's proposals when the
-stage starts, otherwise as the moves run and once at the end of the stage.
-An inconsistent submodel therefore fails at most one batch later, with the
-error a check of every move would raise first.
+the check runs in one batched call per ``_CHECK_BATCH`` (1024) moves, as
+the moves run and once at the end of the stage.  An inconsistent submodel
+therefore fails at most one batch later, with the error a check of every
+move would raise first.
 """
 
 from __future__ import annotations
@@ -312,25 +309,19 @@ class _StageTarget:
         With a table of every state, the move looks up its proposals' log
         target.  ``proposals`` (iterations, chains, hi - lo) holds every
         proposal of a move whose proposals are fixed before the stage starts.
-        If the move writes the whole state, every proposal is looked up, or
-        every term of every proposal evaluated, in one batched call, and the
-        move at iteration t reads row t.  Otherwise each marginal term that
-        reads only the moved block is evaluated in one batched call.
-        If a batched call raises, the move evaluates those terms move by
-        move instead, so the first error raised is the one a run that
-        evaluates every move raises.
+        With a table, a move that writes the whole state looks all of them up
+        at once, and the move at iteration t reads row t.  Without one, each
+        marginal term that reads only the moved blocks is evaluated for all of
+        them in one batched call; if that call raises, the move evaluates the
+        term move by move instead, so the first error raised is the one a run
+        that evaluates every move raises.
         """
-        whole = proposals is not None and hi - lo == self.width
         if self.table is not None:
             table, strides = self.table, self.strides
-            if whole:
+            if proposals is not None and hi - lo == self.width:
                 values = table[proposals.dot(strides).astype(np.intp)]
                 return lambda z, cur, t: values[t]
             return lambda z, cur, t: table[z.dot(strides).astype(np.intp)]
-        if whole:
-            terms = self._whole(proposals)
-            if terms is not None:
-                return lambda z, cur, t: terms[t]
         moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
         joint, d = self.joint, self.d
         if self.subposterior:
@@ -360,35 +351,14 @@ class _StageTarget:
                 continue
             values = None
             if proposals is not None and moved.issuperset(blocks):
-                values = _tabulate(fn, proposals)
+                a, e = self.bounds[blocks[0]][0] - lo, self.bounds[blocks[-1]][1] - lo
+                values = _tabulate(fn, proposals[..., a:e])
             if values is None:
                 live.append((row, move, cols))
             else:
                 tables.append((row, values))
         fill = self._fill
         return lambda z, cur, t: fill(z, cur.copy(), joint, live, tables, t)
-
-    def _whole(self, proposals):
-        """The cached terms of every proposal (iterations, chains, width) of a
-        move that writes the whole state, one row per iteration; None if an
-        evaluation raises.
-
-        A subposterior's proposals then go through the consistency check in
-        ``_CHECK_BATCH``-move chunks, in move order, as a move-by-move run
-        checks them.
-        """
-        d, spec = self.d, self.spec
-        if self.subposterior:
-            lj = _tabulate(lambda x: spec.eval_log_joint(x[:, :d], x[:, d:]), proposals)
-            if lj is not None:
-                for a in range(0, len(lj), _CHECK_BATCH):
-                    self._check(proposals[a : a + _CHECK_BATCH, :, :d], lj[a : a + _CHECK_BATCH])
-            return lj
-        try:
-            new = self._every(proposals.reshape(-1, self.width))
-        except Exception:
-            return None
-        return np.ascontiguousarray(new.reshape(len(new), *proposals.shape[:2]).transpose(1, 0, 2))
 
     def _fill(self, z, new, joint, live, tables, t):
         """``new`` with the ``joint`` and the marginal terms ``live`` (row,
@@ -430,19 +400,17 @@ class _StageTarget:
             self.check_pending()
 
     def check_pending(self):
-        """Run the deferred consistency checks: one batched prior marginal call."""
-        n, self._pending = self._pending, 0
-        if n:
-            self._check(self._phi[:n], self._lj[:n])
+        """Run the deferred consistency checks: the moves' states phi (moves,
+        chains, d) against their joints, in one batched prior marginal call.
 
-    def _check(self, phi, lj):
-        """Check the moves' states phi (moves, chains, d) against their joints lj.
-
-        If the batched prior marginal call raises, the moves are checked
-        again one by one, so the error raised is the first one that checking
-        every move as it was proposed would raise.
+        If that call raises, the moves are checked again one by one, so the
+        error raised is the first one that checking every move as it was
+        proposed would raise.
         """
-        spec = self.spec
+        n, self._pending = self._pending, 0
+        if not n:
+            return
+        spec, phi, lj = self.spec, self._phi[:n], self._lj[:n]
         try:
             flat = phi.reshape(-1, phi.shape[-1])
             check_consistent(spec, lj.reshape(-1), spec.eval_log_prior(flat), flat)
@@ -559,9 +527,10 @@ class _IndexMove:
     own random order every iteration and proposes each unit's columns from
     a uniformly drawn row.  Per-step arrays are laid out (iteration, step,
     chain) so that one step reads contiguous rows.  A move of the whole
-    block (one unit) hands the target all of its proposals, so that terms
-    of the block alone, and every term when the block is the whole state,
-    are evaluated once per stage.  ``step(t)`` makes iteration t's moves.
+    block (one unit) hands the target all of its proposals: a table of
+    every state looks them all up at once when the block is the whole
+    state, and otherwise each term of the block alone is evaluated once per
+    stage.  ``step(t)`` makes iteration t's moves.
     """
 
     def __init__(self, state: _Lockstep, target, source, lo, units, rngs, n_iter, log_u):
@@ -658,7 +627,7 @@ class _WalkMove:
         steps = _per_chain(rngs, draw)
         # With every coordinate redrawn, the proposal is the step itself, fixed
         # before the stage starts; a walk of the whole state then hands the
-        # target all of its proposals.
+        # target all of its proposals, for its table or its pool terms.
         redrawn = not cont
         mult = log_q = None
         if pos:

@@ -338,6 +338,17 @@ class TestEvaluationCounts:
         # the initial state, then one batched consistency check per 1024 steps
         assert spec1.marginal_calls.count == 1 + math.ceil(300 / 1024)
 
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    def test_last_sequential_stage_evaluates_its_joint_per_move(self, mode):
+        # The README chain's last stage is continuous and has no psi: its index
+        # move evaluates the joint for the initial states, then once per move.
+        built, _, _ = _gaussian_setup(rho=0.2, y1=[-2.0], y3=[2.0], y2=[0.5], s2=2.0, tau=1.0)
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), mode)
+        n = 300
+        built.model.reset_counters()
+        run_sequential(built.model, factor, SCALES, n, chains=2, seed=3)
+        assert built.model.submodels[2].joint_calls.count == 1 + n
+
     def test_phi_proposal_makes_one_marginal_call(self):
         # log pool with lambda = 0.5: pool2 - log p2 is
         # -0.5 log p1 - 0.5 log p2 - 0.5 log p3.  A block-1 proposal changes
@@ -365,8 +376,8 @@ class TestEvaluationCounts:
         # middle joint that raises on the table's batch), a unit proposal mixes
         # rows, so the end terms are evaluated move by move.
         built = make_discrete_chain()
-        fussy = TestWholeStateMoves._patched(built, 1, log_joint=(
-            TestWholeStateMoves._small_batches_only(built.model.submodels[1].log_joint, 1)))
+        fussy = TestPerMoveFallback._patched(built, 1, log_joint=(
+            TestPerMoveFallback._small_batches_only(built.model.submodels[1].log_joint, 1)))
         spec1, spec2, spec3 = built.model.submodels
         n = 200
         for model, per_move in ((built.model, False), (fussy, True)):
@@ -442,10 +453,11 @@ class TestEvaluationCounts:
             run_parallel_stage_two(model, bad_factor, s1, s3, SCALE, 200, seed=5)
 
 
-class TestWholeStateMoves:
-    """A move whose fixed proposals write the whole state (a discrete stage one's
-    walk, the index move of a last sequential stage with no psi) evaluates
-    every proposal's terms in one batched call when its stage starts."""
+class TestPerMoveFallback:
+    """A stage with no table of its states evaluates its moves one by one (a
+    pool term that reads only the blocks of a move's fixed proposals once
+    per stage), with the table's draws and the first error that checking
+    every move raises."""
 
     @staticmethod
     def _patched(built, m, **fields):
@@ -453,15 +465,6 @@ class TestWholeStateMoves:
         specs = list(built.model.submodels)
         specs[m] = dataclasses.replace(specs[m], **fields)
         return ChainModel(tuple(specs), built.model.phi_blocks)
-
-    @staticmethod
-    def _raises_on(fn, rows):
-        """``fn`` that raises on batches of ``rows`` rows."""
-        def joint(phi, psi):
-            if len(phi) == rows:
-                raise MemoryError("batch too large")
-            return fn(phi, psi)
-        return joint
 
     @staticmethod
     def _small_batches_only(fn, chains):
@@ -483,46 +486,22 @@ class TestWholeStateMoves:
             runs.append(run_stage_one(model, 0, factor, SCALE, 2500, chains=3, seed=4))
         np.testing.assert_array_equal(runs[0].draws, runs[1].draws)
 
-    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
-    def test_last_sequential_stage_matches_move_by_move(self, mode):
-        # The last stage's joint raises on the table's batch of its 2 states,
-        # so its index move evaluates every proposal in one batched call: the
-        # initial states, the table's call, then that call.  Joints that take
-        # only batches of one row per chain go move by move after both batched
-        # calls raise.
-        built = make_long_chain(4, seed=4)
-        assert built.model.submodels[-1].psi_dim == 0
-        whole = self._patched(built, 3, log_joint=self._raises_on(
-            built.model.submodels[3].log_joint, 2))
-        runs, calls = [], []
-        for model in (whole, TestStateSpaceTable._chain_batches_only(built.model, 3)):
-            factor = factorize_for_sampler(log_pooling(model, [0.5] * 4), mode)
-            model.reset_counters()
-            runs.append(run_sequential(model, factor, (SCALE,) * 4, 1500, chains=3, seed=6))
-            calls.append(model.submodels[3].joint_calls.count)
-        assert calls == [3, 3 + 1500]
-        a, b = runs
-        np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
-        np.testing.assert_array_equal(a.indices, b.indices)
-        assert a.accept_counts == b.accept_counts
-
     def test_discrete_stage_one_counts(self):
         # With a table of the end's 4 states: the initial joint and prior
         # marginal, then one call of each for every state, which also checks
-        # consistency.  Without one, a batched call for every proposal (a joint
-        # that raises on the table's batch of 4 rows), or one call per move (a
-        # joint that raises on every batch larger than the 3 chains); the
-        # initial prior marginal, then one consistency check per 1024 moves;
-        # under flat-ends the prior marginal is a term of the target, evaluated
-        # for every proposal in one batched call.  All three draw the same.
+        # consistency.  Without one (a joint that raises on every batch larger
+        # than the 3 chains): the initial joint, the table's call, then one
+        # call per move; the initial prior marginal, then one consistency check
+        # per 1024 moves, or, under flat-ends, where the prior marginal is a
+        # term of the target, one batched call for every proposal.  Both draw
+        # the same.
         built = make_discrete_chain()
         joint = built.model.submodels[0].log_joint
         for mode in ("subprior-ends", "flat-ends"):
             checks = 1 + math.ceil(2500 / 1024) if mode == "subprior-ends" else 2
             draws = []
             for fn, joint_calls, marginal_calls in (
-                    (joint, 2, 2), (self._raises_on(joint, 4), 3, checks),
-                    (self._small_batches_only(joint, 3), 3 + 2500, checks)):
+                    (joint, 2, 2), (self._small_batches_only(joint, 3), 2 + 2500, checks)):
                 model = self._patched(built, 0, log_joint=fn)
                 factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
                 model.reset_counters()
@@ -530,7 +509,25 @@ class TestWholeStateMoves:
                 assert model.submodels[0].joint_calls.count == joint_calls
                 assert model.submodels[0].marginal_calls.count == marginal_calls
             np.testing.assert_array_equal(draws[0], draws[1])
-            np.testing.assert_array_equal(draws[0], draws[2])
+
+    def test_end_with_psi_evaluates_its_prior_marginal_per_stage(self):
+        # A walk of phi12 and psi1 under flat-ends, where the prior marginal of
+        # phi12 is a term of the target.  After the initial state's call, the
+        # table evaluates it at every state, and without a table it is
+        # evaluated at the phi12 columns of every proposal, in one call each.
+        rng = np.random.default_rng(3)
+        built = builtin_discrete_chain(
+            random_table(rng, (2, 2)), random_table(rng, (2, 2)), random_table(rng, 2),
+            phi_cards=((2,), (2,)), psi_cards=((2,), (), ()))
+        fussy = self._patched(built, 0, log_joint=self._small_batches_only(
+            built.model.submodels[0].log_joint, 3))
+        draws = []
+        for model in (built.model, fussy):
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "flat-ends")
+            model.reset_counters()
+            draws.append(run_stage_one(model, 0, factor, SCALE, 500, chains=3, seed=2).draws)
+            assert model.submodels[0].marginal_calls.count == 2
+        np.testing.assert_array_equal(draws[0], draws[1])
 
     @pytest.mark.parametrize("end", [0, 2])
     @pytest.mark.parametrize("seed, phi", [(1, "[1. 0.]"), (2, "[1. 1.]")])
@@ -660,7 +657,7 @@ class TestStateSpaceTable:
         s1, s3 = self._stores(built, factor)
         spec = built.model.submodels[1]
         patched = {k: fn(getattr(spec, k), at) for k, fn in fields.items()}
-        model = TestWholeStateMoves._patched(built, 1, **patched)
+        model = TestPerMoveFallback._patched(built, 1, **patched)
         outcomes = []
         for m in (model, self._chain_batches_only(model, 4)):
             factor = factorize_for_sampler(log_pooling(m, [0.5] * 3), "subprior-ends")
