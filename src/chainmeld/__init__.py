@@ -29,11 +29,7 @@ from .errors import (
 )
 from .gaussian import (
     GaussianDensity,
-    ImproperGaussianRatio,
     block_diag_stack,
-    gaussian_power,
-    gaussian_product,
-    gaussian_ratio_product,
     log_pool_gaussian_chain,
 )
 from .pooling import (

@@ -1,16 +1,16 @@
-"""Closed-form products, powers, and ratios of multivariate Gaussians.
+"""Dense multivariate Gaussians and the closed forms the package needs.
 
-Everything here works through the precision parameterization: products add
-precisions, powers scale them, and ratios subtract them.  Ratios can leave
-the precision indefinite, in which case an ``ImproperGaussianRatio`` is
-returned carrying the offending precision so the caller can decide what to
-do.
+``GaussianDensity`` is a mean/covariance pair with a batched log density.
+``block_diag_stack`` stacks independent parts; ``log_pool_gaussian_chain``
+pools the three-submodel Gaussian chain by adding weighted precisions, and
+``ratio_is_improper`` subtracts two precisions to test whether a ratio of
+Gaussians is improper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -18,10 +18,7 @@ from .errors import NumericalFailureError, StructureError
 
 __all__ = [
     "GaussianDensity",
-    "ImproperGaussianRatio",
-    "gaussian_power",
-    "gaussian_product",
-    "gaussian_ratio_product",
+    "ratio_is_improper",
     "block_diag_stack",
     "log_pool_gaussian_chain",
 ]
@@ -123,54 +120,14 @@ class GaussianDensity:
         return out.reshape(x.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ImproperGaussianRatio:
-    """Result of a density ratio whose precision is not positive definite.
-
-    ``precision`` is the (indefinite or singular) precision difference and
-    ``shift`` the corresponding linear term, so callers can still evaluate
-    the unnormalized log ratio if they want to.
-    """
-
-    precision: np.ndarray
-    shift: np.ndarray
-
-
-def gaussian_power(g: GaussianDensity, lam: float) -> GaussianDensity:
-    """N(mu, Sigma)^lam is proportional to N(mu, Sigma / lam)."""
-    if lam <= 0:
-        raise ValueError(f"power weight must be positive, got {lam}")
-    return GaussianDensity(g.mean, g.cov / lam)
-
-
-def gaussian_product(a: GaussianDensity, b: GaussianDensity) -> GaussianDensity:
-    """Product of two Gaussian densities (precision-additive)."""
-    if a.dim != b.dim:
-        raise StructureError(f"dim mismatch: {a.dim} vs {b.dim}")
-    pa = _precision(a.cov, "gaussian_product lhs")
-    pb = _precision(b.cov, "gaussian_product rhs")
-    return _from_precision(pa + pb, pa @ a.mean + pb @ b.mean)
-
-
-def gaussian_ratio_product(
-    nu: GaussianDensity, de: GaussianDensity
-) -> Union[GaussianDensity, ImproperGaussianRatio]:
-    """Ratio nu / de of Gaussian densities.
-
-    Proper only when the precision difference is positive definite;
-    otherwise the indefinite precision is returned for the caller to
-    inspect.
-    """
+def ratio_is_improper(nu: GaussianDensity, de: GaussianDensity) -> bool:
+    """Whether the ratio nu / de of Gaussian densities is improper: its precision
+    difference is not positive definite."""
     if nu.dim != de.dim:
         raise StructureError(f"dim mismatch: {nu.dim} vs {de.dim}")
-    pn = _precision(nu.cov, "gaussian_ratio numerator")
-    pd = _precision(de.cov, "gaussian_ratio denominator")
-    prec = pn - pd
-    prec = 0.5 * (prec + prec.T)
-    shift = pn @ nu.mean - pd @ de.mean
-    if _improper(prec):
-        return ImproperGaussianRatio(prec, shift)
-    return _from_precision(prec, shift)
+    prec = _precision(nu.cov, "gaussian_ratio numerator") - \
+        _precision(de.cov, "gaussian_ratio denominator")
+    return _improper(0.5 * (prec + prec.T))
 
 
 def block_diag_stack(parts: Sequence[GaussianDensity]) -> GaussianDensity:

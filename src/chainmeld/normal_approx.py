@@ -18,12 +18,7 @@ import numpy as np
 
 from .chain import ChainModel, PhiBlock, _has_nan
 from .errors import NumericalFailureError, StructureError, UnsupportedConfigError
-from .gaussian import (
-    GaussianDensity,
-    ImproperGaussianRatio,
-    block_diag_stack,
-    gaussian_ratio_product,
-)
+from .gaussian import GaussianDensity, block_diag_stack, ratio_is_improper
 from .pooling import PoolFactorization, merge_term, neg_inf_policy
 from .samplers import SampleStore
 
@@ -94,7 +89,7 @@ def check_proper_ratio(fit: GaussianDensity, subprior: GaussianDensity, block: P
     not exceed the subprior's, that ratio is improper and the target may be
     too; when it does, the target is proper under every logarithmic pool.
     """
-    if isinstance(gaussian_ratio_product(fit, subprior), ImproperGaussianRatio):
+    if ratio_is_improper(fit, subprior):
         raise NumericalFailureError(
             f"subposterior/subprior ratio for shared block {block.label!r} "
             "is improper (precision difference not positive definite)"

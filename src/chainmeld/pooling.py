@@ -293,7 +293,7 @@ class PoolFactorization:
         )
 
 
-def factorize_for_sampler(pool: PooledPrior, mode: str = "flat-ends") -> PoolFactorization:
+def factorize_for_sampler(pool: PooledPrior, mode: str) -> PoolFactorization:
     """Split a pooled prior into one factor per submodel of its chain.
 
     Each pool term goes to the first submodel m >= 1 whose blocks hold all

@@ -52,10 +52,11 @@ one whose coordinates are all discrete) evaluates each pool term that
 reads only the blocks it replaces for the whole stage in one call instead.
 A unitwise move mixes rows, so its terms are per move.  A batched call
 that raises is redone move by move, so a run raises the first error that
-evaluating every move raises.  Per-move calls go through
-``SubmodelSpec.checked_evaluators``, bound once per stage: they count every
-call and raise on NaN, and the joint's batch shape is checked once, on the
-stage's initial states.
+evaluating every move raises.  A move calls its submodel's joint and prior
+marginal through ``SubmodelSpec.checked_evaluators``, bound once per stage,
+and every other pool term as the factor holds it; each submodel evaluator
+counts every call and raises on NaN, and the joint's batch shape is checked
+once, on the stage's initial states.
 
 A subposterior target (under ``subprior-ends``, stage one and the last
 sequential stage) reads no log p_m in its moves.  A table checks that a
@@ -224,13 +225,14 @@ class _StageTarget:
     and its moves defer log p_m to ``check_pending``.
 
     Initial states go through ``eval_log_joint`` and ``eval_log_prior``,
-    which check the joint's batch shape.  Moves call the checked evaluators
-    of ``specs`` (the chain's submodels), bound once for the stage, or, when
-    every state column has a cardinality in ``cards`` (None for a continuous
-    column), read the log target from a table of every state (``tabulate``).
+    which check the joint's batch shape.  Moves call the submodel's checked
+    evaluators, bound once for the stage, and every other term as it is, or,
+    when every state column has a cardinality in ``cards`` (None for a
+    continuous column), read the log target from a table of every state
+    (``tabulate``).
     """
 
-    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], specs, cards):
+    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], cards):
         self.spec = spec
         self.cards = cards if all(cards) else None
         self.table = None
@@ -241,24 +243,14 @@ class _StageTarget:
         self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
         self.d = edges[-1]
         self.width = self.d + spec.psi_dim
-        checked = {id(s): s.checked_evaluators() for s in specs}
-        self.joint = checked[id(spec)][0]
-
-        def move_fn(fn):
-            # A term that is a submodel's eval_log_prior moves through its twin.
-            owner = getattr(fn, "__self__", None)
-            if id(owner) in checked and fn == owner.eval_log_prior:
-                return checked[id(owner)][1]
-            return fn
-
+        self.joint, prior = spec.checked_evaluators()
         # Each marginal term's row in the terms, evaluator, the evaluator its
         # moves call, blocks and state columns (None for all of phi).
-        self.marginals = []
-        for i, (fn, blocks) in enumerate(
-                [(spec.eval_log_prior, tuple(widths))] + [(t.fn, t.blocks) for t in self.rest]):
-            a, e = self.bounds[blocks[0]][0], self.bounds[blocks[-1]][1]
+        self.marginals = [(3, spec.eval_log_prior, prior, tuple(widths), None)]
+        for i, t in enumerate(self.rest):
+            a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
             cols = None if (a, e) == (0, self.d) else slice(a, e)
-            self.marginals.append((3 + i, fn, move_fn(fn), blocks, cols))
+            self.marginals.append((4 + i, t.fn, t.fn, t.blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
@@ -428,7 +420,7 @@ def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _Stag
     spec, blocks = chain.submodels[m], chain.blocks_of(m)
     coords = [c for b in blocks for c in chain.phi_blocks[b].coords] + list(spec.psi_coords)
     return _StageTarget(spec, factor.terms[m], {b: chain.phi_blocks[b].dim for b in blocks},
-                        chain.submodels, [c.cardinality for c in coords])
+                        [c.cardinality for c in coords])
 
 
 class _FunctionTarget:
@@ -895,7 +887,7 @@ def run_parallel_stage_two_unitwise(
 ) -> MeldedChainOutput:
     """Stage two with individual-at-a-time updates of the end submodels (M = 3).
 
-    Requires unit factorizations on submodels 1 and 3 that factorize their
+    Requires unit factorizations on submodels 0 and 2 that factorize their
     log joints; a probe at pairs of stored draws (``_check_units_additive``)
     raises ``StructureError`` before sampling when they do not.  Units are visited
     in a fresh random order each iteration; each unit's slice is proposed

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,14 +12,20 @@ from chainmeld import (
     StructureError,
     SubmodelSpec,
     UnitFactorization,
+    builtin_discrete_chain,
+    dictatorial_complete,
+    dictatorial_partial,
     discrete_coords,
     log_melded_density,
+    log_pooling,
     markov_combination_density,
     poe_pooling,
     real_coords,
     submodel_log_ratio,
     unit_additivity_gap,
 )
+
+from conftest import random_table
 
 
 def _flat_spec(index, left, right, phi_dim, psi_dim=0, joint=None, marginal=None):
@@ -234,6 +241,53 @@ class TestMeldedDensity:
         value = markov_combination_density(model, [marg], phi, psi)
         expected = joint(1.0)(phi[0], None) + joint(2.0)(phi[0], None) - marg(phi[0])
         assert value == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def _shared_marginal_chain(agree):
+        # The 64-state chain: 2 + 2 binary shared coordinates and a 2-D binary
+        # psi2, a likelihood on every submodel.  The end priors are the middle
+        # prior's one-block marginals, or end 1's is another table.
+        rng = np.random.default_rng(11)
+        p2 = random_table(rng, (2,) * 6)
+        p1 = p2.sum(axis=(2, 3, 4, 5)) if agree else random_table(rng, (2, 2))
+        p3 = p2.sum(axis=(0, 1, 4, 5))
+        liks = [np.exp(0.3 * rng.standard_normal(t.shape)) for t in (p1, p2, p3)]
+        return builtin_discrete_chain(p1, p2, p3, phi_cards=((2, 2), (2, 2)),
+                                      psi_cards=((), (2, 2), ()), likelihoods=liks)
+
+    def _gaps(self, built):
+        # |melded - Markov combination| at every state, under each pool that is
+        # the middle submodel's prior, with the middle's one-block marginals as
+        # the boundary priors.
+        model = built.model
+        shared = [built.boundary_marginals[(1, 0)], built.boundary_marginals[(1, 1)]]
+        pools = [dictatorial_complete(model, [1, 1], built.boundary_marginals),
+                 dictatorial_partial(model, 1), log_pooling(model, [0, 1, 0])]
+        gaps = []
+        for state in itertools.product((0.0, 1.0), repeat=6):
+            phi = [np.array(state[:2]), np.array(state[2:4])]
+            psi = [np.empty(0), np.array(state[4:]), np.empty(0)]
+            combined = markov_combination_density(model, shared, phi, psi)
+            gaps.append([abs(log_melded_density(model, pool, phi, psi) - combined)
+                         for pool in pools])
+        return np.array(gaps)
+
+    def test_markov_combination_is_dictatorial_melding(self):
+        built = self._shared_marginal_chain(agree=True)
+        model = built.model
+        phi = np.array(list(itertools.product((0.0, 1.0), repeat=2)))
+        # The boundary priors are the ends' prior marginals.
+        for b, end in ((0, model.submodels[0]), (1, model.submodels[2])):
+            np.testing.assert_allclose(built.boundary_marginals[(1, b)](phi),
+                                       end.eval_log_prior(phi), atol=1e-12)
+        gaps = self._gaps(built)
+        assert gaps.shape == (64, 3)
+        assert gaps.max() < 1e-12
+
+    def test_markov_combination_needs_shared_marginals(self):
+        # Control: when end 1's prior marginal is not the middle's, melding
+        # divides by a different prior, and the densities differ.
+        assert (self._gaps(self._shared_marginal_chain(agree=False)).min(axis=0) > 1e-3).all()
 
     def test_markov_combination_needs_all_priors(self, discrete_chain):
         with pytest.raises(StructureError):

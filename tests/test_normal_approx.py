@@ -194,6 +194,7 @@ class TestBuildTarget:
 
     def test_discrete_blocks_rejected(self, discrete_chain):
         g = GaussianDensity([0.0, 0.0], np.eye(2))
-        factor = factorize_for_sampler(log_pooling(discrete_chain.model, [0.5, 0.5, 0.5]))
+        factor = factorize_for_sampler(log_pooling(discrete_chain.model, [0.5, 0.5, 0.5]),
+                                       "flat-ends")
         with pytest.raises(UnsupportedConfigError):
             build_normal_approx_target(discrete_chain.model, factor, g, g)

@@ -47,7 +47,7 @@ def _gaussian_setup(seed=0, **params):
     return built, pool, factor
 
 
-class TestMHStep:
+class TestRandomWalk:
     """The random-walk Metropolis-Hastings kernel alone, on one chain."""
 
     def test_standard_normal_target(self):
@@ -72,7 +72,7 @@ class TestMHStep:
         freq = np.bincount(draws[0, :, 0].astype(int), minlength=3) / draws.shape[1]
         np.testing.assert_allclose(freq, np.exp(log_w), atol=0.02)
 
-    def test_kernel_validation(self):
+    def test_runners_reject_bad_scale(self):
         # Every public runner rejects a bad scale, also for a stage that walks
         # nothing: without tau, the Gaussian chain's parallel stage two and
         # sequential stage three have no coordinate to walk.
