@@ -19,10 +19,11 @@ Conventions used throughout the package:
   ``(..., d_psi)`` to ``(...)``, a 1-D input giving a scalar.  Batching is
   what makes grid evaluation of pooled priors cheap and lets the samplers
   advance all their chains (``chains``, a positive integer, is the batch
-  size) in one call per move; ``SubmodelSpec.eval_log_joint`` rejects a
-  joint whose result does not have the batch shape, and
-  ``SubmodelSpec.checked_evaluators`` gives the samplers' moves the same
-  evaluators without that per-call check.
+  size) in one call per move.  ``SubmodelSpec.eval_log_joint`` and
+  ``SubmodelSpec.eval_log_prior`` are the one checked path to a submodel's
+  densities, for initial states and every move alike: each counts its
+  calls and raises on NaN, and ``eval_log_joint`` rejects a joint whose
+  result does not have the batch shape.
 """
 
 from __future__ import annotations
@@ -234,40 +235,6 @@ class SubmodelSpec:
                 f"submodel {self.index}: log_prior_marginal returned NaN"
             )
         return float(arr) if arr.ndim == 0 else arr
-
-    def checked_evaluators(self):
-        """``(log_joint, log_prior)`` as a sampler's moves call them, bound once per stage.
-
-        Each counts its calls and raises on NaN like ``eval_log_joint`` and
-        ``eval_log_prior``, but takes only batches ``(n, d)`` and checks no
-        shape: a stage evaluates its initial batch with ``eval_log_joint``,
-        which checks the joint's batch shape, and every move's batch has that
-        shape.  The evaluators read ``log_joint`` and ``log_prior_marginal``
-        when bound.
-        """
-        joint, prior, index = self.log_joint, self.log_prior_marginal, self.index
-        joint_calls, marginal_calls = self.joint_calls, self.marginal_calls
-
-        def log_joint(phi_m, psi_m):
-            joint_calls.count += 1
-            value = joint(phi_m, psi_m)
-            # An array of shape (n,), as the initial batch showed: its sum of
-            # squares is NaN exactly when some value is, for any n.
-            if math.isnan(value.dot(value)):
-                raise ModelInconsistencyError(f"submodel {index}: log_joint returned NaN")
-            return value
-
-        def log_prior(phi_m):
-            marginal_calls.count += 1
-            value = prior(phi_m)
-            if type(value) is not np.ndarray:
-                value = np.asarray(value, dtype=float)
-            if _has_nan(value):
-                raise ModelInconsistencyError(
-                    f"submodel {index}: log_prior_marginal returned NaN")
-            return value
-
-        return log_joint, log_prior
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,11 @@ one whose coordinates are all discrete) evaluates each pool term that
 reads only the blocks it replaces for the whole stage in one call instead.
 A unitwise move mixes rows, so its terms are per move.  A batched call
 that raises is redone move by move, so a run raises the first error that
-evaluating every move raises.  A move calls its submodel's joint and prior
-marginal through ``SubmodelSpec.checked_evaluators``, bound once per stage,
-and every other pool term as the factor holds it; each submodel evaluator
-counts every call and raises on NaN, and the joint's batch shape is checked
-once, on the stage's initial states.
+evaluating every move raises.  Initial states and moves alike call the
+submodel's joint and prior marginal through ``SubmodelSpec.eval_log_joint``
+and ``eval_log_prior``, and every other pool term as the factor holds it;
+each submodel evaluator counts every call and raises on NaN, and every call
+of the joint checks its batch shape.
 
 A subposterior target (under ``subprior-ends``, stage one and the last
 sequential stage) reads no log p_m in its moves.  A table checks that a
@@ -77,8 +77,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
-from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, _has_nan,
-                    check_consistent, unit_additivity_gap)
+from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent,
+                    unit_additivity_gap)
 from .errors import (
     InitializationError,
     StructureError,
@@ -137,10 +137,9 @@ class MeldedChainOutput:
     proposal_counts: dict[str, int]
 
     def acceptance_rates(self) -> dict[str, float]:
-        return {
-            k: self.accept_counts[k] / max(1, self.proposal_counts[k])
-            for k in sorted(self.proposal_counts)
-        }
+        """Accepts over proposals of every move that made a proposal."""
+        return {k: self.accept_counts[k] / n
+                for k, n in sorted(self.proposal_counts.items()) if n}
 
     def state_matrix(self) -> np.ndarray:
         """All retained draws flattened to rows: every block, then psi of every submodel."""
@@ -224,11 +223,10 @@ class _StageTarget:
     a block it changes.  A subposterior's state keeps only the log target,
     and its moves defer log p_m to ``check_pending``.
 
-    Initial states go through ``eval_log_joint`` and ``eval_log_prior``,
-    which check the joint's batch shape.  Moves call the submodel's checked
-    evaluators, bound once for the stage, and every other term as it is, or,
-    when every state column has a cardinality in ``cards`` (None for a
-    continuous column), read the log target from a table of every state
+    Initial states and moves evaluate the submodel through ``eval_log_joint``
+    and ``eval_log_prior``, and every other term as it is, or, when every
+    state column has a cardinality in ``cards`` (None for a continuous
+    column), moves read the log target from a table of every state
     (``tabulate``).
     """
 
@@ -243,14 +241,14 @@ class _StageTarget:
         self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
         self.d = edges[-1]
         self.width = self.d + spec.psi_dim
-        self.joint, prior = spec.checked_evaluators()
-        # Each marginal term's row in the terms, evaluator, the evaluator its
-        # moves call, blocks and state columns (None for all of phi).
-        self.marginals = [(3, spec.eval_log_prior, prior, tuple(widths), None)]
+        self.joint = spec.eval_log_joint
+        # Each marginal term's row in the terms, evaluator, blocks and state
+        # columns (None for all of phi).
+        self.marginals = [(3, spec.eval_log_prior, tuple(widths), None)]
         for i, t in enumerate(self.rest):
             a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
             cols = None if (a, e) == (0, self.d) else slice(a, e)
-            self.marginals.append((4 + i, t.fn, t.fn, t.blocks, cols))
+            self.marginals.append((4 + i, t.fn, t.blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
@@ -260,10 +258,9 @@ class _StageTarget:
         return new[0] if self.subposterior else new
 
     def _every(self, z):
-        """Every term of every row of z, through ``eval_log_joint`` and ``eval_log_prior``."""
-        every = [(row, fn, cols) for row, fn, _, _, cols in self.marginals]
-        return self._fill(z, np.zeros((3 + len(every), len(z))), self.spec.eval_log_joint,
-                          every, (), None)
+        """Every term of every row of z."""
+        every = [(row, fn, cols) for row, fn, _, cols in self.marginals]
+        return self._fill(z, np.zeros((3 + len(every), len(z))), every, (), None)
 
     def tabulate(self, state: _Lockstep, sources, evaluations: int) -> None:
         """Evaluate the log target of every state once, when that costs no more
@@ -338,7 +335,7 @@ class _StageTarget:
 
             return psi_terms
         live, tables = [], []
-        for row, fn, move, blocks, cols in self.marginals:
+        for row, fn, blocks, cols in self.marginals:
             if moved.isdisjoint(blocks):
                 continue
             values = None
@@ -346,27 +343,27 @@ class _StageTarget:
                 a, e = self.bounds[blocks[0]][0] - lo, self.bounds[blocks[-1]][1] - lo
                 values = _tabulate(fn, proposals[..., a:e])
             if values is None:
-                live.append((row, move, cols))
+                live.append((row, fn, cols))
             else:
                 tables.append((row, values))
         fill = self._fill
-        return lambda z, cur, t: fill(z, cur.copy(), joint, live, tables, t)
+        return lambda z, cur, t: fill(z, cur.copy(), live, tables, t)
 
-    def _fill(self, z, new, joint, live, tables, t):
-        """``new`` with the ``joint`` and the marginal terms ``live`` (row,
+    def _fill(self, z, new, live, tables, t):
+        """``new`` with the joint and the marginal terms ``live`` (row,
         evaluator, columns) of z, the terms ``tables`` (row, values) of
         iteration t, and their sums."""
         d = self.d
         phi = z[:, :d]
-        new[1] = joint(phi, z[:, d:])
+        new[1] = self.joint(phi, z[:, d:])
         for row, fn, cols in live:
             new[row] = fn(phi if cols is None else z[:, cols])
         for row, values in tables:
             new[row] = values[t]
         if self.subposterior:
-            # Its weighted sum is 0; skipping it keeps stage one fast.
+            # Its weighted sum is 0 (only initial states and tables get here).
             lr = new[2]
-            odd = _has_nan(new[3:], inf=True)
+            odd = not np.isfinite(new[3]).all()
         else:
             # Row by row, in order (an accumulation never pairs).  The sum is
             # finite exactly when every term is, and so is its sum of squares,

@@ -445,6 +445,26 @@ class TestSample:
         path = _write_config(tmp_path, cfg)
         assert main(["sample", "--config", path]) == 0
 
+    def test_moves_without_proposals_have_no_acceptance_rate(self, tmp_path):
+        # The README chain's last end has no psi, so sequential's s3_psi3 walk
+        # makes no proposals: it has no rate, and the mean is over real moves.
+        cfg = _gaussian_config(tmp_path)
+        cfg["sampler"]["kind"] = "sequential"
+        cfg["sampler"]["iterations"]["stage_three"] = 500
+        assert main(["sample", "--config", _write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        rates = {}
+        for line in (out / "manifest.txt").read_text().splitlines():
+            key, _, value = line.partition(": ")
+            if key.startswith("acceptance_rate."):
+                rates[key.removeprefix("acceptance_rate.")] = float(value)
+        assert set(rates) == {"s2_phi1", "s2_move", "s3_index"}
+        assert all(rate > 0.0 for rate in rates.values())
+        with (out / "diagnostics.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        mean = sum(rates.values()) / len(rates)
+        assert [float(r["acceptance_rate"]) for r in rows] == pytest.approx([mean] * len(rows))
+
     def test_normal_approx_kind(self, tmp_path):
         cfg = _gaussian_config(
             tmp_path, pooling={"method": "dictatorial-complete", "choices": [1, 1]}

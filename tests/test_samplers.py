@@ -38,6 +38,7 @@ from conftest import make_discrete_chain, make_long_chain, random_table
 
 SCALE = 0.8
 SCALES = (SCALE,) * 3
+README = dict(rho=0.2, s2=2.0, tau=1.0, y1=[-2.0], y2=[0.5], y3=[2.0])
 
 
 def _gaussian_setup(seed=0, **params):
@@ -852,6 +853,52 @@ class TestLockstep:
         model = ChainModel((scalar,) + built.model.submodels[1:], built.model.phi_blocks)
         with pytest.raises(StructureError, match="submodel 0"):
             run_stage_one(model, 0, factor, SCALE, 200, chains=1, seed=1)
+
+    @pytest.mark.parametrize("collapse", [lambda v: v[:1], lambda v: v.sum()],
+                             ids=["one-row-slice", "scalar-sum"])
+    @pytest.mark.parametrize("m", [0, 1], ids=["stage-one", "middle"])
+    def test_collapsed_joint_on_a_move_fails_loudly(self, m, collapse):
+        # The joint has the batch shape for the initial states only, so only
+        # a check on every move can catch it: stage one's subposterior moves
+        # (end 0) and stage two's moves of the middle submodel.
+        built = builtin_gaussian_chain(**README)
+        joint, calls = built.model.submodels[m].log_joint, []
+
+        def first_call_batched(phi, psi):
+            calls.append(len(phi))
+            value = joint(phi, psi)
+            return value if len(calls) == 1 else collapse(value)
+
+        specs = list(built.model.submodels)
+        specs[m] = dataclasses.replace(specs[m], log_joint=first_call_batched)
+        model = ChainModel(tuple(specs), built.model.phi_blocks)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        with pytest.raises(StructureError, match=f"submodel {m}: log_joint returned shape"):
+            if m == 0:
+                run_stage_one(model, 0, factor, SCALE, 50, chains=3, seed=1)
+            else:
+                s1, s3 = run_stage_one_pair(model, factor, SCALE, 50, chains=3, seed=1)
+                run_parallel_stage_two(model, factor, s1, s3, SCALE, 50, chains=3, seed=2)
+        assert calls == [3, 3]
+
+    def test_eval_methods_see_every_evaluation(self, monkeypatch):
+        # Wrapped at class level, as a tracer does: initial states and every
+        # move reach the wrappers, so they count what the CallCounters count.
+        seen = dict.fromkeys(("eval_log_joint", "eval_log_prior"), 0)
+        for name in seen:
+            def counted(self, *args, _name=name, _method=getattr(SubmodelSpec, name)):
+                seen[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(SubmodelSpec, name, counted)
+        built = builtin_gaussian_chain(**README)
+        factor = factorize_for_sampler(log_pooling(built.model, [0.5] * 3), "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 300, chains=2, seed=3)
+        run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 300, chains=2, seed=4)
+        specs = built.model.submodels
+        assert seen == {"eval_log_joint": sum(s.joint_calls.count for s in specs),
+                        "eval_log_prior": sum(s.marginal_calls.count for s in specs)}
+        assert seen["eval_log_joint"] > 3 * 300
 
     @pytest.mark.parametrize("chains", [0, -2, 1.5, True])
     def test_chains_must_be_positive_integer(self, chains):
