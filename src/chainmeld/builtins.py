@@ -210,8 +210,6 @@ def builtin_gaussian_chain(
         "prior1": GaussianDensity([mu1], [[sigma1**2]]),
         "prior2": prior2,
         "prior3": GaussianDensity([mu3], [[sigma3**2]]),
-        "tau": tau,
-        "data": {"y1": y1, "s1": s1, "y2": y2, "s2": s2, "y3": y3, "s3": s3},
     }
     return BuiltChain(model=model, boundary_marginals=boundary, meta=meta)
 

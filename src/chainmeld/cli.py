@@ -68,7 +68,7 @@ _SAMPLER_KINDS = ("parallel", "parallel-unitwise", "sequential", "normal-approx"
 _STAGES = ("stage_one", "stage_two", "stage_three")
 
 
-def _require(cfg: dict, path: str, types=None):
+def _require(cfg: dict, path: str):
     node = cfg
     walked = []
     for key in path.split("."):
@@ -76,8 +76,6 @@ def _require(cfg: dict, path: str, types=None):
         if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"{'.'.join(walked)}: missing required key")
         node = node[key]
-    if types is not None and not isinstance(node, types):
-        raise ConfigError(f"{path}: expected {types}, got {type(node).__name__}")
     return node
 
 
@@ -625,7 +623,14 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
     if not path.exists():
         raise ChainmeldError(f"no sample file at {path}; run the sample command first")
     header, traces = _read_samples(path)
-    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], traces, math.nan)
+
+    def finite(name, trace):
+        if not np.isfinite(trace).all():
+            raise ChainmeldError(f"{path}: column {name!r} holds NaN or inf; draws must be finite")
+        return trace
+
+    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], map(finite, header[2:], traces),
+                       math.nan)
     print(f"wrote {out_dir / 'diagnostics.csv'}")
     return 0
 

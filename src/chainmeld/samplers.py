@@ -187,13 +187,14 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
 #
 # A target evaluates the proposals of every chain at once.  A state caches
 # its terms: the log target of every chain (-inf off the target's support),
-# or the rows of one (terms, chains) array whose row 0 is the log target.
-# ``initial(z)`` evaluates them for every row of z.  ``kernel(lo, hi,
-# proposals)`` binds, once per stage, the move of state columns lo:hi: a
-# function ``(z, cur, t) -> new`` that gives the terms of every row of z at
-# iteration t, re-evaluating only the terms the move changes and copying
-# the others from cur, or reading them from the terms of the stage's
-# ``proposals`` when those were evaluated when the stage started.
+# or the rows of one (terms, chains) array: the log target, the weighted sum
+# of the marginal terms, then each marginal term.  ``initial(z)`` evaluates
+# them for every row of z.  ``kernel(lo, hi, proposals)`` binds, once per
+# stage, the move of state columns lo:hi: a function ``(z, cur, t) -> new``
+# that gives the terms of every row of z at iteration t, re-evaluating the
+# joint and the terms the move changes and copying the others from cur, or
+# reading them from the terms of the stage's ``proposals`` when those were
+# evaluated when the stage started.
 # Off-support values are rare, so the -inf policy runs only where some term
 # is -inf.
 
@@ -217,11 +218,11 @@ class _StageTarget:
     submodel's blocks to its width.  The coefficient c of log p_m among the
     terms merges with the divided-out marginal, so the target is the log
     joint + (c - 1) log p_m + the other terms, and with c = 1 and no other
-    term it is exactly the subposterior.  Terms: log target, log joint,
-    (c - 1) log p_m + the other terms, then the marginal terms: log p_m and
-    each other term.  A move re-evaluates only the marginal terms that read
-    a block it changes.  A subposterior's state keeps only the log target,
-    and its moves defer log p_m to ``check_pending``.
+    term it is exactly the subposterior.  Terms: log target, (c - 1) log p_m
+    + the other terms, then the marginal terms: log p_m and each other term.
+    A move evaluates the joint and only the marginal terms that read a block
+    it changes.  A subposterior's state keeps only the log target, and its
+    moves defer log p_m to ``check_pending``.
 
     Initial states and moves evaluate the submodel through ``eval_log_joint``
     and ``eval_log_prior``, and every other term as it is, or, when every
@@ -244,11 +245,11 @@ class _StageTarget:
         self.joint = spec.eval_log_joint
         # Each marginal term's row in the terms, evaluator, blocks and state
         # columns (None for all of phi).
-        self.marginals = [(3, spec.eval_log_prior, tuple(widths), None)]
+        self.marginals = [(2, spec.eval_log_prior, tuple(widths), None)]
         for i, t in enumerate(self.rest):
             a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
             cols = None if (a, e) == (0, self.d) else slice(a, e)
-            self.marginals.append((4 + i, t.fn, t.blocks, cols))
+            self.marginals.append((3 + i, t.fn, t.blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
@@ -260,7 +261,7 @@ class _StageTarget:
     def _every(self, z):
         """Every term of every row of z."""
         every = [(row, fn, cols) for row, fn, _, cols in self.marginals]
-        return self._fill(z, np.zeros((3 + len(every), len(z))), every, (), None)
+        return self._fill(z, np.zeros((2 + len(every), len(z))), every, (), None)
 
     def tabulate(self, state: _Lockstep, sources, evaluations: int) -> None:
         """Evaluate the log target of every state once, when that costs no more
@@ -326,14 +327,6 @@ class _StageTarget:
                 return lj.astype(float)
 
             return log_target
-        if not moved:
-            def psi_terms(z, cur, t):
-                new = cur.copy()
-                new[1] = joint(z[:, :d], z[:, d:])
-                np.add(new[1], new[2], out=new[0])
-                return new
-
-            return psi_terms
         live, tables = [], []
         for row, fn, blocks, cols in self.marginals:
             if moved.isdisjoint(blocks):
@@ -350,32 +343,33 @@ class _StageTarget:
         return lambda z, cur, t: fill(z, cur.copy(), live, tables, t)
 
     def _fill(self, z, new, live, tables, t):
-        """``new`` with the joint and the marginal terms ``live`` (row,
-        evaluator, columns) of z, the terms ``tables`` (row, values) of
-        iteration t, and their sums."""
+        """``new`` with the marginal terms ``live`` (row, evaluator, columns)
+        of z, the terms ``tables`` (row, values) of iteration t, their weighted
+        sum, and the log target: the joint of z plus that sum."""
         d = self.d
         phi = z[:, :d]
-        new[1] = self.joint(phi, z[:, d:])
+        lj = new[0]  # the joint, until the weighted sum is added in place
+        lj[:] = self.joint(phi, z[:, d:])
         for row, fn, cols in live:
             new[row] = fn(phi if cols is None else z[:, cols])
         for row, values in tables:
             new[row] = values[t]
+        lr, odd = new[1], False  # a move of psi alone keeps the current state's sum
         if self.subposterior:
             # Its weighted sum is 0 (only initial states and tables get here).
-            lr = new[2]
-            odd = not np.isfinite(new[3]).all()
-        else:
+            odd = not np.isfinite(new[2]).all()
+        elif live or tables:
             # Row by row, in order (an accumulation never pairs).  The sum is
             # finite exactly when every term is, and so is its sum of squares,
             # unless one overflows, which only takes the slower path below.
-            new[2] = lr = np.add.accumulate(self.coefs * new[3:])[-1]
+            new[1] = lr = np.add.accumulate(self.coefs * new[2:])[-1]
             odd = not math.isfinite(lr.dot(lr))
         if odd:
             # Surface the inconsistency rather than silently rejecting.
-            check_consistent(self.spec, new[1], new[3], phi)
-            new[0] = neg_inf_policy(self.rest, new[4:], new[1] + lr, np.isneginf(new[1]))
+            check_consistent(self.spec, lj, new[2], phi)
+            new[0] = neg_inf_policy(self.rest, new[3:], lj + lr, np.isneginf(lj))
         else:
-            np.add(new[1], lr, out=new[0])
+            lj += lr
         return new
 
     def _defer_check(self, phi, lj):
@@ -525,7 +519,7 @@ class _IndexMove:
     def __init__(self, state: _Lockstep, target, source, lo, units, rngs, n_iter, log_u):
         d = source.shape[1]
         cols = slice(lo, lo + d)
-        self.n_units = n = len(units)
+        n = len(units)
         self.draws = _per_chain(
             rngs, lambda r: r.integers(len(source), size=(n_iter, n)), axis=-1
         )
@@ -596,8 +590,6 @@ class _WalkMove:
     iteration t's move.
     """
 
-    n_units = 1
-
     def __init__(self, state: _Lockstep, target, lo, coords, scale, rngs, n_iter, log_u):
         self.accepted = np.empty((n_iter, 1, len(rngs)), dtype=bool)
         kinds = [c.kind for c in coords]
@@ -659,7 +651,7 @@ class _Run:
 
 
 def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chains, seed,
-                warmup_frac, start=None, init=_initialize) -> _Run:
+                warmup_frac, start=None) -> _Run:
     """Lockstep Metropolis-within-Gibbs over ``chains`` chains.
 
     The state is one block per source, updated by index resampling in the
@@ -673,6 +665,7 @@ def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chain
     warmup, kept = split_warmup(n_iter, warmup_frac)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        init = _stage_two_init if sources else _initialize
         state, start_rows = init(target, sources, walk_coords, rngs, start)
         # One uniform per move and chain-iteration, drawn in one block per chain.
         edges = np.cumsum([0] + [len(u) for u in units] + [1 if walk_coords else 0]).tolist()
@@ -697,13 +690,13 @@ def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chain
         finally:
             # Also when a move raises: an earlier inconsistency is the first error.
             target.check_pending()
-    index_moves = moves[: len(sources)]
-    rows = [m.rows(start_rows[:, i])[warmup:] for i, m in enumerate(index_moves)]
+    rows = [m.rows(start_rows[:, i])[warmup:] for i, m in enumerate(moves[: len(sources)])]
     rows = np.concatenate(rows, axis=-1) if rows else np.empty((kept, chains, 0), dtype=int)
-    accepted = [int(m.accepted.sum()) for m in index_moves]
-    accepted.append(int(moves[-1].accepted.sum()) if walk_coords else 0)
-    proposed = [chains * n_iter * m.n_units for m in index_moves]
-    proposed.append(chains * n_iter if walk_coords else 0)
+    accepted = [int(m.accepted.sum()) for m in moves]
+    proposed = [m.accepted.size for m in moves]
+    if not walk_coords:
+        accepted.append(0)
+        proposed.append(0)
     return _Run(z, rows.transpose(1, 0, 2), accepted, proposed)
 
 
@@ -806,7 +799,6 @@ def _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains, se
         chains,
         seed,
         warmup_frac,
-        init=_stage_two_init,
     )
     n1, d = uf1.n_units, d12 + d23
     moves = ("phi1", "phi3", "psi2")
@@ -944,7 +936,7 @@ def run_sequential(
         run = _run_chains(
             _stage_target(chain, factor, s), (source,), (_one_unit(left.dim),),
             walk + tuple(spec.psi_coords), scales[s], n_iter[s], chains, seeds[s],
-            warmup_frac, init=_stage_two_init,
+            warmup_frac,
         )
         k = s + 1
         moves = (f"s{k}_phi1" if s == 1 else f"s{k}_index",

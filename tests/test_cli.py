@@ -788,6 +788,16 @@ class TestDiagInput:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_draw_is_runtime_error(self, tmp_path, capsys, value):
+        lines = _samples_lines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+        # _diag_on turns every warning into an error, numpy's RuntimeWarning too.
+        assert _diag_on(tmp_path, "\n".join(lines) + "\n") == 2
+        err = capsys.readouterr().err
+        assert "melded_samples.csv" in err and "'theta_1'" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
     def test_line_endings_and_blank_lines_do_not_change_diagnostics(self, tmp_path):
         lines = _samples_lines()
         results = []

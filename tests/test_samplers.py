@@ -32,6 +32,7 @@ from chainmeld import (
 )
 from chainmeld.chain import real_coords
 from chainmeld.pooling import PoolTerm
+from chainmeld.samplers import _Lockstep, _stage_target
 
 from conftest import make_discrete_chain, make_long_chain, random_table
 
@@ -370,6 +371,19 @@ class TestEvaluationCounts:
         assert spec3.marginal_calls.count == 2
         assert spec2.marginal_calls.count == phi_proposals + 1
         assert spec2.joint_calls.count == phi_proposals + 1
+
+    def test_psi_move_evaluates_the_joint_alone(self):
+        # With tau = 1 the middle submodel has psi2.  Each iteration's two phi
+        # moves evaluate its joint and log p2; its psi2 walk changes no block,
+        # so it evaluates the joint alone.  The initial state adds one of each.
+        built, _, factor = _gaussian_setup(**README)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 500, seed=4)
+        built.model.reset_counters()
+        n = 200
+        run_parallel_stage_two(built.model, factor, s1, s3, SCALE, n, seed=5)
+        spec2 = built.model.submodels[1]
+        assert spec2.joint_calls.count == 3 * n + 1
+        assert spec2.marginal_calls.count == 2 * n + 1
 
     def test_unitwise_moves_evaluate_end_terms_per_move(self):
         # The stage's 64 states are tabulated: every term is evaluated for the
@@ -811,6 +825,56 @@ class TestDeferredConsistencyCheck:
         assert str(err.value) == self.MESSAGE
         with pytest.raises(ModelInconsistencyError, match="log_joint returned NaN"):
             self._run(prior_off=0.0, nan_joint_from=3500)
+
+
+class TestStageTargetKernel:
+    """A move's terms, from the terms the state caches, are the terms its
+    proposal gets when every term is evaluated, bit for bit."""
+
+    @staticmethod
+    def _draw(coords, rng, chains=3):
+        """A value of every coordinate for every chain."""
+        return np.stack([rng.integers(c.cardinality, size=chains).astype(float)
+                         if c.kind == "discrete" else rng.standard_normal(chains)
+                         for c in coords], axis=1)
+
+    @pytest.mark.parametrize("mode", ["subprior-ends", "flat-ends"])
+    @pytest.mark.parametrize("chain, tabulate", [
+        ("readme", False), ("discrete", False), ("discrete", True),
+    ])
+    def test_move_gives_the_terms_of_its_proposal(self, chain, tabulate, mode):
+        # Every stage's moves: each block as an index move whose proposals are
+        # fixed (so each term of that block alone is evaluated once per stage),
+        # psi as a walk, and the whole state as a walk, whose proposals are
+        # fixed when every coordinate is discrete.  Under subprior-ends the
+        # README chain's stage one is a subposterior; with ``tabulate`` every
+        # move reads a table of every state.
+        built = make_discrete_chain() if chain == "discrete" else builtin_gaussian_chain(**README)
+        model = built.model
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
+        rng = np.random.default_rng(11)
+        for m, spec in enumerate(model.submodels):
+            target = _stage_target(model, factor, m)
+            coords = [c for b in model.blocks_of(m) for c in model.phi_blocks[b].coords]
+            coords += spec.psi_coords
+            z = self._draw(coords, rng)
+            state = _Lockstep(z, target.initial(z))
+            if tabulate:
+                target.tabulate(state, (), 1 << 20)
+                assert target.table is not None
+            moves = [(lo, hi, True) for lo, hi in target.bounds.values()]
+            if spec.psi_dim:
+                moves.append((target.d, target.width, False))
+            moves.append((0, target.width, chain == "discrete"))
+            for lo, hi, fixed in moves:
+                values = self._draw(coords[lo:hi], rng)
+                kernel = target.kernel(lo, hi, values[None] if fixed else None)
+                prop = z.copy()
+                prop[:, lo:hi] = values
+                new, every = kernel(prop, state.terms, 0), target.initial(prop)
+                if new.ndim < every.ndim:  # a table's log target
+                    every = every[0]
+                assert new.tobytes() == every.tobytes(), (m, lo, hi)
 
 
 class TestLockstep:
