@@ -202,6 +202,8 @@ class SubmodelSpec:
             batch, psi_batch, shape = phi_m.shape[:-1], psi_m.shape[:-1], value.shape
         except AttributeError:  # lists, or a Python float
             batch, psi_batch = np.shape(phi_m)[:-1], np.shape(psi_m)[:-1]
+            if not isinstance(value, float):
+                value = np.asarray(value, dtype=float)
             shape = np.shape(value)
         if psi_batch != batch:
             batch = np.broadcast_shapes(batch, psi_batch)

@@ -118,11 +118,20 @@ def _ndtri(p) -> np.ndarray:
     return out
 
 
+# Score-table entries filled per ``_ndtri`` call.  Its temporaries (the
+# tails' Python floats among them) take many times the entries' size, so
+# filling the table in chunks keeps them near 0.2 MB for any n.
+_SCORE_CHUNK = 2048
+
+
 @functools.lru_cache(maxsize=8)
 def _normal_scores(n: int) -> np.ndarray:
     """Read-only table: entry k is the rank-normalized value of average rank k / 2
     among n draws, ndtri((k/2 - 3/8) / (n + 1/4)), for k = 0..2n."""
-    table = _ndtri((0.5 * np.arange(2 * n + 1) - 0.375) / (n + 0.25))
+    table = np.empty(2 * n + 1)
+    for start in range(0, table.size, _SCORE_CHUNK):
+        k = np.arange(start, min(start + _SCORE_CHUNK, table.size))
+        table[start : start + k.size] = _ndtri((0.5 * k - 0.375) / (n + 0.25))
     table.flags.writeable = False
     return table
 
@@ -131,14 +140,26 @@ def _doubled_ranks(flat: np.ndarray) -> np.ndarray:
     """Twice the 1-based ranks, ties given their average rank: integers in [2, 2n].
 
     Every member of a tie gets the same rank, so the sort need not be stable.
+    Temporaries are freed once used: at most four trace-sized integer arrays
+    are alive at once.
     """
+    n = flat.size
     order = np.argsort(flat)
     ordered = flat[order]
-    new_run = np.concatenate([[True], ordered[1:] != ordered[:-1]])
-    starts = np.flatnonzero(new_run)
-    ends = np.append(starts[1:], flat.size)
-    doubled = np.empty(flat.size, dtype=np.intp)
-    doubled[order] = (starts + ends + 1)[np.cumsum(new_run) - 1]
+    new_run = np.empty(n + 1, dtype=bool)  # run starts, then a last True at n
+    new_run[0] = new_run[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:n])
+    del ordered
+    # A run over sorted positions [s, e) has doubled rank s + e + 1.
+    bounds = np.flatnonzero(new_run)
+    bounds[:-1] += bounds[1:]
+    bounds += 1
+    run = np.cumsum(new_run[:n])
+    del new_run
+    run -= 1
+    run = bounds[run]
+    doubled = np.empty(n, dtype=np.intp)
+    doubled[order] = run
     return doubled
 
 
@@ -174,8 +195,11 @@ def split_rhat(traces) -> RhatResult:
         raise StructureError("split R-hat needs at least two chains")
     half = arr.shape[1] // 2
     split = np.concatenate([arr[:, :half], arr[:, half : 2 * half]], axis=0)
-    zero_within = bool(np.all(split.var(axis=1) == 0.0))
-    if zero_within and np.all(split == split.reshape(split.shape[0], -1)[0, 0]):
+    # Constant halves found by comparison: a variance would square raw draws
+    # (overflowing above about 1e154) and can be nonzero for a constant.
+    lo, hi = split.min(axis=1), split.max(axis=1)
+    zero_within = bool(np.all(lo == hi))
+    if zero_within and np.all(lo == lo[0]):
         return RhatResult(1.0, zero_variance=True)
     value = _rhat_raw(_rank_normalize(split))
     if not np.isfinite(value):

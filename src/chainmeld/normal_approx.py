@@ -45,10 +45,15 @@ def fit_gaussian_moments(store: SampleStore) -> GaussianDensity:
             "Gaussian moment fitting requires continuous coordinates only"
         )
     d = data.shape[1]
-    if np.unique(data, axis=0).shape[0] < d + 1:
-        raise NumericalFailureError(
-            f"need at least {d + 1} distinct draws to fit a {d}-dimensional Gaussian"
-        )
+    # Distinct rows are sought in prefixes of 64, 128, ... rows: a mixing
+    # store shows d + 1 of them early, and only a nearly stuck one is sorted whole.
+    rows = 64
+    while np.unique(data[:rows], axis=0).shape[0] < d + 1:
+        if rows >= data.shape[0]:
+            raise NumericalFailureError(
+                f"need at least {d + 1} distinct draws to fit a {d}-dimensional Gaussian"
+            )
+        rows *= 2
     mean = data.mean(axis=0)
     cov = np.cov(data, rowvar=False, ddof=1).reshape(d, d)
     scale = max(1.0, float(np.abs(cov).max()))

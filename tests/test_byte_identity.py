@@ -5,7 +5,10 @@ returns: the kept states (``state_matrix()``), the stage-one indices and the
 accept counts of a stage-two run, both stores of a stage-one pair, the draws
 and accept count of a random walk.  The digests were recorded before the
 samplers' moves were restructured for speed; a change that keeps every
-target, draw and check must reproduce them bit for bit.  Floating-point
+target, draw and check must reproduce them bit for bit.  One more case
+hashes the ``diagnostics.csv`` that ``chainmeld diag`` writes for a seeded
+AR(1) file, recorded before the diagnostics were reworked to use less
+memory.  Floating-point
 results may differ in the last bit across numpy releases, so the digests
 are compared only under the numpy version CI pins.
 """
@@ -29,6 +32,7 @@ from chainmeld import (
     run_stage_one_pair,
 )
 from chainmeld.chain import real_coords
+from chainmeld.cli import main
 from chainmeld.normal_approx import build_normal_approx_target, fit_gaussian_moments
 
 from conftest import make_discrete_chain, make_long_chain
@@ -207,3 +211,38 @@ def test_runner_output_is_pinned(model, pool, runner, chains):
 @pytest.mark.parametrize("chains", [1, 2, 8])
 def test_random_walk_is_pinned(chains):
     assert _walk(chains) == DIGESTS[f"walk-{chains}"]
+
+
+# diagnostics.csv of chainmeld diag on _ar1_samples().
+DIAG_DIGEST = "ec1306b22f7624d699cabf4528b8dcaf8ece19661221d424f180eafddb385a0c"
+
+
+def _ar1_samples(chains=4, draws=1_000) -> str:
+    """melded_samples.csv text: AR(1) columns with a = 0.5 and 0.9, and the
+    first rounded to one decimal so that ranks tie."""
+    rng = np.random.default_rng(2021)
+    cols = np.empty((3, chains, draws))
+    for j, a in enumerate((0.5, 0.9)):
+        noise = np.sqrt(1.0 - a * a) * rng.standard_normal((chains, draws))
+        cols[j, :, 0] = rng.standard_normal(chains)
+        for t in range(1, draws):
+            cols[j, :, t] = a * cols[j, :, t - 1] + noise[:, t]
+    cols[2] = np.round(cols[0], 1)
+    lines = ["chain,iteration,theta_0,theta_1,theta_2"]
+    lines += [f"{c},{t}," + ",".join(repr(float(x)) for x in cols[:, c, t])
+              for c in range(chains) for t in range(draws)]
+    return "\n".join(lines) + "\n"
+
+
+def test_diag_output_is_pinned(tmp_path):
+    cfg = {
+        "model": {"name": "gaussian-chain", "params": README},
+        "pooling": {"method": "logarithmic", "lambda": [0.5, 0.5, 0.5]},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "melded_samples.csv").write_text(_ar1_samples())
+    assert main(["diag", "--config", str(tmp_path / "run.json")]) == 0
+    written = (tmp_path / "out" / "diagnostics.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == DIAG_DIGEST

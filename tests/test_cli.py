@@ -798,6 +798,20 @@ class TestDiagInput:
         assert "melded_samples.csv" in err and "'theta_1'" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
+    def test_draws_near_the_float_limit_are_diagnosed(self, tmp_path):
+        # Squares of such draws overflow; _diag_on turns numpy's RuntimeWarning
+        # into an error, so diag must never square them.
+        lines = _samples_lines()
+        rng = np.random.default_rng(8)
+        lines[1:] = [
+            line.rsplit(",", 1)[0] + "," + repr(float(x))
+            for line, x in zip(lines[1:], 1e308 * rng.uniform(-1.0, 1.0, len(lines) - 1))
+        ]
+        assert _diag_on(tmp_path, "\n".join(lines) + "\n") == 0
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as fh:
+            rows = {row["parameter"]: row for row in csv.DictReader(fh)}
+        assert math.isfinite(float(rows["theta_1"]["rhat"]))
+
     def test_line_endings_and_blank_lines_do_not_change_diagnostics(self, tmp_path):
         lines = _samples_lines()
         results = []

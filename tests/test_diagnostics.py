@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainmeld import StructureError, ess, ess_bulk, ess_tail, split_rhat
-from chainmeld.diagnostics import _ndtri
+from chainmeld.diagnostics import _ndtri, _normal_scores
 
 
 class TestSplitRhat:
@@ -24,6 +25,18 @@ class TestSplitRhat:
         r = split_rhat(np.ones((3, 50)))
         assert r.value == 1.0
         assert r.zero_variance
+
+    def test_constant_with_inexact_mean_is_one(self):
+        # np.full(3, 0.1).mean() is not 0.1, so a variance test sees spread here.
+        r = split_rhat(np.full((2, 6), 0.1))
+        assert r.value == 1.0
+        assert r.zero_variance
+
+    def test_draws_near_the_float_limit(self, rng):
+        # Their squares overflow; a RuntimeWarning would fail the test.
+        traces = 1e308 * rng.uniform(-1.0, 1.0, (2, 8))
+        r = split_rhat(traces)
+        assert np.isfinite(r.value) and not r.zero_variance
 
     def test_single_chain_rejected(self):
         with pytest.raises(StructureError):
@@ -145,6 +158,44 @@ def test_ndtri_matches_scipy_bit_for_bit():
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 1_023, 1_024, 5_000])
+def test_score_table_equals_one_ndtri_call(n):
+    # 2n + 1 entries: within the first 2,048-entry fill chunk, one past it, several.
+    _normal_scores.cache_clear()
+    want = _ndtri((0.5 * np.arange(2 * n + 1) - 0.375) / (n + 0.25))
+    assert np.array_equal(_normal_scores(n).view(np.int64), want.view(np.int64))
+
+
+def _peak_mb(fn, *args) -> float:
+    """Peak traced allocation, in MB, of one call of ``fn``."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Peaks on a 4 x 12,500 trace (0.4 MB); the table for 50,000 draws is 0.8 MB."""
+
+    def test_score_table_is_filled_in_chunks(self):
+        _normal_scores.cache_clear()
+        assert _peak_mb(_normal_scores, 50_000) <= 1.3  # 6.22 whole-grid
+
+    # The bounds on ess_tail and ess are their figures before the ranks were
+    # reworked (2.04 and 1.19 MB), which they do not use.
+    @pytest.mark.parametrize("fn, bound",
+                             [(split_rhat, 2.5), (ess_bulk, 2.5), (ess_tail, 2.05), (ess, 1.2)],
+                             ids=["split_rhat", "ess_bulk", "ess_tail", "ess"])
+    def test_diagnostic_peak(self, fn, bound):
+        traces = np.random.default_rng(11).standard_normal((4, 12_500))
+        fn(traces)  # builds the score table and numpy's FFT plans
+        assert _peak_mb(fn, traces) <= bound
 
 
 def test_cli_import_skips_scipy_stats(tmp_path):

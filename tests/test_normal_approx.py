@@ -51,6 +51,20 @@ class TestFitMoments:
         with pytest.raises(NumericalFailureError):
             fit_gaussian_moments(store)
 
+    @pytest.mark.parametrize("distinct", [2, 3], ids=["d-distinct", "d+1-distinct"])
+    def test_distinct_rows_are_sought_to_the_last_row(self, distinct):
+        # 1,000 rows of (0, 0) but the first and, for d + 1 distinct rows, the
+        # last: the prefixes checked (64, 128, ..., 1,024) must reach row 999.
+        phi = np.zeros((1_000, 2))
+        phi[0] = [1.0, 0.0]
+        if distinct == 3:
+            phi[-1] = [0.0, 1.0]
+            g = fit_gaussian_moments(_store(phi))
+            assert np.array_equal(g.mean, phi.mean(axis=0))
+        else:
+            with pytest.raises(NumericalFailureError, match="need at least 3 distinct draws"):
+                fit_gaussian_moments(_store(phi))
+
     def test_discrete_coordinates_rejected(self):
         store = _store(
             np.array([0.0, 1.0, 0.0, 1.0]), phi_coords=discrete_coords([2])

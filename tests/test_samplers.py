@@ -945,6 +945,24 @@ class TestLockstep:
                 run_parallel_stage_two(model, factor, s1, s3, SCALE, 50, chains=3, seed=2)
         assert calls == [3, 3]
 
+    def test_joint_returning_a_list_is_read_as_an_array(self):
+        # A list has no .shape, so it takes the shape check's fallback; it must
+        # reach the NaN check and the sampler as the array it stands for.
+        built = builtin_gaussian_chain(**README)
+        joint = built.model.submodels[0].log_joint
+
+        def end_zero(log_joint):
+            specs = list(built.model.submodels)
+            specs[0] = dataclasses.replace(specs[0], log_joint=log_joint)
+            model = ChainModel(tuple(specs), built.model.phi_blocks)
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+            return run_stage_one(model, 0, factor, SCALE, 50, chains=3, seed=1)
+
+        want, got = end_zero(joint), end_zero(lambda phi, psi: list(joint(phi, psi)))
+        assert np.array_equal(got.phi, want.phi) and np.array_equal(got.psi, want.psi)
+        with pytest.raises(ModelInconsistencyError, match="submodel 0: log_joint returned NaN"):
+            end_zero(lambda phi, psi: [math.nan] * len(phi))
+
     def test_eval_methods_see_every_evaluation(self, monkeypatch):
         # Wrapped at class level, as a tracer does: initial states and every
         # move reach the wrappers, so they count what the CallCounters count.
