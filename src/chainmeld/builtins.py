@@ -230,7 +230,7 @@ def _check_table(name: str, table, shape: tuple[int, ...], normalized: bool):
         raise ConfigError(f"{name}: probability table has negative entries")
     if normalized and abs(table.sum() - 1.0) > 1e-9:
         raise ConfigError(
-            f"{name}: table sums to {table.sum()!r}, expected 1 within 1e-9"
+            f"{name}: table sums to {float(table.sum())!r}, expected 1 within 1e-9"
         )
     return table
 

@@ -14,16 +14,18 @@ Conventions used throughout the package:
 - A submodel's own shared quantities ``phi_m`` are the concatenation of
   its left and right block values, in chain order.
 - Log-density evaluators return ``-inf`` exactly off-support and never
-  NaN.  Every evaluator is batched: ``log_prior_marginal`` maps
-  ``(..., d_phi)`` to ``(...)`` and ``log_joint`` maps ``(..., d_phi)`` and
-  ``(..., d_psi)`` to ``(...)``, a 1-D input giving a scalar.  Batching is
-  what makes grid evaluation of pooled priors cheap and lets the samplers
-  advance all their chains (``chains``, a positive integer, is the batch
-  size) in one call per move.  ``SubmodelSpec.eval_log_joint`` and
-  ``SubmodelSpec.eval_log_prior`` are the one checked path to a submodel's
-  densities, for initial states and every move alike: each counts its
-  calls and raises on NaN, and ``eval_log_joint`` rejects a joint whose
-  result does not have the batch shape.
+  NaN.  Every evaluator a chain supplies is batched and returns its input's
+  batch shape, constants included: ``log_prior_marginal`` and a one-block
+  marginal map ``(..., d_phi)`` to ``(...)`` and ``log_joint`` maps
+  ``(..., d_phi)`` and ``(..., d_psi)`` to ``(...)``, a 1-D input giving a
+  scalar.  Batching is what makes grid evaluation of pooled priors cheap
+  and lets the samplers advance all their chains (``chains``, a positive
+  integer, is the batch size) in one call per move.
+  ``SubmodelSpec.eval_log_joint`` and ``SubmodelSpec.eval_log_prior`` are
+  the one checked path to a submodel's densities, for initial states and
+  every move alike: each counts its calls and passes its result through
+  ``check_result``, which rejects a result of another shape or a NaN.
+  ``checked`` applies the same check to any other evaluator.
 """
 
 from __future__ import annotations
@@ -157,17 +159,29 @@ class UnitFactorization:
                     f"partition its {kind} coordinates ({f'0..{n - 1}' if n else 'it has none'})")
 
 
-def _has_nan(values: np.ndarray, inf: bool = False) -> bool:
-    """Whether some value is NaN, or with ``inf`` NaN or infinite."""
-    if values.size > 256:
-        return not np.isfinite(values).all() if inf else bool(np.isnan(values).any())
-    # Cheapest for the samplers' small batches: the sum of squares is NaN
-    # exactly when some value is, since (+-inf)^2 is +inf, and finite when
-    # every value is (unless it overflows: then ``inf`` is a false alarm).
-    if values.ndim != 1:
-        values = values.ravel()
-    probe = values.dot(values)
-    return not math.isfinite(probe) if inf else math.isnan(probe)
+def check_result(value, batch: tuple, index: int, name: str):
+    """``value``, what evaluator ``name`` of submodel ``index`` returned for
+    inputs of batch shape ``batch``, checked: floats of that shape, or a float
+    when ``batch`` is ().  A list is read as floats; another shape raises
+    ``StructureError`` and a NaN ``ModelInconsistencyError``."""
+    try:
+        shape = value.shape
+    except AttributeError:  # a list, or a Python float
+        if not isinstance(value, float):
+            value = np.asarray(value, dtype=float)
+        shape = np.shape(value)
+    if shape != batch:
+        raise StructureError(f"submodel {index}: {name} returned shape {shape} "
+                             f"for batch shape {batch}; {name} must be batched")
+    if batch:
+        # The sum of squares is NaN exactly when some value is: (+-inf)^2 is +inf.
+        flat = value if len(batch) == 1 else value.ravel()
+        probe = flat.dot(flat)
+    else:
+        probe = value = float(value)
+    if math.isnan(probe):
+        raise ModelInconsistencyError(f"submodel {index}: {name} returned NaN")
+    return value
 
 
 @dataclass(frozen=True)
@@ -199,44 +213,30 @@ class SubmodelSpec:
         self.joint_calls.count += 1
         value = self.log_joint(phi_m, psi_m)
         try:
-            batch, psi_batch, shape = phi_m.shape[:-1], psi_m.shape[:-1], value.shape
-        except AttributeError:  # lists, or a Python float
+            batch, psi_batch = phi_m.shape[:-1], psi_m.shape[:-1]
+        except AttributeError:  # lists
             batch, psi_batch = np.shape(phi_m)[:-1], np.shape(psi_m)[:-1]
-            if not isinstance(value, float):
-                value = np.asarray(value, dtype=float)
-            shape = np.shape(value)
         if psi_batch != batch:
             batch = np.broadcast_shapes(batch, psi_batch)
-        if shape != batch:
-            raise StructureError(
-                f"submodel {self.index}: log_joint returned shape {shape} "
-                f"for batch shape {batch}; log_joint must be batched"
-            )
-        if batch:
-            nan = _has_nan(value)
-        else:
-            value = float(value)
-            nan = math.isnan(value)
-        if nan:
-            raise ModelInconsistencyError(f"submodel {self.index}: log_joint returned NaN")
-        return value
+        return check_result(value, batch, self.index, "log_joint")
 
     def eval_log_prior(self, phi_m: np.ndarray):
-        """Prior marginal; passes batch shapes straight through."""
+        """Prior marginal with the batch shape of its input; a float for a 1-D input."""
         self.marginal_calls.count += 1
         value = self.log_prior_marginal(phi_m)
-        if isinstance(value, float):  # np.float64 included
-            if math.isnan(value):
-                raise ModelInconsistencyError(
-                    f"submodel {self.index}: log_prior_marginal returned NaN"
-                )
-            return value
-        arr = np.asarray(value, dtype=float)
-        if _has_nan(arr):
-            raise ModelInconsistencyError(
-                f"submodel {self.index}: log_prior_marginal returned NaN"
-            )
-        return float(arr) if arr.ndim == 0 else arr
+        try:
+            batch = phi_m.shape[:-1]
+        except AttributeError:  # a list
+            batch = np.shape(phi_m)[:-1]
+        return check_result(value, batch, self.index, "log_prior_marginal")
+
+
+def checked(fn: LogDensity, index: int, name: str) -> LogDensity:
+    """``fn`` with every result checked by ``check_result``; ``fn`` itself if it
+    is a submodel's method (its ``eval_log_prior``), which checks its own."""
+    if isinstance(getattr(fn, "__self__", None), SubmodelSpec):
+        return fn
+    return lambda x: check_result(fn(x), np.shape(x)[:-1], index, name)
 
 
 @dataclass(frozen=True)

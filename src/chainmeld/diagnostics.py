@@ -267,8 +267,8 @@ def ess_tail(traces) -> EssResult:
     """Minimum ESS of the 5% and 95% quantile indicator traces."""
     arr = _as_traces(traces, 8)
     results = []
-    for q in (0.05, 0.95):
-        below = arr <= np.quantile(arr, q)
+    for cut in np.quantile(arr, (0.05, 0.95)):  # one sort for both tails
+        below = arr <= cut
         zeros = arr.size - int(np.count_nonzero(below))
         if zeros in (0, arr.size):
             results.append(EssResult(float(arr.size), capped=True))

@@ -11,12 +11,13 @@ Gaussian fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chain import ChainModel, PhiBlock, _has_nan
+from .chain import ChainModel, PhiBlock, checked
 from .errors import NumericalFailureError, StructureError, UnsupportedConfigError
 from .gaussian import GaussianDensity, block_diag_stack, ratio_is_improper
 from .pooling import PoolFactorization, merge_term, neg_inf_policy
@@ -134,7 +135,8 @@ def build_normal_approx_target(
     edges = (0, b12.dim, b12.dim + b23.dim)
     d = edges[-1]
     joint, gauss_logpdf = spec2.eval_log_joint, gauss.logpdf
-    parts = [(t.fn, t.coef, slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1])) for t in terms]
+    parts = [(checked(t.fn, spec2.index, f"pool term over blocks {t.blocks}"), t.coef,
+              slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1])) for t in terms]
 
     def log_target(z: np.ndarray) -> np.ndarray:
         phi = z[:, :d]
@@ -144,7 +146,9 @@ def build_normal_approx_target(
         with np.errstate(invalid="ignore"):
             for (_, coef, _), value in zip(parts, values):
                 total = total + coef * value
-        if _has_nan(total, inf=True):
+        # The sum of squares is finite exactly when every value is, unless one
+        # overflows, which only takes the slower path.
+        if not math.isfinite(total.dot(total)):
             total = neg_inf_policy(terms, values, total, zero=np.isneginf(lj2))
         return total
 

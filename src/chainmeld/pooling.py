@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainModel, LogDensity, block_values
+from .chain import ChainModel, LogDensity, block_values, checked
 from .errors import NumericalFailureError, PoolingConfigError, UnsupportedConfigError
 
 __all__ = [
@@ -201,7 +201,8 @@ def linear_pooling(
     terms = []
     for b in range(M - 1):
         parts = tuple(
-            (math.log(c), _one_block(chain, boundary_marginals, m, b))
+            (math.log(c), checked(_one_block(chain, boundary_marginals, m, b), m,
+                                  f"one-block marginal over boundary {b}"))
             for c, m in zip(w[b], (b, b + 1))
             if c > 0
         )

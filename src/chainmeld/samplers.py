@@ -55,8 +55,8 @@ that raises is redone move by move, so a run raises the first error that
 evaluating every move raises.  Initial states and moves alike call the
 submodel's joint and prior marginal through ``SubmodelSpec.eval_log_joint``
 and ``eval_log_prior``, and every other pool term as the factor holds it;
-each submodel evaluator counts every call and raises on NaN, and every call
-of the joint checks its batch shape.
+each submodel evaluator counts every call, and every result, of those and of
+the other pool terms, is checked for its batch shape and for NaN.
 
 A subposterior target (under ``subprior-ends``, stage one and the last
 sequential stage) reads no log p_m in its moves.  A table checks that a
@@ -78,7 +78,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
 from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent,
-                    unit_additivity_gap)
+                    checked, unit_additivity_gap)
 from .errors import (
     InitializationError,
     StructureError,
@@ -225,10 +225,10 @@ class _StageTarget:
     moves defer log p_m to ``check_pending``.
 
     Initial states and moves evaluate the submodel through ``eval_log_joint``
-    and ``eval_log_prior``, and every other term as it is, or, when every
-    state column has a cardinality in ``cards`` (None for a continuous
-    column), moves read the log target from a table of every state
-    (``tabulate``).
+    and ``eval_log_prior``, and every other term with its results checked
+    the same way (``checked``), or, when every state column has a
+    cardinality in ``cards`` (None for a continuous column), moves read the
+    log target from a table of every state (``tabulate``).
     """
 
     def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], cards):
@@ -249,7 +249,8 @@ class _StageTarget:
         for i, t in enumerate(self.rest):
             a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
             cols = None if (a, e) == (0, self.d) else slice(a, e)
-            self.marginals.append((3 + i, t.fn, t.blocks, cols))
+            fn = checked(t.fn, spec.index, f"pool term over blocks {t.blocks}")
+            self.marginals.append((3 + i, fn, t.blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 

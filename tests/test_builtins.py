@@ -22,7 +22,7 @@ from chainmeld import (
 from chainmeld.builtins import BuiltChain
 from chainmeld.chain import ChainModel
 
-from conftest import make_discrete_chain, make_long_chain, random_table
+from conftest import discrete_cli_params, make_discrete_chain, make_long_chain, random_table
 
 
 class TestGaussianChain:
@@ -102,6 +102,33 @@ class TestDiscreteChain:
             builtin_discrete_chain(
                 bad, good, bad, phi_cards=((2,), (2,)), psi_cards=((2,), (2,), (2,))
             )
+
+    @staticmethod
+    def _scaled_chain(scale, normalized):
+        """The test discrete chain with every prior table scaled by ``scale``."""
+        params, unit = discrete_cli_params(), UnitFactorization(((0,), (1,)), ((), ()))
+        return builtin_discrete_chain(
+            *(scale * np.array(params[f"prior{m}"]) for m in (1, 2, 3)),
+            phi_cards=params["phi_cards"], psi_cards=params["psi_cards"],
+            likelihoods=[None if t is None else np.array(t) for t in params["likelihoods"]],
+            units=(unit, None, unit), normalized=normalized,
+        )
+
+    @pytest.mark.parametrize("method", ["log", "linear"])
+    def test_unnormalized_tables_meld_as_normalized_ones(self, discrete_chain, method):
+        def melded(built):
+            model = built.model
+            if method == "log":
+                pool = log_pooling(model, [0.4, 0.7, 1.0])
+            else:
+                pool = linear_pooling(model, [[0.3, 0.7], [0.6, 0.4]], built.boundary_marginals)
+            return enumerate_melded_posterior(built, pool)
+
+        want, got = melded(discrete_chain), melded(self._scaled_chain(3.0, normalized=False))
+        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-15)
+        with pytest.raises(ConfigError, match="prior1"):
+            self._scaled_chain(3.0, normalized=True)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -246,7 +273,7 @@ class TestEnumeration:
         spec2 = model.submodels[1]
         bad2 = SubmodelSpec(
             1, "phi12", "phi23", spec2.log_joint,
-            lambda x: -np.inf,
+            lambda x: np.full(x.shape[:-1], -np.inf),
             psi_coords=spec2.psi_coords,
         )
         patched = BuiltChain(

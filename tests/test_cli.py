@@ -319,6 +319,13 @@ class TestModelParams:
         del cfg["model"]["params"]["prior3"]
         self._rejects(tmp_path, capsys, cfg, "model.params.prior3")
 
+    def test_table_sum_is_printed_as_a_number(self, tmp_path, capsys):
+        cfg = _discrete_config(tmp_path)
+        cfg["model"]["params"]["prior1"] = [1.0, 1.0]
+        assert main(["validate", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: model.params.prior1: table sums to 2.0, expected 1 within 1e-9\n")
+
     def test_params_must_be_an_object(self, tmp_path, capsys):
         cfg = _gaussian_config(tmp_path)
         cfg["model"]["params"] = [1, 2]

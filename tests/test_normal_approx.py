@@ -7,6 +7,7 @@ from chainmeld import (
     GaussianDensity,
     NumericalFailureError,
     SampleStore,
+    StructureError,
     UnsupportedConfigError,
     build_normal_approx_target,
     builtin_gaussian_chain,
@@ -205,6 +206,18 @@ class TestBuildTarget:
             ])
             diffs = target(_rows(a, b)) - exact
             assert diffs.max() - diffs.min() < 1e-8, (pool.method, factorization)
+
+    def test_collapsed_one_block_marginal_fails_loudly(self):
+        # Under dictatorial-complete [1, 2] the middle's one-block marginal over
+        # phi12 is a term of the target, checked like the submodel evaluators.
+        built = builtin_gaussian_chain(mu1=0.0, mu3=0.0)
+        marginal = built.boundary_marginals[(1, 0)]
+        pool = dictatorial_complete(built.model, [1, 2], {(1, 0): lambda x: marginal(x)[:1]})
+        g = GaussianDensity([0.0], [[1.0]])
+        target = _target(built, pool, g, g)
+        with pytest.raises(StructureError, match=r"submodel 1: pool term over blocks \(0,\) "
+                                                 r"returned shape \(1,\) for batch shape \(3,\)"):
+            target(_rows([0.1, 0.2, 0.3], [0.0, 0.5, 1.0]))
 
     def test_discrete_blocks_rejected(self, discrete_chain):
         g = GaussianDensity([0.0, 0.0], np.eye(2))

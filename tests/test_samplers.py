@@ -17,10 +17,12 @@ from chainmeld import (
     UnsupportedConfigError,
     builtin_discrete_chain,
     builtin_gaussian_chain,
+    dictatorial_complete,
     empirical_table,
     enumerate_melded_posterior,
     factorize_for_sampler,
     linear_pooling,
+    log_melded_density,
     log_pooling,
     run_parallel_stage_two,
     run_parallel_stage_two_unitwise,
@@ -944,6 +946,66 @@ class TestLockstep:
                 s1, s3 = run_stage_one_pair(model, factor, SCALE, 50, chains=3, seed=1)
                 run_parallel_stage_two(model, factor, s1, s3, SCALE, 50, chains=3, seed=2)
         assert calls == [3, 3]
+
+    @pytest.mark.parametrize("collapse", [lambda v: v[:1], lambda v: v.sum()],
+                             ids=["one-row-slice", "scalar-sum"])
+    @pytest.mark.parametrize("path", ["moves", "table", "melded-density"])
+    def test_collapsed_prior_marginal_fails_loudly(self, path, collapse):
+        # The middle prior marginal has the batch shape for its first call only:
+        # the README chain's stage two evaluates it on every phi move, the
+        # discrete chain's stage two tries its table of all 64 states first, and
+        # log_melded_density evaluates it in the pool and again in the ratio.
+        built = make_discrete_chain() if path != "moves" else builtin_gaussian_chain(**README)
+        marginal, calls = built.model.submodels[1].log_prior_marginal, []
+
+        def first_call_batched(phi):
+            calls.append(len(phi))
+            value = marginal(phi)
+            return value if len(calls) == 1 else collapse(value)
+
+        specs = list(built.model.submodels)
+        specs[1] = dataclasses.replace(specs[1], log_prior_marginal=first_call_batched)
+        model = ChainModel(tuple(specs), built.model.phi_blocks)
+        pool = log_pooling(model, [0.5] * 3)
+        factor = factorize_for_sampler(pool, "subprior-ends")
+        with pytest.raises(StructureError, match=r"submodel 1: log_prior_marginal returned "
+                                                 r"shape \(1?,?\) for batch shape \(\d+,\)"):
+            if path == "melded-density":
+                states = np.indices((2,) * 6).reshape(6, -1).T[::9].astype(float)
+                phi = [states[:, :2], states[:, 2:4]]
+                psi = [states[:, :0], states[:, 4:], states[:, :0]]
+                log_melded_density(model, pool, phi, psi)
+            else:
+                s1, s3 = run_stage_one_pair(model, factor, SCALE, 50, chains=3, seed=1)
+                run_parallel_stage_two(model, factor, s1, s3, SCALE, 50, chains=3, seed=2)
+        assert calls == {"moves": [3, 3], "table": [3, 64, 3], "melded-density": [8, 8]}[path]
+
+    @pytest.mark.parametrize("collapse", [lambda v: v[:1], lambda v: v.sum()],
+                             ids=["one-row-slice", "scalar-sum"])
+    @pytest.mark.parametrize("method", ["linear", "dictatorial"])
+    def test_collapsed_boundary_marginal_fails_loudly(self, method, collapse):
+        # The middle submodel's one-block marginal over phi12 is a pool term of
+        # stage two's target under both pools, alone or inside the mixture.
+        built = builtin_gaussian_chain(**README)
+        marginal, calls = built.boundary_marginals[(1, 0)], []
+
+        def first_call_batched(phi):
+            calls.append(len(phi))
+            value = marginal(phi)
+            return value if len(calls) == 1 else collapse(value)
+
+        marginals = {**built.boundary_marginals, (1, 0): first_call_batched}
+        if method == "linear":
+            pool = linear_pooling(built.model, [[0.5, 0.5], [0.5, 0.5]], marginals)
+        else:
+            pool = dictatorial_complete(built.model, [1, 2], marginals)
+        factor = factorize_for_sampler(pool, "subprior-ends")
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 50, chains=3, seed=1)
+        assert calls == []
+        with pytest.raises(StructureError, match=r"submodel 1: .+ returned shape \(1?,?\) "
+                                                 r"for batch shape \(\d+,\)"):
+            run_parallel_stage_two(built.model, factor, s1, s3, SCALE, 50, chains=3, seed=2)
+        assert calls[0] == 3
 
     def test_joint_returning_a_list_is_read_as_an_array(self):
         # A list has no .shape, so it takes the shape check's fallback; it must
