@@ -193,12 +193,9 @@ def builtin_gaussian_chain(
 
     model = ChainModel(
         submodels=(
-            SubmodelSpec(0, None, "phi12", lj1, lm1),
-            SubmodelSpec(
-                1, "phi12", "phi23", lj2, lm2,
-                psi_coords=real_coords(0 if tau is None else 1),
-            ),
-            SubmodelSpec(2, "phi23", None, lj3, lm3),
+            SubmodelSpec(0, lj1, lm1),
+            SubmodelSpec(1, lj2, lm2, psi_coords=real_coords(0 if tau is None else 1)),
+            SubmodelSpec(2, lj3, lm3),
         ),
         phi_blocks=(
             PhiBlock("phi12", real_coords(1)),
@@ -311,7 +308,6 @@ def builtin_discrete_chain(
             raise ConfigError(f"{key}: discrete coordinates need cardinality >= 2, got {low[0]}")
     if not all(phi_cards):
         raise ConfigError("phi_cards: every shared block needs at least one coordinate")
-    labels = [f"phi{b + 1}{b + 2}" for b in range(M - 1)]
     phi_shapes = [sum((phi_cards[b] for b in (m - 1, m) if 0 <= b < M - 1), ())
                   for m in range(M)]
     shapes = [phi + psi for phi, psi in zip(phi_shapes, psi_cards)]
@@ -337,17 +333,9 @@ def builtin_discrete_chain(
             if gap > 1e-12:
                 raise ConfigError(f"units: submodel {m}'s tables are not products of "
                                   f"per-unit factors (largest gap {gap:.3g} > 1e-12)")
-        specs.append(
-            SubmodelSpec(
-                m,
-                labels[m - 1] if m > 0 else None,
-                labels[m] if m < M - 1 else None,
-                _table_lookup(joint, n_phi),
-                _table_lookup(marg),
-                psi_coords=discrete_coords(psi_cards[m]),
-                unit_factorization=uf,
-            )
-        )
+        specs.append(SubmodelSpec(m, _table_lookup(joint, n_phi), _table_lookup(marg),
+                                  psi_coords=discrete_coords(psi_cards[m]),
+                                  unit_factorization=uf))
         marginal_tables.append(marg)
 
     # One-block marginals of each middle submodel over its two boundaries.
@@ -360,9 +348,8 @@ def builtin_discrete_chain(
         boundary[(m, m)] = _table_lookup(right)
     model = ChainModel(
         submodels=tuple(specs),
-        phi_blocks=tuple(
-            PhiBlock(label, discrete_coords(cards)) for label, cards in zip(labels, phi_cards)
-        ),
+        phi_blocks=tuple(PhiBlock(f"phi{b + 1}{b + 2}", discrete_coords(cards))
+                         for b, cards in enumerate(phi_cards)),
     )
     all_cards = sum(phi_cards, ()) + sum(psi_cards, ())
     supports = tuple(tuple(float(v) for v in range(c)) for c in all_cards)

@@ -11,8 +11,9 @@ Conventions used throughout the package:
 - ``phi`` is a list of ``M - 1`` 1-D float arrays, one per shared block.
 - ``psi`` is a list of ``M`` 1-D float arrays, one per submodel (may be
   empty arrays).
-- A submodel's own shared quantities ``phi_m`` are the concatenation of
-  its left and right block values, in chain order.
+- A submodel's position m in the chain is all that wires it: its own
+  shared quantities ``phi_m`` are the values of blocks m-1 and m (those
+  that exist), concatenated in chain order.
 - Log-density evaluators return ``-inf`` exactly off-support and never
   NaN.  Every evaluator a chain supplies is batched and returns its input's
   batch shape, constants included: ``log_prior_marginal`` and a one-block
@@ -25,7 +26,8 @@ Conventions used throughout the package:
   the one checked path to a submodel's densities, for initial states and
   every move alike: each counts its calls and passes its result through
   ``check_result``, which rejects a result of another shape or a NaN.
-  ``checked`` applies the same check to any other evaluator.
+  ``checked`` applies the same check to any other evaluator: every pool
+  term, wherever a pooled density is evaluated.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ class UnitFactorization:
                     f"partition its {kind} coordinates ({f'0..{n - 1}' if n else 'it has none'})")
 
 
-def check_result(value, batch: tuple, index: int, name: str):
-    """``value``, what evaluator ``name`` of submodel ``index`` returned for
-    inputs of batch shape ``batch``, checked: floats of that shape, or a float
-    when ``batch`` is ().  A list is read as floats; another shape raises
+def check_result(value, batch: tuple, source, name: str):
+    """``value``, what evaluator ``name`` of ``source`` (a submodel, or a string
+    such as ``"pool"``; formatted only into an error) returned for inputs of
+    batch shape ``batch``, checked: floats of that shape, or a float when
+    ``batch`` is ().  A list is read as floats; another shape raises
     ``StructureError`` and a NaN ``ModelInconsistencyError``."""
     try:
         shape = value.shape
@@ -171,7 +174,7 @@ def check_result(value, batch: tuple, index: int, name: str):
             value = np.asarray(value, dtype=float)
         shape = np.shape(value)
     if shape != batch:
-        raise StructureError(f"submodel {index}: {name} returned shape {shape} "
+        raise StructureError(f"{source}: {name} returned shape {shape} "
                              f"for batch shape {batch}; {name} must be batched")
     if batch:
         # The sum of squares is NaN exactly when some value is: (+-inf)^2 is +inf.
@@ -180,7 +183,7 @@ def check_result(value, batch: tuple, index: int, name: str):
     else:
         probe = value = float(value)
     if math.isnan(probe):
-        raise ModelInconsistencyError(f"submodel {index}: {name} returned NaN")
+        raise ModelInconsistencyError(f"{source}: {name} returned NaN")
     return value
 
 
@@ -191,18 +194,20 @@ class SubmodelSpec:
     ``log_joint(phi_m, psi_m)`` evaluates log p_m(phi_m, psi_m, Y_m) and
     ``log_prior_marginal(phi_m)`` evaluates the prior marginal over the
     submodel's shared quantities.  Both are unnormalized for MCMC use and
-    batched over leading dimensions (see the module docstring).
+    batched over leading dimensions (see the module docstring).  ``index``
+    is the submodel's position in its chain, which names it in errors.
     """
 
     index: int
-    left_block: Optional[str]
-    right_block: Optional[str]
     log_joint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     log_prior_marginal: LogDensity
     psi_coords: tuple[Coord, ...] = ()
     unit_factorization: Optional[UnitFactorization] = None
     joint_calls: CallCounter = field(default_factory=CallCounter, compare=False)
     marginal_calls: CallCounter = field(default_factory=CallCounter, compare=False)
+
+    def __str__(self) -> str:
+        return f"submodel {self.index}"
 
     @property
     def psi_dim(self) -> int:
@@ -218,7 +223,7 @@ class SubmodelSpec:
             batch, psi_batch = np.shape(phi_m)[:-1], np.shape(psi_m)[:-1]
         if psi_batch != batch:
             batch = np.broadcast_shapes(batch, psi_batch)
-        return check_result(value, batch, self.index, "log_joint")
+        return check_result(value, batch, self, "log_joint")
 
     def eval_log_prior(self, phi_m: np.ndarray):
         """Prior marginal with the batch shape of its input; a float for a 1-D input."""
@@ -228,26 +233,27 @@ class SubmodelSpec:
             batch = phi_m.shape[:-1]
         except AttributeError:  # a list
             batch = np.shape(phi_m)[:-1]
-        return check_result(value, batch, self.index, "log_prior_marginal")
+        return check_result(value, batch, self, "log_prior_marginal")
 
 
-def checked(fn: LogDensity, index: int, name: str) -> LogDensity:
+def checked(fn: LogDensity, source, name: str) -> LogDensity:
     """``fn`` with every result checked by ``check_result``; ``fn`` itself if it
     is a submodel's method (its ``eval_log_prior``), which checks its own."""
     if isinstance(getattr(fn, "__self__", None), SubmodelSpec):
         return fn
-    return lambda x: check_result(fn(x), np.shape(x)[:-1], index, name)
+    return lambda x: check_result(fn(x), np.shape(x)[:-1], source, name)
 
 
 @dataclass(frozen=True)
 class ChainModel:
     """An ordered chain of submodels and the blocks they share.
 
-    Submodel m touches block m-1 on its left and block m on its right
-    (where those exist).  M = 2 is permitted and degenerates to classic
-    two-model melding with a single shared block.  A chain whose specs do
-    not match that wiring, or whose unit factorizations do not partition
-    their submodel's coordinates, raises ``StructureError`` when built.
+    Position alone wires the chain: submodel m touches block m-1 on its
+    left and block m on its right (where those exist).  M = 2 is permitted
+    and degenerates to classic two-model melding with a single shared
+    block.  A chain whose spec at position m has another index, or whose
+    unit factorizations do not partition their submodel's coordinates,
+    raises ``StructureError`` when built.
     """
 
     submodels: tuple[SubmodelSpec, ...]
@@ -261,11 +267,8 @@ class ChainModel:
         if len(set(labels)) != M - 1:
             raise StructureError(f"phi block labels are not unique: {labels}")
         for m, spec in enumerate(self.submodels):
-            wiring = (spec.index, spec.left_block, spec.right_block)
-            expected = (m, labels[m - 1] if m else None, labels[m] if m < M - 1 else None)
-            if wiring != expected:
-                raise StructureError(f"submodel at position {m}: (index, left_block, right_block) "
-                                     f"is {wiring}, expected {expected}")
+            if spec.index != m:
+                raise StructureError(f"submodel at position {m} has index {spec.index}")
             if not (callable(spec.log_joint) and callable(spec.log_prior_marginal)):
                 raise StructureError(
                     f"submodel {m}: log_joint and log_prior_marginal must be callable")
@@ -278,14 +281,8 @@ class ChainModel:
         return len(self.submodels)
 
     def blocks_of(self, m: int) -> tuple[int, ...]:
-        """Indices of the blocks touched by submodel m, in chain order."""
-        last = len(self.phi_blocks)
-        touched = []
-        if m - 1 >= 0 and m - 1 < last:
-            touched.append(m - 1)
-        if m < last:
-            touched.append(m)
-        return tuple(touched)
+        """Indices of the blocks touched by submodel m, in chain order: m-1 and m."""
+        return tuple(b for b in (m - 1, m) if 0 <= b < len(self.phi_blocks))
 
     def state_groups(self) -> list[tuple[str, int]]:
         """(name, width) of each part of a state: the blocks by label, then psi1 .. psiM."""

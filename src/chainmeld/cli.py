@@ -60,7 +60,7 @@ from .samplers import (
     run_sequential,
     run_stage_one_pair,
 )
-from .diagnostics import ess_bulk, ess_tail, split_rhat
+from .diagnostics import MIN_DRAWS, ess_bulk, ess_tail, split_rhat
 
 __all__ = ["main", "run_from_config", "load_config", "build_model", "build_pool"]
 
@@ -247,6 +247,14 @@ def _read_sampler(cfg: dict) -> dict:
                 f"sampler.chains x sampler.iterations.{stage}: {sampler['chains']} x {n} "
                 f"draws exceed the {_MAX_DRAWS} a stage may keep"
             )
+    # The last stage's kept draws are the samples that get diagnosed.
+    stage, n = list(sampler["iterations"].items())[-1]
+    kept = n - int(sampler["warmup_frac"] * n)
+    if kept < MIN_DRAWS:
+        raise ConfigError(
+            f"sampler.warmup_frac: {sampler['warmup_frac']} keeps {kept} of the {n} draws per "
+            f"chain of sampler.iterations.{stage}; diagnostics need at least {MIN_DRAWS}"
+        )
     return sampler
 
 
@@ -624,13 +632,16 @@ def _cmd_diag(cfg: dict, out_dir: Path) -> int:
         raise ChainmeldError(f"no sample file at {path}; run the sample command first")
     header, traces = _read_samples(path)
 
-    def finite(name, trace):
+    def diagnosable(name, trace):
+        if trace.shape[1] < MIN_DRAWS:
+            raise ChainmeldError(f"{path}: diagnostics need at least {MIN_DRAWS} draws per "
+                                 f"chain, got {trace.shape[1]}")
         if not np.isfinite(trace).all():
             raise ChainmeldError(f"{path}: column {name!r} holds NaN or inf; draws must be finite")
         return trace
 
-    _write_diagnostics(out_dir / "diagnostics.csv", header[2:], map(finite, header[2:], traces),
-                       math.nan)
+    _write_diagnostics(out_dir / "diagnostics.csv", header[2:],
+                       map(diagnosable, header[2:], traces), math.nan)
     print(f"wrote {out_dir / 'diagnostics.csv'}")
     return 0
 

@@ -20,6 +20,9 @@ from .errors import StructureError
 
 __all__ = ["RhatResult", "EssResult", "split_rhat", "ess", "ess_bulk", "ess_tail"]
 
+# Draws per chain that every ESS estimate needs.
+MIN_DRAWS = 8
+
 
 @dataclass(frozen=True)
 class RhatResult:
@@ -216,7 +219,7 @@ def ess(traces) -> EssResult:
     pair.  Antithetic chains can exceed the draw count; the estimate is
     then capped at the total count with the ``capped`` flag set.
     """
-    arr = _as_traces(traces, 8)
+    arr = _as_traces(traces, MIN_DRAWS)
     chains, n = arr.shape
     total = chains * n
     w = arr.var(axis=1, ddof=1).mean()
@@ -257,7 +260,7 @@ def _autocov(x: np.ndarray) -> np.ndarray:
 
 def ess_bulk(traces) -> EssResult:
     """ESS of the rank-normalized traces (bulk mixing)."""
-    arr = _as_traces(traces, 8)
+    arr = _as_traces(traces, MIN_DRAWS)
     if np.all(arr == arr.reshape(-1)[0]):
         return EssResult(float(arr.size), capped=True)
     return ess(_rank_normalize(arr))
@@ -265,7 +268,7 @@ def ess_bulk(traces) -> EssResult:
 
 def ess_tail(traces) -> EssResult:
     """Minimum ESS of the 5% and 95% quantile indicator traces."""
-    arr = _as_traces(traces, 8)
+    arr = _as_traces(traces, MIN_DRAWS)
     results = []
     for cut in np.quantile(arr, (0.05, 0.95)):  # one sort for both tails
         below = arr <= cut
@@ -274,7 +277,7 @@ def ess_tail(traces) -> EssResult:
             results.append(EssResult(float(arr.size), capped=True))
         else:
             # Ranks of the 0/1 indicator: the zeros tie at (zeros + 1) / 2,
-            # the ones at (zeros + 1 + n) / 2.
-            doubled = np.where(below, zeros + 1 + arr.size, zeros + 1)
-            results.append(ess(_normal_scores(arr.size)[doubled]))
+            # the ones at (zeros + 1 + n) / 2; each tie takes one normal score.
+            lo, hi = _normal_scores(arr.size)[[zeros + 1, zeros + 1 + arr.size]]
+            results.append(ess(np.where(below, hi, lo)))
     return min(results, key=lambda r: r.value)

@@ -9,6 +9,7 @@ Gaussians is improper.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
 # Relative floor on the smallest eigenvalue of a precision difference.
 _PD_TOL = 1e-10
 _COND_LIMIT = 1e12
-_FLOAT = np.dtype(float)
 
 
 def _check_cov(cov: np.ndarray, what: str) -> np.ndarray:
@@ -89,35 +89,23 @@ class GaussianDensity:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def _whitener(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Inverse Cholesky factor, its transpose and the log-normalizer, computed on first use."""
-        cached = self.__dict__.get("_cached_whitener")
-        if cached is None:
-            chol = np.linalg.cholesky(self.cov)
-            inv_chol = np.linalg.inv(chol)
-            log_norm = -0.5 * (
-                self.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol)))
-            )
-            cached = (inv_chol, inv_chol.T, float(log_norm))
-            self.__dict__["_cached_whitener"] = cached
-        return cached
+    @functools.cached_property
+    def _whitener(self) -> tuple[np.ndarray, float]:
+        """Transposed inverse Cholesky factor and the log-normalizer, computed on first use."""
+        chol = np.linalg.cholesky(self.cov)
+        log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol))))
+        return np.linalg.inv(chol).T, float(log_norm)
 
     def logpdf(self, x: np.ndarray):
-        """Normalized log density; accepts shape ``(..., d)``."""
-        inv_chol, inv_chol_t, log_norm = self._whitener()
-        if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 2 and \
-                x.shape[1] == len(inv_chol):
-            # A batch of rows, as the samplers pass: the arithmetic of the
-            # general case below without its conversions and reshapes.
-            z = (x - self.mean) @ inv_chol_t
-            return log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+        """Normalized log density of points of shape ``(..., d)``: an array of
+        their batch shape, or a float for one point."""
+        inv_chol_t, log_norm = self._whitener
         x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            z = inv_chol @ (x.reshape(self.dim) - self.mean)
-            return log_norm - 0.5 * float(z @ z)
-        z = (x.reshape(-1, self.dim) - self.mean) @ inv_chol_t
-        out = log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
-        return out.reshape(x.shape[:-1])
+        if x.shape[-1:] != self.mean.shape:
+            raise StructureError(f"logpdf needs points of shape (..., {self.dim}), got {x.shape}")
+        z = (x - self.mean) @ inv_chol_t
+        out = log_norm - 0.5 * np.einsum("...i,...i->...", z, z)
+        return float(out) if out.ndim == 0 else out
 
 
 def ratio_is_improper(nu: GaussianDensity, de: GaussianDensity) -> bool:

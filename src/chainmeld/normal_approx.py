@@ -135,7 +135,7 @@ def build_normal_approx_target(
     edges = (0, b12.dim, b12.dim + b23.dim)
     d = edges[-1]
     joint, gauss_logpdf = spec2.eval_log_joint, gauss.logpdf
-    parts = [(checked(t.fn, spec2.index, f"pool term over blocks {t.blocks}"), t.coef,
+    parts = [(checked(t.fn, spec2, f"pool term over blocks {t.blocks}"), t.coef,
               slice(edges[t.blocks[0]], edges[t.blocks[-1] + 1])) for t in terms]
 
     def log_target(z: np.ndarray) -> np.ndarray:

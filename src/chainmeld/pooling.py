@@ -5,7 +5,10 @@ special case), two-step linear pooling, and the partial and complete
 dictatorial rules.  Linear and complete dictatorial pooling need
 one-block marginals of the middle submodels, which cannot be derived from
 the chain's two-block marginals numerically; callers supply them as
-evaluators keyed by (submodel index, boundary index).
+evaluators keyed by (submodel index, boundary index).  Every term's result
+is checked for its batch shape and for NaN wherever it is evaluated: in
+``sum_terms`` (the pooled density itself, the grid and enumeration) and
+in the samplers' stage targets.
 
 All evaluation is in log space and unnormalized: normalization constants
 cancel in MCMC, and the grid oracle normalizes explicitly.
@@ -87,9 +90,11 @@ def neg_inf_policy(terms: Sequence[PoolTerm], values, total, zero=np.False_) -> 
 def sum_terms(terms: Sequence[PoolTerm], phi: Sequence[np.ndarray]):
     """Sum of weighted log terms under ``neg_inf_policy``; blocks may be batched.
 
-    A float for unbatched blocks.
+    Every term's result is checked (``checked``) for the batch shape of its
+    blocks and for NaN.  A float for unbatched blocks.
     """
-    values = [np.asarray(t.fn(block_values(phi, t.blocks)), dtype=float) for t in terms]
+    values = [np.asarray(checked(t.fn, "pool", f"term over blocks {t.blocks}")(
+        block_values(phi, t.blocks)), dtype=float) for t in terms]
     total = 0.0
     with np.errstate(invalid="ignore"):
         for t, value in zip(terms, values):
@@ -201,8 +206,8 @@ def linear_pooling(
     terms = []
     for b in range(M - 1):
         parts = tuple(
-            (math.log(c), checked(_one_block(chain, boundary_marginals, m, b), m,
-                                  f"one-block marginal over boundary {b}"))
+            (math.log(c), checked(_one_block(chain, boundary_marginals, m, b),
+                                  chain.submodels[m], f"one-block marginal over boundary {b}"))
             for c, m in zip(w[b], (b, b + 1))
             if c > 0
         )

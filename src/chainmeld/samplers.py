@@ -249,7 +249,7 @@ class _StageTarget:
         for i, t in enumerate(self.rest):
             a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
             cols = None if (a, e) == (0, self.d) else slice(a, e)
-            fn = checked(t.fn, spec.index, f"pool term over blocks {t.blocks}")
+            fn = checked(t.fn, spec, f"pool term over blocks {t.blocks}")
             self.marginals.append((3 + i, fn, t.blocks, cols))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0

@@ -5,11 +5,13 @@ import scipy.stats
 from chainmeld import (
     ConfigError,
     ModelInconsistencyError,
+    StructureError,
     SubmodelSpec,
     UnitFactorization,
     UnsupportedConfigError,
     builtin_discrete_chain,
     builtin_gaussian_chain,
+    dictatorial_complete,
     empirical_table,
     enumerate_melded_posterior,
     enumerate_pooled_prior,
@@ -272,7 +274,7 @@ class TestEnumeration:
         model = discrete_chain.model
         spec2 = model.submodels[1]
         bad2 = SubmodelSpec(
-            1, "phi12", "phi23", spec2.log_joint,
+            1, spec2.log_joint,
             lambda x: np.full(x.shape[:-1], -np.inf),
             psi_coords=spec2.psi_coords,
         )
@@ -287,6 +289,16 @@ class TestEnumeration:
         pool = log_pooling(patched.model, [1.0, 0.0, 1.0])
         with pytest.raises(ModelInconsistencyError):
             enumerate_melded_posterior(patched, pool)
+
+    def test_collapsed_pool_term_fails_loudly(self, discrete_chain):
+        # Under dictatorial-complete [1, 2] the middle's one-block marginal over
+        # phi12 is itself a term of the pooled prior; one row for a batch raises.
+        marginal = discrete_chain.boundary_marginals[(1, 0)]
+        pool = dictatorial_complete(discrete_chain.model, [1, 2],
+                                    {(1, 0): lambda x: marginal(x)[:1]})
+        with pytest.raises(StructureError, match=r"pool: term over blocks \(0,\) returned shape "
+                                                 r"\(1,\) for batch shape \(64,\)"):
+            enumerate_melded_posterior(discrete_chain, pool)
 
     def test_pooled_prior_enumeration_mass(self, discrete_chain):
         pool = log_pooling(discrete_chain.model, [0.5, 0.5, 0.5])

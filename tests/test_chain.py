@@ -28,11 +28,9 @@ from chainmeld import (
 from conftest import random_table
 
 
-def _flat_spec(index, left, right, phi_dim, psi_dim=0, joint=None, marginal=None):
+def _flat_spec(index, phi_dim, psi_dim=0, joint=None, marginal=None):
     return SubmodelSpec(
         index,
-        left,
-        right,
         joint or (lambda phi, psi: 0.0),
         marginal or (lambda phi: np.zeros(np.shape(phi)[:-1]) if np.ndim(phi) > 1 else 0.0),
         psi_coords=real_coords(psi_dim),
@@ -41,9 +39,9 @@ def _flat_spec(index, left, right, phi_dim, psi_dim=0, joint=None, marginal=None
 
 def _three_chain(spec_overrides=None):
     specs = [
-        _flat_spec(0, None, "a", 1),
-        _flat_spec(1, "a", "b", 2, psi_dim=1),
-        _flat_spec(2, "b", None, 1),
+        _flat_spec(0, 1),
+        _flat_spec(1, 2, psi_dim=1),
+        _flat_spec(2, 1),
     ]
     for k, v in (spec_overrides or {}).items():
         specs[k] = v
@@ -77,25 +75,21 @@ class TestValidateChain:
 
     def test_too_few_submodels(self):
         with pytest.raises(StructureError, match="M >= 2"):
-            ChainModel(submodels=(_flat_spec(0, None, "a", 1),), phi_blocks=())
+            ChainModel(submodels=(_flat_spec(0, 1),), phi_blocks=())
 
     def test_block_count_mismatch(self):
         with pytest.raises(StructureError, match="got 2 submodels and 2 phi blocks"):
             ChainModel(
-                submodels=(_flat_spec(0, None, "a", 1), _flat_spec(1, "a", None, 1)),
+                submodels=(_flat_spec(0, 1), _flat_spec(1, 1)),
                 phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
             )
 
-    def test_bad_wiring(self):
-        with pytest.raises(StructureError, match=r"position 1: \(index, left_block, "
-                           r"right_block\) is \(1, 'b', 'a'\), expected \(1, 'a', 'b'\)"):
-            _three_chain({1: _flat_spec(1, "b", "a", 2, psi_dim=1)})
-
     @pytest.mark.parametrize("spec, match", [
-        (_flat_spec(2, "a", "b", 2), r"is \(2, 'a', 'b'\), expected \(1, 'a', 'b'\)"),
-        (_flat_spec(1, "a", None, 2), r"is \(1, 'a', None\), expected \(1, 'a', 'b'\)"),
-        (SubmodelSpec(1, "a", "b", None, lambda phi: 0.0), "submodel 1: .* must be callable"),
-        (SubmodelSpec(1, "a", "b", lambda phi, psi: 0.0, 0.0), "submodel 1: .* must be callable"),
+        # Position alone wires a submodel, so its index is all there is to check.
+        (_flat_spec(2, 2), r"submodel at position 1 has index 2"),
+        (_flat_spec(0, 2), r"submodel at position 1 has index 0"),
+        (SubmodelSpec(1, None, lambda phi: 0.0), "submodel 1: .* must be callable"),
+        (SubmodelSpec(1, lambda phi, psi: 0.0, 0.0), "submodel 1: .* must be callable"),
     ])
     def test_bad_spec(self, spec, match):
         with pytest.raises(StructureError, match=match):
@@ -105,16 +99,16 @@ class TestValidateChain:
         with pytest.raises(StructureError, match="not unique"):
             ChainModel(
                 submodels=(
-                    _flat_spec(0, None, "a", 1),
-                    _flat_spec(1, "a", "a", 2),
-                    _flat_spec(2, "a", None, 1),
+                    _flat_spec(0, 1),
+                    _flat_spec(1, 2),
+                    _flat_spec(2, 1),
                 ),
                 phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("a", real_coords(1))),
             )
 
     def test_bad_unit_partition(self):
         spec = SubmodelSpec(
-            0, None, "a",
+            0,
             lambda phi, psi: 0.0,
             lambda phi: 0.0,
             unit_factorization=UnitFactorization(((0, 0),), ((),)),
@@ -134,10 +128,10 @@ class TestValidateChain:
         (((0, 1),), ((np.float64(0),),), r"psi indices must be integers"),
     ])
     def test_unit_partition_message(self, phi, psi, match):
-        spec = SubmodelSpec(0, None, "a", lambda phi, psi: 0.0, lambda phi: 0.0,
+        spec = SubmodelSpec(0, lambda phi, psi: 0.0, lambda phi: 0.0,
                             unit_factorization=UnitFactorization(phi, psi))
         with pytest.raises(StructureError, match="submodel 0: unit " + match):
-            ChainModel((spec, _flat_spec(1, "a", None, 2)),
+            ChainModel((spec, _flat_spec(1, 2)),
                        (PhiBlock("a", real_coords(2)),))
 
 
@@ -167,12 +161,12 @@ class TestPhiConcat:
 
 class TestSubmodelLogRatio:
     def test_plain_difference(self):
-        spec = _flat_spec(0, None, "a", 1, joint=lambda p, s: -1.5, marginal=lambda p: -0.5)
+        spec = _flat_spec(0, 1, joint=lambda p, s: -1.5, marginal=lambda p: -0.5)
         assert submodel_log_ratio(spec, np.zeros(1), np.empty(0)) == -1.0
 
     def test_neg_inf_joint_dominates(self):
         spec = _flat_spec(
-            0, None, "a", 1,
+            0, 1,
             joint=lambda p, s: -math.inf,
             marginal=lambda p: -math.inf,
         )
@@ -180,7 +174,7 @@ class TestSubmodelLogRatio:
 
     def test_inconsistent_marginal_raises(self):
         spec = _flat_spec(
-            0, None, "a", 1,
+            0, 1,
             joint=lambda p, s: 0.0,
             marginal=lambda p: -math.inf,
         )
@@ -188,12 +182,12 @@ class TestSubmodelLogRatio:
             submodel_log_ratio(spec, np.zeros(1), np.empty(0))
 
     def test_nan_joint_raises(self):
-        spec = _flat_spec(0, None, "a", 1, joint=lambda p, s: math.nan)
+        spec = _flat_spec(0, 1, joint=lambda p, s: math.nan)
         with pytest.raises(ModelInconsistencyError):
             spec.eval_log_joint(np.zeros(1), np.empty(0))
 
     def test_counters_increment(self):
-        spec = _flat_spec(0, None, "a", 1)
+        spec = _flat_spec(0, 1)
         spec.eval_log_joint(np.zeros(1), np.empty(0))
         spec.eval_log_joint(np.zeros(1), np.empty(0))
         spec.eval_log_prior(np.zeros(1))
@@ -231,8 +225,8 @@ class TestMeldedDensity:
 
         model = ChainModel(
             submodels=(
-                SubmodelSpec(0, None, "a", joint(1.0), marg),
-                SubmodelSpec(1, "a", None, joint(2.0), lambda x: marg(np.asarray(x)[..., :1])),
+                SubmodelSpec(0, joint(1.0), marg),
+                SubmodelSpec(1, joint(2.0), lambda x: marg(np.asarray(x)[..., :1])),
             ),
             phi_blocks=(PhiBlock("a", discrete_coords([2])),),
         )
@@ -310,7 +304,7 @@ class TestUnitAdditivity:
     def test_nonzero_gap_for_coupled(self):
         # xor coupling breaks per-unit additivity
         spec = SubmodelSpec(
-            0, None, "a",
+            0,
             lambda phi, psi: float(phi[0]) * float(phi[1]),
             lambda phi: 0.0,
             unit_factorization=UnitFactorization(((0,), (1,)), ((), ())),
@@ -321,6 +315,6 @@ class TestUnitAdditivity:
         assert gap > 0.5
 
     def test_requires_factorization(self):
-        spec = _flat_spec(0, None, "a", 1)
+        spec = _flat_spec(0, 1)
         with pytest.raises(StructureError):
             unit_additivity_gap(spec, np.zeros(1), np.empty(0), np.ones(1), np.empty(0))

@@ -598,6 +598,22 @@ class TestSample:
         assert "sampler.warmup_frac" in capsys.readouterr().err
         assert not (tmp_path / "out" / "melded_samples.csv").exists()
 
+    @pytest.mark.parametrize("kind, last", [("parallel", "stage_two"),
+                                            ("sequential", "stage_three")])
+    def test_warmup_frac_that_leaves_too_few_draws(self, tmp_path, capsys, kind, last):
+        # At 0.95, the last stage's 100 iterations keep 5 draws per chain.
+        cfg = _gaussian_config(tmp_path)
+        stages = ("stage_one", "stage_two", "stage_three")[: 3 if kind == "sequential" else 2]
+        cfg["sampler"].update(kind=kind, warmup_frac=0.95,
+                              iterations={**dict.fromkeys(stages, 1000), last: 100})
+        path = _write_config(tmp_path, cfg)
+        for command in ("validate", "sample", "oracle"):
+            assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert set(err) == {f"config error: sampler.warmup_frac: 0.95 keeps 5 of the 100 draws "
+                            f"per chain of sampler.iterations.{last}; diagnostics need at least 8"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sample", "pool-grid"])
     @pytest.mark.parametrize("where", ["under a file", "nul byte"])
     def test_unusable_directory(self, tmp_path, capsys, command, where):
@@ -803,6 +819,13 @@ class TestDiagInput:
         assert _diag_on(tmp_path, "\n".join(lines) + "\n") == 2
         err = capsys.readouterr().err
         assert "melded_samples.csv" in err and "'theta_1'" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_too_few_draws_is_runtime_error(self, tmp_path, capsys):
+        assert _diag_on(tmp_path, "\n".join(_samples_lines(draws=5)) + "\n") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'out' / 'melded_samples.csv'}: diagnostics need at "
+                       f"least 8 draws per chain, got 5\n")
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     def test_draws_near_the_float_limit_are_diagnosed(self, tmp_path):

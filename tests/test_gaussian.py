@@ -30,6 +30,13 @@ class TestGaussianDensity:
         x = rng.standard_normal((4, 5, 2))
         assert g.logpdf(x).shape == (4, 5)
 
+    @pytest.mark.parametrize("x", [np.zeros((3, 1)), np.float64(0.0)], ids=["n-by-1", "0-d"])
+    def test_logpdf_rejects_a_wrong_last_axis(self, x):
+        # A (3, 1) batch would broadcast against the 2-d mean without the check.
+        g = GaussianDensity([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
+        with pytest.raises(StructureError, match=r"points of shape \(\.\.\., 2\)"):
+            g.logpdf(x)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(StructureError):
             GaussianDensity([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])

@@ -10,6 +10,7 @@ from chainmeld import (
     NumericalFailureError,
     PhiBlock,
     PoolingConfigError,
+    StructureError,
     SubmodelSpec,
     UnsupportedConfigError,
     builtin_gaussian_chain,
@@ -181,11 +182,7 @@ class TestDictatorialPooling:
         marginals = {m: quad(m + 1) for m in range(5)}
         specs = []
         for m in range(5):
-            left = f"b{m - 1}" if m > 0 else None
-            right = f"b{m}" if m < 4 else None
-            specs.append(
-                SubmodelSpec(m, left, right, lambda p, s: 0.0, marginals[m])
-            )
+            specs.append(SubmodelSpec(m, lambda p, s: 0.0, marginals[m]))
         model = ChainModel(
             submodels=tuple(specs),
             phi_blocks=tuple(PhiBlock(f"b{b}", real_coords(1)) for b in range(4)),
@@ -353,8 +350,8 @@ class TestFactorization:
 
         model = ChainModel(
             submodels=(
-                SubmodelSpec(0, None, "a", lambda p, s: 0.0, marg),
-                SubmodelSpec(1, "a", None, lambda p, s: 0.0, lambda x: 1.0),
+                SubmodelSpec(0, lambda p, s: 0.0, marg),
+                SubmodelSpec(1, lambda p, s: 0.0, lambda x: 1.0),
             ),
             phi_blocks=(PhiBlock("a", real_coords(1)),),
         )
@@ -376,7 +373,7 @@ class TestFactorization:
 
         spec0 = model.submodels[0]
         patched = SubmodelSpec(
-            0, spec0.left_block, spec0.right_block, spec0.log_joint, zero_marg,
+            0, spec0.log_joint, zero_marg,
             psi_coords=spec0.psi_coords,
         )
         patched_model = ChainModel((patched,) + model.submodels[1:], model.phi_blocks)
@@ -409,6 +406,16 @@ class TestGridNormalize:
         pool = poe_pooling(gaussian_chain.model)
         with pytest.raises(PoolingConfigError):
             grid_normalize(pool, GridSpec(((-6, 6, 4000), (-6, 6, 4000))))
+
+    def test_collapsed_pool_term_fails_loudly(self, gaussian_chain):
+        # Under dictatorial-complete [1, 2] the middle's one-block marginal over
+        # phi12 is itself a term of the pooled prior; one row for a grid raises.
+        marginal = gaussian_chain.boundary_marginals[(1, 0)]
+        pool = dictatorial_complete(gaussian_chain.model, [1, 2],
+                                    {(1, 0): lambda x: marginal(x)[:1]})
+        with pytest.raises(StructureError, match=r"pool: term over blocks \(0,\) returned shape "
+                                                 r"\(1, 200\) for batch shape \(200, 200\)"):
+            grid_normalize(pool, GridSpec(((-6, 6, 200), (-6, 6, 200))))
 
     def test_columns_are_c_order(self, gaussian_chain):
         pool = poe_pooling(gaussian_chain.model)

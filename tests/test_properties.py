@@ -158,9 +158,9 @@ def _middle_joint(phi, psi):
 # End 0's joint is finite where its prior is -inf: a model inconsistency.
 HALF_LINE_CHAIN = ChainModel(
     submodels=(
-        SubmodelSpec(0, None, "a", _flat_joint, _half_line),
-        SubmodelSpec(1, "a", "b", _middle_joint, _quad),
-        SubmodelSpec(2, "b", None, _flat_joint, _quad),
+        SubmodelSpec(0, _flat_joint, _half_line),
+        SubmodelSpec(1, _middle_joint, _quad),
+        SubmodelSpec(2, _flat_joint, _quad),
     ),
     phi_blocks=(PhiBlock("a", real_coords(1)), PhiBlock("b", real_coords(1))),
 )
@@ -523,7 +523,7 @@ def test_unit_additivity_on_random_factorized_tables(end1, end3, seed, data):
 
 
 def test_scalar_only_joint_is_rejected():
-    spec = SubmodelSpec(4, None, "a", lambda p, s: 0.0, _quad)
+    spec = SubmodelSpec(4, lambda p, s: 0.0, _quad)
     assert spec.eval_log_joint(np.zeros(1), np.empty(0)) == 0.0
     with pytest.raises(StructureError, match="submodel 4"):
         spec.eval_log_joint(np.zeros((3, 1)), np.empty((3, 0)))

@@ -284,8 +284,8 @@ class TestSequential:
         _, _, factor = _gaussian_setup()
         model = ChainModel(
             submodels=(
-                SubmodelSpec(0, None, "a", lambda p, s: 0.0, lambda p: 0.0),
-                SubmodelSpec(1, "a", None, lambda p, s: 0.0, lambda p: 0.0),
+                SubmodelSpec(0, lambda p, s: 0.0, lambda p: 0.0),
+                SubmodelSpec(1, lambda p, s: 0.0, lambda p: 0.0),
             ),
             phi_blocks=(PhiBlock("a", real_coords(1)),),
         )
@@ -912,7 +912,7 @@ class TestLockstep:
         built, factor = self._setup()
         spec = built.model.submodels[0]
         scalar = SubmodelSpec(
-            0, spec.left_block, spec.right_block,
+            0,
             lambda phi, psi: float(spec.log_joint(phi[0], psi[0])),  # reads row 0 only
             spec.log_prior_marginal,
         )
