@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelInconsistencyError, StructureError
+from .errors import ModelInconsistencyError, StructureError, UnsupportedConfigError
 
 __all__ = [
     "Coord",
@@ -290,6 +290,11 @@ class ChainModel:
             (f"psi{m + 1}", spec.psi_dim) for m, spec in enumerate(self.submodels)
         ]
 
+    def check_built_on(self, pool, what: str) -> None:
+        """Raise ``UnsupportedConfigError`` unless ``pool.chain`` is this chain."""
+        if pool.chain is not self:
+            raise UnsupportedConfigError(f"{what} was built on another chain")
+
     def phi_m(self, m: int, phi: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenated shared-block values seen by submodel m (``block_values``)."""
         return block_values(phi, self.blocks_of(m))
@@ -352,11 +357,12 @@ def log_melded_density(model: ChainModel, pool, phi, psi):
     """Unnormalized log density of the chained melded model; states may be batched.
 
     ``pool`` is anything with a ``log_density(phi_blocks)`` method (a
-    ``PooledPrior`` or ``PoolFactorization``).  A state is -inf where the
-    pool is, or where a submodel's joint is -inf; otherwise a finite joint
-    whose prior marginal is -inf, checked in submodel order, raises.  A
-    float for unbatched states.
+    ``PooledPrior`` or ``PoolFactorization``) whose ``chain`` is ``model``.
+    A state is -inf where the pool is, or where a submodel's joint is -inf;
+    otherwise a finite joint whose prior marginal is -inf, checked in
+    submodel order, raises.  A float for unbatched states.
     """
+    model.check_built_on(pool, "pool")
     model.check_dims(phi, psi)
     total = np.asarray(pool.log_density(phi), dtype=float)
     zero = total == -math.inf

@@ -59,6 +59,7 @@ from .samplers import (
     run_random_walk,
     run_sequential,
     run_stage_one_pair,
+    split_warmup,
 )
 from .diagnostics import MIN_DRAWS, ess_bulk, ess_tail, split_rhat
 
@@ -249,7 +250,7 @@ def _read_sampler(cfg: dict) -> dict:
             )
     # The last stage's kept draws are the samples that get diagnosed.
     stage, n = list(sampler["iterations"].items())[-1]
-    kept = n - int(sampler["warmup_frac"] * n)
+    kept = split_warmup(n, sampler["warmup_frac"])[1]
     if kept < MIN_DRAWS:
         raise ConfigError(
             f"sampler.warmup_frac: {sampler['warmup_frac']} keeps {kept} of the {n} draws per "

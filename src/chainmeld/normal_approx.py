@@ -117,6 +117,7 @@ def build_normal_approx_target(
     """
     if model.n_submodels != 3:
         raise UnsupportedConfigError("normal approximation is defined for M = 3 chains")
+    model.check_built_on(factor, "pool factorization")
     b12, b23 = model.phi_blocks
     for block in (b12, b23):
         if any(c.kind == "discrete" for c in block.coords):

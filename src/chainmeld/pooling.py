@@ -277,7 +277,8 @@ def dictatorial_complete(
 
 @dataclass(frozen=True)
 class PoolFactorization:
-    """Split of a pooled prior into one factor per submodel, for the multi-stage samplers.
+    """Split of a pooled prior over ``chain`` into one factor per submodel, for
+    the multi-stage samplers.
 
     ``terms[m]`` is submodel m's factor as weighted log-marginal terms; it
     reads only the blocks submodel m touches, and the factors sum to the
@@ -286,6 +287,7 @@ class PoolFactorization:
     ``pool2(*blocks)`` the middle factors together on every block.
     """
 
+    chain: ChainModel
     terms: tuple[tuple[PoolTerm, ...], ...]
     pool1: LogDensity
     pool2: Callable[..., np.ndarray]
@@ -328,6 +330,7 @@ def factorize_for_sampler(pool: PooledPrior, mode: str) -> PoolFactorization:
                 terms[m] = merge_term(terms[m], -1.0, fn, blocks)
     terms, middle, pad = tuple(terms), sum(terms[1:-1], ()), (None,) * (M - 2)
     return PoolFactorization(
+        chain,
         terms,
         pool1=lambda x: sum_terms(terms[0], (x,)),
         pool2=lambda *blocks: sum_terms(middle, blocks),

@@ -45,11 +45,12 @@ are the same either way.
 
 Otherwise every move evaluates per move, for all chains in one call: the
 joint, and, when it changes phi, the prior marginal log p_m and each other
-pool term that reads a block it changes.  A move whose proposals are fixed
+pool term whose state columns it changes.  A move whose proposals are fixed
 before the stage starts (a whole-block index move: both ends of the
 parallel stage two and every sequential index move; the walk of a stage
-one whose coordinates are all discrete) evaluates each pool term that
-reads only the blocks it replaces for the whole stage in one call instead.
+one whose coordinates are all discrete) evaluates each pool term whose
+columns lie inside the ones it replaces for the whole stage in one call
+instead.
 A unitwise move mixes rows, so its terms are per move.  A batched call
 that raises is redone move by move, so a run raises the first error that
 evaluating every move raises.  Initial states and moves alike call the
@@ -185,15 +186,17 @@ def split_warmup(n_iter: int, warmup_frac: float) -> tuple[int, int]:
 # batched targets
 # ---------------------------------------------------------------------------
 #
-# A target evaluates the proposals of every chain at once.  A state caches
-# its terms: the log target of every chain (-inf off the target's support),
-# or the rows of one (terms, chains) array: the log target, the weighted sum
-# of the marginal terms, then each marginal term.  ``initial(z)`` evaluates
-# them for every row of z.  ``kernel(lo, hi, proposals)`` binds, once per
-# stage, the move of state columns lo:hi: a function ``(z, cur, t) -> new``
-# that gives the terms of every row of z at iteration t, re-evaluating the
-# joint and the terms the move changes and copying the others from cur, or
-# reading them from the terms of the stage's ``proposals`` when those were
+# A target evaluates the proposals of every chain at once.  Its states are
+# rows over its coordinates ``coords``.  A state caches its terms: the log
+# target of every chain (-inf off the target's support), or the rows of one
+# (terms, chains) array: the log target, the weighted sum of the marginal
+# terms, then each marginal term, which reads one column range of the state.
+# ``initial(z)`` evaluates them for every row of z.  ``kernel(lo, hi,
+# proposals)`` binds, once per stage, the move of state columns lo:hi: a
+# function ``(z, cur, t) -> new`` that gives the terms of every row of z at
+# iteration t, re-evaluating the joint and the terms whose columns overlap
+# lo:hi and copying the others from cur, or reading a term whose columns lie
+# inside lo:hi from the terms of the stage's ``proposals`` when those were
 # evaluated when the stage started.
 # Off-support values are rare, so the -inf policy runs only where some term
 # is -inf.
@@ -210,47 +213,49 @@ def _tabulate(fn, proposals: np.ndarray):
 
 
 class _StageTarget:
-    """One submodel's stage target, log p_m(phi, psi, Y) - log p_m(phi) + its pool factor.
+    """Stage target of submodel m of ``chain``, log p_m(phi, psi, Y) - log p_m(phi)
+    + its factor ``factor.terms[m]`` of the pooled prior.
 
-    The state is the submodel's shared blocks, in chain order, then psi_m.
-    ``terms`` is the stage's factor of the pooled prior as weighted
-    log-marginal terms over chain blocks, and ``widths`` maps each of the
-    submodel's blocks to its width.  The coefficient c of log p_m among the
-    terms merges with the divided-out marginal, so the target is the log
-    joint + (c - 1) log p_m + the other terms, and with c = 1 and no other
-    term it is exactly the subposterior.  Terms: log target, (c - 1) log p_m
-    + the other terms, then the marginal terms: log p_m and each other term.
-    A move evaluates the joint and only the marginal terms that read a block
-    it changes.  A subposterior's state keeps only the log target, and its
+    The state's coordinates ``coords`` are the submodel's shared blocks, in
+    chain order, then psi_m; phi is its first ``d`` columns.  The factor is
+    weighted log-marginal terms over chain blocks, each of which reads one
+    column range of the state.  The coefficient c of log p_m among the terms
+    merges with the divided-out marginal, so the target is the log joint +
+    (c - 1) log p_m + the other terms, and with c = 1 and no other term it is
+    exactly the subposterior.  Terms: log target, (c - 1) log p_m + the other
+    terms, then the marginal terms: log p_m and each other term.  A move
+    evaluates the joint and only the marginal terms whose columns it
+    changes.  A subposterior's state keeps only the log target, and its
     moves defer log p_m to ``check_pending``.
 
     Initial states and moves evaluate the submodel through ``eval_log_joint``
     and ``eval_log_prior``, and every other term with its results checked
-    the same way (``checked``), or, when every state column has a
-    cardinality in ``cards`` (None for a continuous column), moves read the
-    log target from a table of every state (``tabulate``).
+    the same way (``checked``), or, when every state column is discrete,
+    moves read the log target from a table of every state (``tabulate``).
     """
 
-    def __init__(self, spec: SubmodelSpec, terms, widths: dict[int, int], cards):
+    def __init__(self, chain: ChainModel, factor: PoolFactorization, m: int):
+        chain.check_built_on(factor, "pool factorization")
+        spec, blocks = chain.submodels[m], chain.blocks_of(m)
         self.spec = spec
+        self.coords = (*(c for b in blocks for c in chain.phi_blocks[b].coords),
+                       *spec.psi_coords)
+        cards = [c.cardinality for c in self.coords]
         self.cards = cards if all(cards) else None
         self.table = None
-        coef, self.rest = split_term(terms, spec.eval_log_prior, tuple(widths))
+        coef, self.rest = split_term(factor.terms[m], spec.eval_log_prior, blocks)
         self.coefs = np.array([coef - 1.0] + [t.coef for t in self.rest])[:, None]
         self.subposterior = coef == 1.0 and not self.rest
-        edges = np.cumsum([0, *widths.values()]).tolist()
-        self.bounds = {b: (edges[i], edges[i + 1]) for i, b in enumerate(widths)}
+        edges = np.cumsum([0] + [chain.phi_blocks[b].dim for b in blocks]).tolist()
+        start, stop = dict(zip(blocks, edges)), dict(zip(blocks, edges[1:]))
         self.d = edges[-1]
-        self.width = self.d + spec.psi_dim
+        self.width = len(self.coords)
         self.joint = spec.eval_log_joint
-        # Each marginal term's row in the terms, evaluator, blocks and state
-        # columns (None for all of phi).
-        self.marginals = [(2, spec.eval_log_prior, tuple(widths), None)]
+        # Each marginal term's row in the terms, evaluator and state columns.
+        self.marginals = [(2, spec.eval_log_prior, slice(0, self.d))]
         for i, t in enumerate(self.rest):
-            a, e = self.bounds[t.blocks[0]][0], self.bounds[t.blocks[-1]][1]
-            cols = None if (a, e) == (0, self.d) else slice(a, e)
             fn = checked(t.fn, spec, f"pool term over blocks {t.blocks}")
-            self.marginals.append((3 + i, fn, t.blocks, cols))
+            self.marginals.append((3 + i, fn, slice(start[t.blocks[0]], stop[t.blocks[-1]])))
         self._phi = self._lj = None  # deferred checks' states and joints
         self._pending = 0
 
@@ -261,8 +266,8 @@ class _StageTarget:
 
     def _every(self, z):
         """Every term of every row of z."""
-        every = [(row, fn, cols) for row, fn, _, cols in self.marginals]
-        return self._fill(z, np.zeros((2 + len(every), len(z))), every, (), None)
+        marginals = self.marginals
+        return self._fill(z, np.zeros((2 + len(marginals), len(z))), marginals, (), None)
 
     def tabulate(self, state: _Lockstep, sources, evaluations: int) -> None:
         """Evaluate the log target of every state once, when that costs no more
@@ -302,7 +307,7 @@ class _StageTarget:
         proposal of a move whose proposals are fixed before the stage starts.
         With a table, a move that writes the whole state looks all of them up
         at once, and the move at iteration t reads row t.  Without one, each
-        marginal term that reads only the moved blocks is evaluated for all of
+        marginal term whose columns lie inside lo:hi is evaluated for all of
         them in one batched call; if that call raises, the move evaluates the
         term move by move instead, so the first error raised is the one a run
         that evaluates every move raises.
@@ -313,10 +318,9 @@ class _StageTarget:
                 values = table[proposals.dot(strides).astype(np.intp)]
                 return lambda z, cur, t: values[t]
             return lambda z, cur, t: table[z.dot(strides).astype(np.intp)]
-        moved = {b for b, (a, e) in self.bounds.items() if a < hi and lo < e}
         joint, d = self.joint, self.d
         if self.subposterior:
-            defer = self._defer_check if moved else None
+            defer = self._defer_check if lo < d else None
 
             def log_target(z, cur, t):
                 # The joint is the log target; only the consistency check reads
@@ -329,13 +333,12 @@ class _StageTarget:
 
             return log_target
         live, tables = [], []
-        for row, fn, blocks, cols in self.marginals:
-            if moved.isdisjoint(blocks):
+        for row, fn, cols in self.marginals:
+            if cols.stop <= lo or hi <= cols.start:
                 continue
             values = None
-            if proposals is not None and moved.issuperset(blocks):
-                a, e = self.bounds[blocks[0]][0] - lo, self.bounds[blocks[-1]][1] - lo
-                values = _tabulate(fn, proposals[..., a:e])
+            if proposals is not None and lo <= cols.start and cols.stop <= hi:
+                values = _tabulate(fn, proposals[..., cols.start - lo : cols.stop - lo])
             if values is None:
                 live.append((row, fn, cols))
             else:
@@ -352,7 +355,7 @@ class _StageTarget:
         lj = new[0]  # the joint, until the weighted sum is added in place
         lj[:] = self.joint(phi, z[:, d:])
         for row, fn, cols in live:
-            new[row] = fn(phi if cols is None else z[:, cols])
+            new[row] = fn(z[:, cols])
         for row, values in tables:
             new[row] = values[t]
         lr, odd = new[1], False  # a move of psi alone keeps the current state's sum
@@ -404,22 +407,11 @@ class _StageTarget:
             raise
 
 
-def _stage_target(chain: ChainModel, factor: PoolFactorization, m: int) -> _StageTarget:
-    """Stage target of submodel m, with its factor ``factor.terms[m]`` of the pool."""
-    if len(factor.terms) != chain.n_submodels:
-        raise UnsupportedConfigError(f"{len(factor.terms)} pool factors for a chain of "
-                                     f"{chain.n_submodels} submodels")
-    spec, blocks = chain.submodels[m], chain.blocks_of(m)
-    coords = [c for b in blocks for c in chain.phi_blocks[b].coords] + list(spec.psi_coords)
-    return _StageTarget(spec, factor.terms[m], {b: chain.phi_blocks[b].dim for b in blocks},
-                        [c.cardinality for c in coords])
-
-
 class _FunctionTarget:
-    """A batched log target ``fn(z)``, its only term."""
+    """A batched log target ``fn(z)``, its only term, over states of ``coords``."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, fn, coords: Sequence[Coord]):
+        self.fn, self.coords = fn, tuple(coords)
 
     def initial(self, z):
         new = np.empty(len(z))
@@ -651,19 +643,21 @@ class _Run:
     proposed: list
 
 
-def _run_chains(target, sources, units, walk_coords, scale: float, n_iter, chains, seed,
-                warmup_frac, start=None) -> _Run:
+def _run_chains(target, sources, units, scale: float, n_iter, chains, seed, warmup_frac,
+                start=None) -> _Run:
     """Lockstep Metropolis-within-Gibbs over ``chains`` chains.
 
-    The state is one block per source, updated by index resampling in the
-    units ``units[i]`` (column tuples within the block), followed by the
-    walked coordinates, updated by one random-walk move with step ``scale``.
+    The state, of ``target.coords``, is one block per source, updated by
+    index resampling in the units ``units[i]`` (column tuples within the
+    block), followed by the walked coordinates, updated by one random-walk
+    move with step ``scale``.
     """
     if isinstance(chains, bool) or not isinstance(chains, (int, np.integer)) or chains < 1:
         raise UnsupportedConfigError(f"chains must be a positive integer, got {chains!r}")
     if not scale >= 0:  # NaN fails too
         raise UnsupportedConfigError(f"proposal scale must be >= 0, got {scale!r}")
     warmup, kept = split_warmup(n_iter, warmup_frac)
+    walk_coords = target.coords[sum(s.shape[1] for s in sources) :]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         init = _stage_two_init if sources else _initialize
@@ -738,11 +732,10 @@ def run_stage_one(
     last = chain.n_submodels - 1
     if end not in (0, last):
         raise UnsupportedConfigError(f"stage one targets submodel 0 or {last}, got {end}")
-    spec, block = chain.submodels[end], chain.phi_blocks[chain.blocks_of(end)[0]]
-    coords = tuple(block.coords) + tuple(spec.psi_coords)
-    run = _run_chains(_stage_target(chain, factor, end), (), (), coords, scale, n_iter,
-                      chains, seed, warmup_frac)
-    draws = run.z.reshape(-1, len(coords))
+    block = chain.phi_blocks[chain.blocks_of(end)[0]]
+    run = _run_chains(_StageTarget(chain, factor, end), (), (), scale, n_iter, chains, seed,
+                      warmup_frac)
+    draws = run.z.reshape(-1, run.z.shape[2])
     return SampleStore(draws[:, : block.dim].copy(), draws[:, block.dim :].copy(),
                        tuple(block.coords))
 
@@ -781,20 +774,18 @@ def run_random_walk(
     ``log_target`` maps states ``(chains, d)`` to ``(chains,)``.  Returns
     the kept draws ``(chains, kept, d)`` and the number of accepted moves.
     """
-    run = _run_chains(_FunctionTarget(log_target), (), (), tuple(coords), scale, n_iter,
-                      chains, seed, warmup_frac, start=init)
+    run = _run_chains(_FunctionTarget(log_target, coords), (), (), scale, n_iter, chains,
+                      seed, warmup_frac, start=init)
     return run.z, run.accepted[0]
 
 
 def _parallel_stage_two(chain, factor, store1, store3, scale, n_iter, chains, seed,
                         warmup_frac, uf1: UnitFactorization, uf3: UnitFactorization):
-    spec2 = chain.submodels[1]
     d12, d23 = store1.phi.shape[1], store3.phi.shape[1]
     run = _run_chains(
-        _stage_target(chain, factor, 1),
+        _StageTarget(chain, factor, 1),
         (store1.phi, store3.phi),
         (uf1.phi_indices, uf3.phi_indices),
-        tuple(spec2.psi_coords),
         scale,
         n_iter,
         chains,
@@ -932,21 +923,17 @@ def run_sequential(
     accept_counts, proposal_counts = {}, {}
     source = store.phi
     for s in range(1, M):
-        spec, left = chain.submodels[s], chain.phi_blocks[s - 1]
-        walk = () if s == M - 1 else tuple(chain.phi_blocks[s].coords)
-        run = _run_chains(
-            _stage_target(chain, factor, s), (source,), (_one_unit(left.dim),),
-            walk + tuple(spec.psi_coords), scales[s], n_iter[s], chains, seeds[s],
-            warmup_frac,
-        )
+        target = _StageTarget(chain, factor, s)
+        run = _run_chains(target, (source,), (_one_unit(source.shape[1]),), scales[s],
+                          n_iter[s], chains, seeds[s], warmup_frac)
         k = s + 1
         moves = (f"s{k}_phi1" if s == 1 else f"s{k}_index",
-                 f"s{k}_psi{k}" if not walk else f"s{k}_move")
+                 f"s{k}_psi{k}" if s == M - 1 else f"s{k}_move")
         accept_counts.update(zip(moves, run.accepted))
         proposal_counts.update(zip(moves, run.proposed))
         draws.append(run.z.reshape(-1, run.z.shape[2]))
         links.append(run.rows.reshape(-1))
-        source = np.ascontiguousarray(draws[s][:, left.dim : left.dim + len(walk)])
+        source = np.ascontiguousarray(draws[s][:, source.shape[1] : target.d])
     # Trace every kept draw of the last stage back through the earlier stages.
     at = [None] * M
     at[-1] = np.arange(draws[-1].shape[0]).reshape(chains, -1)

@@ -12,6 +12,7 @@ from chainmeld import (
     StructureError,
     SubmodelSpec,
     UnitFactorization,
+    UnsupportedConfigError,
     builtin_discrete_chain,
     dictatorial_complete,
     dictatorial_partial,
@@ -25,7 +26,7 @@ from chainmeld import (
     unit_additivity_gap,
 )
 
-from conftest import random_table
+from conftest import make_discrete_chain, random_table
 
 
 def _flat_spec(index, phi_dim, psi_dim=0, joint=None, marginal=None):
@@ -208,6 +209,13 @@ class TestMeldedDensity:
                 spec, model.phi_m(m, phi), np.asarray(psi[m])
             )
         assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_pool_of_another_chain_rejected(self, discrete_chain):
+        pool = poe_pooling(make_discrete_chain().model)
+        phi = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        psi = [np.empty(0), np.array([1.0, 0.0]), np.empty(0)]
+        with pytest.raises(UnsupportedConfigError, match="built on another chain"):
+            log_melded_density(discrete_chain.model, pool, phi, psi)
 
     def test_markov_combination_matches_poe_for_shared_priors(self):
         # When all submodels declare the same marginal for each boundary,

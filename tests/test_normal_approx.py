@@ -219,6 +219,13 @@ class TestBuildTarget:
                                                  r"returned shape \(1,\) for batch shape \(3,\)"):
             target(_rows([0.1, 0.2, 0.3], [0.0, 0.5, 1.0]))
 
+    def test_factorization_of_another_chain_rejected(self):
+        built = builtin_gaussian_chain(mu1=0.0, mu3=0.0)
+        other = builtin_gaussian_chain(mu1=3.0, mu3=0.0)
+        g = GaussianDensity([0.0], [[1.0]])
+        with pytest.raises(UnsupportedConfigError, match="built on another chain"):
+            _target(built, _middle_pool(other), g, g)
+
     def test_discrete_blocks_rejected(self, discrete_chain):
         g = GaussianDensity([0.0, 0.0], np.eye(2))
         factor = factorize_for_sampler(log_pooling(discrete_chain.model, [0.5, 0.5, 0.5]),

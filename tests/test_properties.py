@@ -49,7 +49,7 @@ from chainmeld import (
 )
 from chainmeld.diagnostics import _doubled_ranks, _rank_normalize, ess, ess_tail
 from chainmeld.pooling import merge_term, sum_terms
-from chainmeld.samplers import _stage_target
+from chainmeld.samplers import _StageTarget
 
 from conftest import make_discrete_chain, make_long_chain
 
@@ -229,7 +229,7 @@ def _stage_value(target, z):
 def _check_stage_targets(chain, factor, x):
     """Every stage target at one state equals the reference, or raises as it does."""
     for m in range(3):
-        target = _stage_target(chain, factor, m)
+        target = _StageTarget(chain, factor, m)
         phi = np.concatenate([x[b] for b in chain.blocks_of(m)])
         psi = np.zeros(chain.submodels[m].psi_dim)
         z = np.concatenate([phi, psi])[None, :]
@@ -263,7 +263,7 @@ def test_stage_two_stray_end_raises_unless_middle_joint_is_neg_inf():
     # joint is -inf and so is the target.
     factor = factorize_for_sampler(log_pooling(HALF_LINE_CHAIN, [0.0, 1.0, 1.0]),
                                    "subprior-ends")
-    target = _stage_target(HALF_LINE_CHAIN, factor, 1)
+    target = _StageTarget(HALF_LINE_CHAIN, factor, 1)
     for phi23 in (0.0, -3.5):
         with pytest.raises(NumericalFailureError):
             factor.pool2(np.array([-1.0]), np.array([phi23]))

@@ -34,7 +34,7 @@ from chainmeld import (
 )
 from chainmeld.chain import real_coords
 from chainmeld.pooling import PoolTerm
-from chainmeld.samplers import _Lockstep, _stage_target
+from chainmeld.samplers import _Lockstep, _StageTarget
 
 from conftest import make_discrete_chain, make_long_chain, random_table
 
@@ -292,6 +292,20 @@ class TestSequential:
         with pytest.raises(UnsupportedConfigError):
             run_sequential(model, factor, SCALES[:2], 1000, seed=0)
 
+    @pytest.mark.parametrize("run", [
+        lambda model, factor, s1, s3: run_stage_one_pair(model, factor, SCALE, 200),
+        lambda model, factor, s1, s3: run_parallel_stage_two(model, factor, s1, s3, SCALE, 200),
+        lambda model, factor, s1, s3: run_sequential(model, factor, SCALES, 200),
+    ], ids=["stage-one", "parallel-stage-two", "sequential"])
+    def test_factorization_of_another_chain_rejected(self, run):
+        # The same wiring with another end mean: sampling with its factor
+        # would meld the other chain's pool into this one.
+        built, _, factor = _gaussian_setup(**README)
+        _, _, other = _gaussian_setup(**README, mu1=3.0)
+        s1, s3 = run_stage_one_pair(built.model, factor, SCALE, 200, seed=1)
+        with pytest.raises(UnsupportedConfigError, match="built on another chain"):
+            run(built.model, other, s1, s3)
+
     def test_needs_one_kernel_per_stage(self):
         built, _, factor = _gaussian_setup()
         with pytest.raises(UnsupportedConfigError, match="3 scales"):
@@ -460,11 +474,12 @@ class TestEvaluationCounts:
                 raise ModelInconsistencyError("end term raised")
             return end.fn(x)
 
-        bad_factor, end = self._with_end_term(factor, raising_end)
         if nan_joint:
             spec2 = dataclasses.replace(spec2, log_joint=nan_after_init)
             model = ChainModel((model.submodels[0], spec2, model.submodels[2]),
                                model.phi_blocks)
+            factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
+        bad_factor, end = self._with_end_term(factor, raising_end)
         message = "log_joint returned NaN" if nan_joint else "end term raised"
         with pytest.raises(ModelInconsistencyError, match=message):
             run_parallel_stage_two(model, bad_factor, s1, s3, SCALE, 200, seed=5)
@@ -856,7 +871,7 @@ class TestStageTargetKernel:
         factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), mode)
         rng = np.random.default_rng(11)
         for m, spec in enumerate(model.submodels):
-            target = _stage_target(model, factor, m)
+            target = _StageTarget(model, factor, m)
             coords = [c for b in model.blocks_of(m) for c in model.phi_blocks[b].coords]
             coords += spec.psi_coords
             z = self._draw(coords, rng)
@@ -864,7 +879,9 @@ class TestStageTargetKernel:
             if tabulate:
                 target.tabulate(state, (), 1 << 20)
                 assert target.table is not None
-            moves = [(lo, hi, True) for lo, hi in target.bounds.values()]
+            edges = np.cumsum([0] + [model.phi_blocks[b].dim
+                                     for b in model.blocks_of(m)]).tolist()
+            moves = [(lo, hi, True) for lo, hi in zip(edges, edges[1:])]
             if spec.psi_dim:
                 moves.append((target.d, target.width, False))
             moves.append((0, target.width, chain == "discrete"))
@@ -917,6 +934,7 @@ class TestLockstep:
             spec.log_prior_marginal,
         )
         model = ChainModel((scalar,) + built.model.submodels[1:], built.model.phi_blocks)
+        factor = factorize_for_sampler(log_pooling(model, [0.5] * 3), "subprior-ends")
         with pytest.raises(StructureError, match="submodel 0"):
             run_stage_one(model, 0, factor, SCALE, 200, chains=1, seed=1)
 
