@@ -34,6 +34,12 @@ __all__ = [
 _JITTER = 1e-10
 
 
+def _distinct_rows(x: np.ndarray) -> int:
+    """Distinct rows of ``x``, which has one or more (``np.unique`` loads ``numpy.ma``)."""
+    s = x[np.lexsort(x.T)]  # equal rows sort next to each other
+    return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
+
+
 def fit_gaussian_moments(store: SampleStore) -> GaussianDensity:
     """Sample mean and unbiased covariance of the store's shared-block (phi) draws.
 
@@ -49,7 +55,7 @@ def fit_gaussian_moments(store: SampleStore) -> GaussianDensity:
     # Distinct rows are sought in prefixes of 64, 128, ... rows: a mixing
     # store shows d + 1 of them early, and only a nearly stuck one is sorted whole.
     rows = 64
-    while np.unique(data[:rows], axis=0).shape[0] < d + 1:
+    while _distinct_rows(data[:rows]) < d + 1:
         if rows >= data.shape[0]:
             raise NumericalFailureError(
                 f"need at least {d + 1} distinct draws to fit a {d}-dimensional Gaussian"

@@ -79,7 +79,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not inside the first run)
 
 from .chain import (ChainModel, Coord, SubmodelSpec, UnitFactorization, check_consistent,
-                    checked, unit_additivity_gap)
+                    check_result, checked, unit_additivity_gap)
 from .errors import (
     InitializationError,
     StructureError,
@@ -415,7 +415,7 @@ class _FunctionTarget:
 
     def initial(self, z):
         new = np.empty(len(z))
-        new[:] = self.fn(z)
+        new[:] = check_result(self.fn(z), (len(z),), "random walk", "log_target")
         return new
 
     def tabulate(self, state, sources, evaluations: int) -> None:
@@ -774,6 +774,9 @@ def run_random_walk(
     ``log_target`` maps states ``(chains, d)`` to ``(chains,)``.  Returns
     the kept draws ``(chains, kept, d)`` and the number of accepted moves.
     """
+    if init is not None and np.shape(init) != (len(coords),):
+        raise StructureError(f"random walk: init has shape {np.shape(init)}; "
+                             f"expected one value per coordinate, ({len(coords)},)")
     run = _run_chains(_FunctionTarget(log_target, coords), (), (), scale, n_iter, chains,
                       seed, warmup_frac, start=init)
     return run.z, run.accepted[0]

@@ -94,6 +94,28 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("sample", "parallel"), ("sample", "parallel-unitwise"), ("sample", "sequential"),
+    ("sample", "normal-approx"), ("diag", "parallel"), ("pool-grid", "parallel"),
+    ("oracle", "parallel-unitwise"), ("validate", "parallel"),
+])
+def test_no_command_loads_numpy_ma(tmp_path, command, kind):
+    """numpy.ma holds 1.3 MB in every process that loads it, and no command needs it.
+    Each command runs in an interpreter of its own: this one may hold numpy.ma through scipy."""
+    cfg = _unitwise_config(tmp_path) if kind == "parallel-unitwise" else _gaussian_config(tmp_path)
+    cfg["sampler"]["kind"] = kind
+    if kind == "sequential":
+        cfg["sampler"]["iterations"]["stage_three"] = 500
+    path = _write_config(tmp_path, cfg)
+    if command == "diag":
+        assert main(["sample", "--config", path]) == 0
+    code = ("import sys, chainmeld.cli as cli\n"
+            f"assert cli.main([{command!r}, '--config', {path!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 class TestValidate:
     def test_ok(self, tmp_path, capsys):
         path = _write_config(tmp_path, _gaussian_config(tmp_path))

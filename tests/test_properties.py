@@ -47,7 +47,8 @@ from chainmeld import (
     submodel_log_ratio,
     unit_additivity_gap,
 )
-from chainmeld.diagnostics import _doubled_ranks, _rank_normalize, ess, ess_tail
+from chainmeld.diagnostics import _doubled_ranks, _rank_normalize, _tail_cuts, ess, ess_tail
+from chainmeld.normal_approx import _distinct_rows
 from chainmeld.pooling import merge_term, sum_terms
 from chainmeld.samplers import _StageTarget
 
@@ -711,6 +712,32 @@ def test_ess_tail_matches_ranking_the_indicators(arr):
         else:
             expected.append(ess(_rank_normalize(indicator)).value)
     assert ess_tail(arr).value == min(expected)
+
+
+@given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(8, 120)))
+def test_tail_cuts_equal_numpy_quantile(data, shape):
+    """ess_tail's cut points are np.quantile's, bit for bit, also on heavy ties,
+    zeros of either sign, infinities and NaN."""
+    elements = data.draw(st.sampled_from([
+        st.sampled_from([-0.0, 0.0, 1.0]),
+        st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 2.5, math.inf]),
+        st.one_of(st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]), st.floats()),
+        st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    ]))
+    arr = data.draw(arrays(np.float64, shape, elements=elements))
+    with np.errstate(all="ignore"):  # inf - inf and overflow, in both
+        got, want = _tail_cuts(arr), np.quantile(arr, (0.05, 0.95))
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 80), st.integers(1, 3)),
+              elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, math.inf])))
+def test_distinct_rows_match_numpy_unique(x):
+    """The normal-approx fit counts distinct rows as np.unique does, zeros of
+    either sign as one value."""
+    assert _distinct_rows(x) == np.unique(x, axis=0).shape[0]
 
 
 # The README's example config on a 10 x 10 grid, and a small discrete chain

@@ -76,6 +76,38 @@ class TestRandomWalk:
         freq = np.bincount(draws[0, :, 0].astype(int), minlength=3) / draws.shape[1]
         np.testing.assert_allclose(freq, np.exp(log_w), atol=0.02)
 
+    @pytest.mark.parametrize("log_target", [
+        lambda z: -0.5 * z[:1, 0] ** 2,          # one value for two chains
+        lambda z: float(-0.5 * z[0, 0] ** 2),    # a float, unbatched
+        lambda z: -0.5 * z ** 2,                 # (chains, 1)
+    ], ids=["length-1", "float", "column"])
+    def test_unbatched_target_fails_loudly(self, log_target):
+        # Each was broadcast over the chains: the length-1 target gave variance 37.
+        with pytest.raises(StructureError, match="log_target must be batched"):
+            run_random_walk(log_target, real_coords(1), SCALE, 200, chains=2)
+
+    def test_nan_target_fails_loudly(self):
+        with pytest.raises(ModelInconsistencyError, match="log_target returned NaN"):
+            run_random_walk(lambda z: np.where(z[:, 0] > 0.5, np.nan, -z[:, 0] ** 2),
+                            real_coords(1), SCALE, 200, chains=2)
+
+    def test_target_may_reuse_its_buffer(self):
+        buf = np.empty(2)
+
+        def log_target(z):
+            buf[:] = -0.5 * z[:, 0] ** 2
+            return buf
+
+        draws, _ = run_random_walk(log_target, real_coords(1), SCALE, 20000, chains=2, seed=1)
+        assert draws.var() == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("init", [[5.0], [5.0, 1.0], np.zeros((2, 3))],
+                             ids=["one", "two", "per-chain"])
+    def test_init_needs_one_value_per_coordinate(self, init):
+        with pytest.raises(StructureError, match=r"expected one value per coordinate, \(3,\)"):
+            run_random_walk(lambda z: -0.5 * (z * z).sum(axis=1), real_coords(3), SCALE, 200,
+                            chains=2, init=init)
+
     def test_runners_reject_bad_scale(self):
         # Every public runner rejects a bad scale, also for a stage that walks
         # nothing: without tau, the Gaussian chain's parallel stage two and
